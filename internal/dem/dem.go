@@ -7,7 +7,9 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/circuit"
 	"repro/internal/extract"
+	"repro/internal/pauli"
 	"repro/internal/pframe"
 )
 
@@ -112,125 +114,273 @@ func fnv1aFootprint(dets []int32, obs bool) uint64 {
 	return h
 }
 
-// BuildStructure enumerates and propagates every elementary fault of the
-// experiment's circuit (ops with a positive error probability) and merges
-// identical footprints into mechanisms, recording per-mechanism fault
-// sources instead of probabilities. Faults of ops annotated with zero
-// probability are not represented; build experiments with every relevant
-// noise class positive (hardware.Default is) if they are to be reweighted.
+// BuildStructure derives the experiment's detector error model structure:
+// every elementary fault of the circuit (ops with a positive error
+// probability), its detector footprint, and the merge of identical
+// footprints into mechanisms, recording per-mechanism fault sources instead
+// of probabilities. Faults of ops annotated with zero probability are not
+// represented; build experiments with every relevant noise class positive
+// (hardware.Default is) if they are to be reweighted.
+//
+// Footprints come from one reverse pass over the circuit, the way Stim
+// derives its models. Walking ops backwards, every slot carries two
+// sensitivities: the detectors (and observable) that an X, respectively Z,
+// component injected on the slot at that point flips downstream. Each
+// fault's footprint is read from the sensitivities just after its op acts,
+// then the op's transpose carries the sensitivities back past it. The cost
+// is linear in ops times footprint size. Mechanisms are numbered by first
+// occurrence in forward fault-enumeration order and their sources kept in
+// that order, so the result equals a forward per-fault propagation bit for
+// bit.
 func BuildStructure(e *extract.Experiment) (*Structure, error) {
-	ndet := len(e.Detectors)
-	// Invert detector definitions: measurement -> detectors containing it.
-	measDets := make([][]int32, e.Circ.NumMeas)
-	for di, det := range e.Detectors {
-		for _, m := range det.Meas {
-			measDets[m] = append(measDets[m], int32(di))
+	c := e.Circ
+	recOff, recDets, recObs := recordSets(e)
+	rec := func(meas int) sensitivity {
+		return sensitivity{recDets[recOff[meas]:recOff[meas+1]], recObs[meas]}
+	}
+
+	// sens[2q] is slot q's X sensitivity, sens[2q+1] its Z sensitivity.
+	// Every entry owns its backing array; xorInto and the moves below only
+	// ever exchange arrays, never share them.
+	sens := make([]sensitivity, 2*c.NumSlots)
+	var scratch []int32
+	xorInto := func(dst *sensitivity, src sensitivity) {
+		scratch = xorSorted(scratch[:0], dst.dets, src.dets)
+		dst.dets, scratch = scratch, dst.dets
+		dst.obs = dst.obs != src.obs
+	}
+	addPauli := func(acc *sensitivity, q int, p pauli.Pauli) {
+		if p.XBit() {
+			xorInto(acc, sens[2*q])
+		}
+		if p.ZBit() {
+			xorInto(acc, sens[2*q+1])
 		}
 	}
-	measObs := make([]bool, e.Circ.NumMeas)
-	for _, m := range e.Observable {
-		measObs[m] = !measObs[m]
+	reset := func(q int) {
+		sens[2*q] = sensitivity{dets: sens[2*q].dets[:0]}
+		sens[2*q+1] = sensitivity{dets: sens[2*q+1].dets[:0]}
+	}
+	// move carries slot to's sensitivities back to slot from (the op moved
+	// from's content into to) and clears to (whatever it held was dropped).
+	move := func(from, to int) {
+		sens[2*from], sens[2*to] = sens[2*to], sens[2*from]
+		sens[2*from+1], sens[2*to+1] = sens[2*to+1], sens[2*from+1]
+		reset(to)
 	}
 
-	prop := pframe.NewPropagator(e.Circ)
-	s := &Structure{NumDets: ndet, NumOps: e.Circ.NumOps()}
-	s.detOff = append(s.detOff, 0)
+	// Provisional mechanisms, numbered as the reverse pass meets them, and
+	// one provisional id per fault (-1: harmless) in reverse enumeration
+	// order.
+	var pDets []int32
+	pOff := []int32{0}
+	var pObs []bool
+	var prov []int32
+	buckets := make(map[uint64][]int32) // footprint hash -> provisional ids
 
-	buckets := make(map[uint64][]int32) // footprint hash -> mechanism indices
-	var srcs [][]int32                  // per-mechanism source indices into srcOp/srcDiv order
-	var srcOps []int32                  // source k: global op
-	var srcDivs []float64               // source k: branch divisor
-
-	detParity := make(map[int32]bool, 8)
-	var dets []int32
+	var st BuildStats
+	var acc sensitivity
 	var faults []pframe.WeightedFault
+	for mi := len(c.Moments) - 1; mi >= 0; mi-- {
+		m := &c.Moments[mi]
+		for oi := len(m.Ops) - 1; oi >= 0; oi-- {
+			op := &m.Ops[oi]
+			faults = pframe.FaultsOf(mi, oi, op, faults[:0])
+			for fi := len(faults) - 1; fi >= 0; fi-- {
+				f := &faults[fi].Fault
+				acc = sensitivity{dets: acc.dets[:0]}
+				if f.FlipMeas {
+					xorInto(&acc, rec(op.MeasIdx))
+				}
+				addPauli(&acc, op.A, f.PA)
+				addPauli(&acc, op.B, f.PB)
+				dets, obs := acc.dets, acc.obs
+				if len(dets) == 0 {
+					if !obs {
+						st.Harmless++
+						prov = append(prov, -1)
+						continue
+					}
+					st.UndetectableObs++
+				}
+				st.MaxFootprint = max(st.MaxFootprint, len(dets))
+				if len(dets) > 2 {
+					st.MultiDetFaults++
+				}
 
-	gid := int32(-1)
-	for mi := range e.Circ.Moments {
-		m := &e.Circ.Moments[mi]
+				h := fnv1aFootprint(dets, obs)
+				id := int32(-1)
+				for _, cand := range buckets[h] {
+					if pObs[cand] == obs && slices.Equal(pDets[pOff[cand]:pOff[cand+1]], dets) {
+						id = cand
+						break
+					}
+				}
+				if id < 0 {
+					id = int32(len(pObs))
+					pDets = append(pDets, dets...)
+					pOff = append(pOff, int32(len(pDets)))
+					pObs = append(pObs, obs)
+					buckets[h] = append(buckets[h], id)
+				}
+				prov = append(prov, id)
+			}
+
+			// Carry the sensitivities back past op: the transpose of
+			// pframe's frame update.
+			a, b := op.A, op.B
+			switch op.Kind {
+			case circuit.OpReset:
+				reset(a)
+			case circuit.OpH:
+				sens[2*a], sens[2*a+1] = sens[2*a+1], sens[2*a]
+			case circuit.OpCNOT:
+				xorInto(&sens[2*a], sens[2*b])     // control X spreads to target X
+				xorInto(&sens[2*b+1], sens[2*a+1]) // target Z spreads to control Z
+			case circuit.OpLoad:
+				move(b, a)
+			case circuit.OpStore:
+				move(a, b)
+			case circuit.OpMeasureZ:
+				xorInto(&sens[2*a], rec(op.MeasIdx))
+			}
+		}
+	}
+	st.Faults = len(prov)
+	if st.UndetectableObs > 0 {
+		return nil, fmt.Errorf("dem: %d faults flip the observable without any detector", st.UndetectableObs)
+	}
+	slices.Reverse(prov)
+
+	// Renumber mechanisms by first forward occurrence and count sources.
+	// Every provisional mechanism has at least one fault, so the final
+	// count is the provisional one.
+	nmech := len(pObs)
+	s := &Structure{NumDets: len(e.Detectors), NumOps: c.NumOps(), Stats: st}
+	final := slices.Repeat([]int32{-1}, nmech)
+	s.detOff = make([]int32, 1, nmech+1)
+	s.dets = make([]int32, 0, len(pDets))
+	s.obs = make([]bool, 0, nmech)
+	s.srcOff = make([]int32, nmech+1)
+	for k, p := range prov {
+		if p < 0 {
+			continue
+		}
+		if final[p] < 0 {
+			final[p] = int32(len(s.obs))
+			s.dets = append(s.dets, pDets[pOff[p]:pOff[p+1]]...)
+			s.detOff = append(s.detOff, int32(len(s.dets)))
+			s.obs = append(s.obs, pObs[p])
+		}
+		prov[k] = final[p]
+		s.srcOff[prov[k]+1]++
+	}
+	for i := 1; i <= nmech; i++ {
+		s.srcOff[i] += s.srcOff[i-1]
+	}
+
+	// Fill sources in fault enumeration order.
+	next := slices.Clone(s.srcOff[:nmech])
+	s.srcOp = make([]int32, s.srcOff[nmech])
+	s.srcDiv = make([]float64, s.srcOff[nmech])
+	k, gid := 0, int32(-1)
+	for mi := range c.Moments {
+		m := &c.Moments[mi]
 		for oi := range m.Ops {
 			gid++
 			op := &m.Ops[oi]
 			faults = pframe.FaultsOf(mi, oi, op, faults[:0])
-			if len(faults) == 0 {
-				continue
-			}
 			div := float64(pframe.BranchCount(op.Kind))
-			for fi := range faults {
-				s.Stats.Faults++
-				flips := prop.Propagate(faults[fi].Fault)
-				clear(detParity)
-				obs := false
-				for _, meas := range flips {
-					for _, d := range measDets[meas] {
-						detParity[d] = !detParity[d]
-					}
-					if measObs[meas] {
-						obs = !obs
-					}
+			for range faults {
+				if mech := prov[k]; mech >= 0 {
+					s.srcOp[next[mech]] = gid
+					s.srcDiv[next[mech]] = div
+					next[mech]++
 				}
-				dets = dets[:0]
-				for d, v := range detParity {
-					if v {
-						dets = append(dets, d)
-					}
-				}
-				if len(dets) == 0 {
-					if obs {
-						s.Stats.UndetectableObs++
-					} else {
-						s.Stats.Harmless++
-						continue
-					}
-				}
-				slices.Sort(dets)
-				if len(dets) > s.Stats.MaxFootprint {
-					s.Stats.MaxFootprint = len(dets)
-				}
-				if len(dets) > 2 {
-					s.Stats.MultiDetFaults++
-				}
-
-				// Find or create the mechanism with this footprint.
-				h := fnv1aFootprint(dets, obs)
-				mech := int32(-1)
-				for _, cand := range buckets[h] {
-					if s.obs[cand] == obs && slices.Equal(s.dets[s.detOff[cand]:s.detOff[cand+1]], dets) {
-						mech = cand
-						break
-					}
-				}
-				if mech < 0 {
-					mech = int32(len(s.obs))
-					s.dets = append(s.dets, dets...)
-					s.detOff = append(s.detOff, int32(len(s.dets)))
-					s.obs = append(s.obs, obs)
-					srcs = append(srcs, nil)
-					buckets[h] = append(buckets[h], mech)
-				}
-				srcs[mech] = append(srcs[mech], int32(len(srcOps)))
-				srcOps = append(srcOps, gid)
-				srcDivs = append(srcDivs, div)
+				k++
 			}
 		}
-	}
-	if s.Stats.UndetectableObs > 0 {
-		return nil, fmt.Errorf("dem: %d faults flip the observable without any detector", s.Stats.UndetectableObs)
-	}
-
-	// Flatten sources to CSR in mechanism order.
-	s.srcOff = make([]int32, 1, len(srcs)+1)
-	s.srcOp = make([]int32, 0, len(srcOps))
-	s.srcDiv = make([]float64, 0, len(srcDivs))
-	for _, list := range srcs {
-		for _, k := range list {
-			s.srcOp = append(s.srcOp, srcOps[k])
-			s.srcDiv = append(s.srcDiv, srcDivs[k])
-		}
-		s.srcOff = append(s.srcOff, int32(len(s.srcOp)))
 	}
 	s.Stats.Mechanisms = s.NumMechanisms()
 	return s, nil
+}
+
+// sensitivity is a detector set (sorted) plus an observable bit: the
+// footprint of a fault, a measurement record, or a Pauli component
+// injected at one point of the circuit.
+type sensitivity struct {
+	dets []int32
+	obs  bool
+}
+
+// xorSorted appends the symmetric difference of the sorted sets a and b to
+// dst.
+func xorSorted(dst, a, b []int32) []int32 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		case a[i] > b[j]:
+			dst = append(dst, b[j])
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// recordSets returns, in CSR form, each measurement record's footprint: the
+// detectors listing it an odd number of times (sorted), and whether the
+// observable lists it an odd number of times.
+func recordSets(e *extract.Experiment) (off, dets []int32, obs []bool) {
+	n := e.Circ.NumMeas
+	off = make([]int32, n+1)
+	for _, det := range e.Detectors {
+		for _, m := range det.Meas {
+			off[m+1]++
+		}
+	}
+	for m := 0; m < n; m++ {
+		off[m+1] += off[m]
+	}
+	dets = make([]int32, off[n])
+	next := slices.Clone(off[:n])
+	for di, det := range e.Detectors {
+		for _, m := range det.Meas {
+			dets[next[m]] = int32(di)
+			next[m]++
+		}
+	}
+	// Detectors were filled in ascending order, so repeats of one detector
+	// are adjacent: keep one copy of each odd run, compacting in place.
+	w := int32(0)
+	for m := 0; m < n; m++ {
+		lo, hi := off[m], off[m+1]
+		off[m] = w
+		for i := lo; i < hi; {
+			j := i + 1
+			for j < hi && dets[j] == dets[i] {
+				j++
+			}
+			if (j-i)%2 == 1 {
+				dets[w] = dets[i]
+				w++
+			}
+			i = j
+		}
+	}
+	off[n] = w
+
+	obs = make([]bool, n)
+	for _, m := range e.Observable {
+		obs[m] = !obs[m]
+	}
+	return off, dets[:w], obs
 }
 
 // Reweight materializes the Model for one per-op probability assignment

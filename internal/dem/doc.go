@@ -1,14 +1,23 @@
 // Package dem builds detector error models: it enumerates every elementary
-// Pauli fault of an experiment's circuit, propagates each one
-// deterministically through the Pauli-frame simulator, and records which
-// detectors and whether the logical observable flip. Faults with identical
+// Pauli fault of an experiment's circuit and records which detectors it
+// flips and whether it flips the logical observable. Faults with identical
 // footprints merge into a single mechanism with XOR-combined probability.
-// This mirrors how Stim derives matchable models from circuits.
+//
+// Footprints come from one reverse sensitivity pass, as in Stim. Walking
+// the circuit backwards, each slot carries the detector set (and
+// observable bit) that an X, respectively Z, component injected there
+// would flip; going back through an op applies the transpose of the
+// Pauli-frame update, and a measurement adds its record's detectors to the
+// slot's X sensitivity. A fault's footprint is the XOR of the
+// sensitivities its Paulis touch, read just after its op. The pass is
+// linear in circuit size, and its result is bit-identical to propagating
+// every fault forward through the Pauli-frame simulator, which the tests
+// keep as the reference oracle.
 //
 // The model is split into two halves, the way Stim separates fault
 // structure from fault probability:
 //
-//   - Structure (BuildStructure) is the expensive, probability-free half:
+//   - Structure (BuildStructure) is the build-once, probability-free half:
 //     merged mechanism footprints in flat CSR form, plus, per mechanism,
 //     the list of elementary fault branches (global op index + branch
 //     divisor) that feed it. It depends only on the circuit's gates and
@@ -20,7 +29,7 @@
 //   - Reweight (and the allocation-reusing ReweightInto) is the cheap
 //     half: given per-op error probabilities it produces a Model —
 //     per-mechanism probabilities ready for sampling and decoding-graph
-//     extraction — without re-running fault propagation.
+//     extraction — without re-running fault analysis.
 //
 // Build bundles both for one-shot use.
 //

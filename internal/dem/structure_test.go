@@ -12,7 +12,7 @@ import (
 
 // Structure + Reweight must reproduce a fresh Build bit for bit — same
 // mechanisms, same footprints, same probabilities — across noise scales,
-// even though only the first build runs fault propagation.
+// even though only the first build runs fault analysis.
 func TestStructureReweightMatchesFreshBuild(t *testing.T) {
 	for _, scheme := range []extract.Scheme{extract.Baseline, extract.CompactInterleaved} {
 		cfg := extract.Config{Scheme: scheme, Distance: 3, Basis: extract.BasisZ, Params: hardware.Default()}
@@ -81,7 +81,7 @@ func TestStructureReweightMatchesFreshBuild(t *testing.T) {
 
 // The hoisted graph topology must be invisible in results: a Structure's
 // build-once GraphStructure weighted at any noise scale must reproduce a
-// fresh Model.DecodingGraph() (its own fault propagation, its own topology
+// fresh Model.DecodingGraph() (its own fault analysis, its own topology
 // derivation) bit for bit — edges, weights, adjacency, and stats — across
 // schemes, distances, and noise scales.
 func TestHoistedGraphMatchesFreshBuild(t *testing.T) {

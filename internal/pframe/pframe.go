@@ -6,9 +6,13 @@
 //     noiseless reference execution. This is the reference sampler used to
 //     validate the much faster detector-error-model sampler in internal/dem.
 //
-//   - PropagateFault: deterministic propagation of one elementary fault,
-//     used by the detector-error-model builder to discover each fault's
-//     detector footprint.
+//   - Propagator: deterministic forward propagation of one elementary
+//     fault. It is the reference oracle against which internal/dem's tests
+//     check the detector-error-model builder's reverse sensitivity pass,
+//     and is itself checked against the exact tableau simulator.
+//
+// FaultsOf and BranchCount define the elementary fault enumeration that
+// every consumer (the model builder included) shares.
 //
 // Because every gate is Clifford and every error Pauli, the simulator only
 // tracks the accumulated Pauli frame (error relative to the ideal state), an

@@ -130,6 +130,24 @@ func stripSource(rec CellRecord) CellRecord {
 	return rec
 }
 
+// byIndex orders a stream's cells by their sweep index, failing unless it
+// holds every index 0..len-1 exactly once. The scheduler streams cells in
+// completion order, which is nondeterministic, so tests comparing two
+// streams pair cells by index rather than by arrival position.
+func byIndex(t *testing.T, cells []CellRecord) []CellRecord {
+	t.Helper()
+	out := make([]CellRecord, len(cells))
+	seen := make([]bool, len(cells))
+	for _, rec := range cells {
+		if rec.Index < 0 || rec.Index >= len(cells) || seen[rec.Index] {
+			t.Fatalf("stream of %d cells has a missing or repeated index %d", len(cells), rec.Index)
+		}
+		seen[rec.Index] = true
+		out[rec.Index] = rec
+	}
+	return out
+}
+
 // The acceptance path: a Fig. 11 row streams per-cell NDJSON records and
 // ends done; an identical second submission is served entirely from the
 // result ledger — no engine work at all, not even cache hits — and a
@@ -145,6 +163,7 @@ func TestSubmitStreamCompleteAndRepeatHitsCache(t *testing.T) {
 	if len(first) != 3 || status.Cells != 3 || status.Completed != 3 {
 		t.Fatalf("first sweep: %d cells streamed, status %+v", len(first), status)
 	}
+	first = byIndex(t, first)
 	for _, rec := range first {
 		if rec.Scheme != "baseline" || rec.Distance != 3 || rec.Trials != 300 || rec.Error != "" {
 			t.Errorf("bad cell record %+v", rec)
@@ -169,6 +188,7 @@ func TestSubmitStreamCompleteAndRepeatHitsCache(t *testing.T) {
 	if status2.State != StateDone {
 		t.Fatalf("second sweep state %q (error %q)", status2.State, status2.Error)
 	}
+	second = byIndex(t, second)
 	after := getStats(t, ts)
 	// Ledger-served: the engine was not consulted at all.
 	if after.Engine.Builds != before.Engine.Builds || after.Engine.Hits != before.Engine.Hits {
@@ -195,6 +215,7 @@ func TestSubmitStreamCompleteAndRepeatHitsCache(t *testing.T) {
 	if status3.State != StateDone {
 		t.Fatalf("no_cache sweep state %q (error %q)", status3.State, status3.Error)
 	}
+	third = byIndex(t, third)
 	final := getStats(t, ts)
 	if final.Engine.Builds != after.Engine.Builds {
 		t.Errorf("no_cache sweep rebuilt structures: %d -> %d builds",
@@ -237,6 +258,9 @@ func TestConcurrentSubmitsShareCachedStructures(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	for k := range streams {
+		streams[k] = byIndex(t, streams[k])
+	}
 	st := getStats(t, ts)
 	if st.Engine.Builds != 1 {
 		t.Errorf("4 concurrent identical sweeps built %d structures, want 1", st.Engine.Builds)
@@ -639,6 +663,7 @@ func TestDecodePipelineCountersAndToggle(t *testing.T) {
 	if status.State != StateDone {
 		t.Fatalf("pipeline-on sweep state %q (error %q)", status.State, status.Error)
 	}
+	on = byIndex(t, on)
 	var shots, skipped, dedup int
 	for _, rec := range on {
 		shots += rec.Trials
@@ -662,6 +687,7 @@ func TestDecodePipelineCountersAndToggle(t *testing.T) {
 	if len(off) != len(on) {
 		t.Fatalf("pipeline-off sweep streamed %d cells, on %d", len(off), len(on))
 	}
+	off = byIndex(t, off)
 	for i := range off {
 		if off[i].Skipped != 0 || off[i].DedupHits != 0 {
 			t.Errorf("cell %d: disabled pipeline reported counters %d/%d",
