@@ -1,6 +1,7 @@
 // Benchmark harness regenerating every table and figure of the paper's
 // evaluation (§IV-§VII). Each benchmark prints the same rows/series the
-// paper reports; EXPERIMENTS.md records paper-vs-measured values.
+// paper reports next to the paper's values (see README, "Reproducing the
+// paper").
 //
 // Monte-Carlo volume is tunable without recompiling:
 //

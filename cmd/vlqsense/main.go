@@ -18,14 +18,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
 
-	"repro/internal/decoder"
 	"repro/internal/montecarlo"
 	"repro/internal/sched"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -84,24 +83,7 @@ func main() {
 			fmt.Printf("%s,%g,%d,%g,%g,%d\n", cell.Panel, cell.Value, cell.Distance,
 				r.Result.Rate(), r.Result.StdErr(), r.Result.Trials)
 		case *jsonOut:
-			row := sensitivityRow{
-				Panel: string(cell.Panel), Value: cell.Value, Distance: cell.Distance,
-				LogicalRate: r.Result.Rate(), StdErr: r.Result.StdErr(),
-				Trials: r.Result.Trials, Failures: r.Result.Failures,
-				Skipped: r.Result.Skipped, DedupHits: r.Result.DedupHits,
-			}
-			if r.Job.Cfg.RareEvent {
-				re, ess := r.Result.RelErr(), r.Result.ESS()
-				if math.IsInf(re, 1) {
-					re = -1 // no failures observed yet
-				}
-				row.RelErr, row.ESS = &re, &ess
-			}
-			if !r.Result.Stats.IsZero() {
-				st := r.Result.Stats
-				row.DecoderStats = &st
-			}
-			enc.Encode(row)
+			enc.Encode(serve.ToCellRecord(r))
 		}
 	}
 
@@ -150,26 +132,6 @@ func main() {
 			fmt.Println()
 		}
 	}
-}
-
-type sensitivityRow struct {
-	Panel       string  `json:"panel"`
-	Value       float64 `json:"value"`
-	Distance    int     `json:"distance"`
-	LogicalRate float64 `json:"logical_rate"`
-	StdErr      float64 `json:"stderr"`
-	Trials      int     `json:"trials"`
-	Failures    int     `json:"failures"`
-	Skipped     int     `json:"skipped,omitempty"`
-	DedupHits   int     `json:"dedup_hits,omitempty"`
-	// RelErr and ESS are present on -rare-event rows: the estimate's
-	// relative standard error (-1 while no failures are observed) and the
-	// Kish effective sample size of the importance weights.
-	RelErr *float64 `json:"rel_err,omitempty"`
-	ESS    *float64 `json:"ess,omitempty"`
-	// DecoderStats carries the cell's matcher-internal stage counters
-	// (growth rounds, escalations, tree phases, ...) when any are non-zero.
-	DecoderStats *decoder.DecoderStats `json:"decoder_stats,omitempty"`
 }
 
 func parseInts(s string) ([]int, error) {

@@ -19,16 +19,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
 
-	"repro/internal/decoder"
 	"repro/internal/extract"
 	"repro/internal/hardware"
 	"repro/internal/montecarlo"
 	"repro/internal/sched"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -97,24 +96,7 @@ func main() {
 			fmt.Printf("%s,%d,%g,%g,%g,%d\n", cell.Scheme, cell.Distance, cell.Phys,
 				r.Result.Rate(), r.Result.StdErr(), r.Result.Trials)
 		case *jsonOut:
-			row := thresholdRow{
-				Scheme: cell.Scheme.String(), Distance: cell.Distance, PhysRate: cell.Phys,
-				LogicalRate: r.Result.Rate(), StdErr: r.Result.StdErr(),
-				Trials: r.Result.Trials, Failures: r.Result.Failures,
-				Skipped: r.Result.Skipped, DedupHits: r.Result.DedupHits,
-			}
-			if r.Job.Cfg.RareEvent {
-				re, ess := r.Result.RelErr(), r.Result.ESS()
-				if math.IsInf(re, 1) {
-					re = -1 // no failures observed yet
-				}
-				row.RelErr, row.ESS = &re, &ess
-			}
-			if !r.Result.Stats.IsZero() {
-				st := r.Result.Stats
-				row.DecoderStats = &st
-			}
-			enc.Encode(row)
+			enc.Encode(serve.ToCellRecord(r))
 		}
 	}
 
@@ -162,26 +144,6 @@ func main() {
 			fmt.Println("no threshold crossing bracketed by this grid")
 		}
 	}
-}
-
-type thresholdRow struct {
-	Scheme      string  `json:"scheme"`
-	Distance    int     `json:"distance"`
-	PhysRate    float64 `json:"phys_rate"`
-	LogicalRate float64 `json:"logical_rate"`
-	StdErr      float64 `json:"stderr"`
-	Trials      int     `json:"trials"`
-	Failures    int     `json:"failures"`
-	Skipped     int     `json:"skipped,omitempty"`
-	DedupHits   int     `json:"dedup_hits,omitempty"`
-	// RelErr and ESS are present on -rare-event rows: the estimate's
-	// relative standard error (-1 while no failures are observed) and the
-	// Kish effective sample size of the importance weights.
-	RelErr *float64 `json:"rel_err,omitempty"`
-	ESS    *float64 `json:"ess,omitempty"`
-	// DecoderStats carries the cell's matcher-internal stage counters
-	// (growth rounds, escalations, tree phases, ...) when any are non-zero.
-	DecoderStats *decoder.DecoderStats `json:"decoder_stats,omitempty"`
 }
 
 func schemeByName(name string) (extract.Scheme, error) {

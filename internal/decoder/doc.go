@@ -45,7 +45,10 @@
 // bit-identical to the unpruned path shot for shot; hash matches are
 // always verified against the full event list, so a collision can never
 // alias two syndromes. Its skip/dedup counters (PipelineStats) surface
-// through montecarlo.Result and the serving front end's /v1/stats.
+// through montecarlo.Counts and the serving front end's /v1/stats. The
+// Monte-Carlo engine routes batches through the pipeline in exactly one
+// place, the step that turns a sampled batch into a failure mask, and
+// montecarlo.Config.DisablePipeline bypasses it there.
 //
 // The matchers themselves are instrumented: DecoderStats counts the
 // stage-level work behind the hot-path profiles — union-find growth
@@ -55,8 +58,8 @@
 // counters implement StatsSource (Pipeline forwards to its inner
 // decoder); every counter is a plain sum, so worker and shard stats
 // merge by addition, bit-identically at any pool width. The numbers ride
-// montecarlo.Result/ShardResult into /v1/stats, the CLIs' -json rows,
-// and BENCH_decoder.json — the evidence chain the hot-path work in
+// montecarlo.Counts (the counter set Result and ShardResult embed) into
+// /v1/stats, the CLIs' -json rows, and BENCH_decoder.json — the evidence chain the hot-path work in
 // ARCHITECTURE.md ("The decoder hot path") is driven by.
 //
 // Entry points:

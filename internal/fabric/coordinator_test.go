@@ -71,7 +71,7 @@ func fullResult(l *Lease) ResultRequest {
 	return ResultRequest{
 		Worker: "w", Lease: l.ID, Run: l.Run, Cell: l.Cell, Shard: l.Shard,
 		Result: montecarlo.ShardResult{
-			Shard: l.Shard, Trials: trials, Failures: 1,
+			Shard: l.Shard, Counts: montecarlo.Counts{Trials: trials, Failures: 1},
 			Mechanisms: 10, DetectorCount: 20,
 		},
 	}

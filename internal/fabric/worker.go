@@ -206,12 +206,7 @@ func (w *Worker) execute(ctx context.Context, l *Lease, hbInterval time.Duration
 		// Workers > 1 cells bit for bit.
 		var res montecarlo.Result
 		res, runErr = w.opts.Engine.Run(l.Cfg)
-		sr = montecarlo.ShardResult{
-			Shard: 0, Trials: res.Trials, Failures: res.Failures,
-			Fallbacks: res.Fallbacks, Skipped: res.Skipped, DedupHits: res.DedupHits,
-			Stats: res.Stats, Mechanisms: res.Mechanisms, DetectorCount: res.DetectorCount,
-			Weighted: res.Weighted,
-		}
+		sr = montecarlo.ShardResult{Counts: res.Counts, Mechanisms: res.Mechanisms, DetectorCount: res.DetectorCount}
 	} else {
 		sr, runErr = w.opts.Engine.RunShardOn(l.Cfg, plan, l.Shard, &budget, &w.st)
 	}

@@ -124,7 +124,8 @@ type ScheduleEstimate struct {
 // VQubitsSolo constant; the paper's 110-step figure additionally charges
 // per-step surgery details of the authors' schedule, so the estimate here
 // is a lower-bound-flavored cross-check, not a replacement for the
-// published constant (see EXPERIMENTS.md).
+// published constant (BenchmarkClaim_TransversalCNOTSpeedup prints both;
+// see README, "Reproducing the paper").
 func EstimateVQubitsSchedule(params hardware.Params, d int) (ScheduleEstimate, error) {
 	m, err := core.New(core.Config{
 		Rows: 1, Cols: 1, Distance: d,

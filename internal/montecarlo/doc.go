@@ -18,6 +18,14 @@
 // optional early-stop mode (Config.TargetFailures) ends a point once a
 // target failure count is reached.
 //
+// One kernel runs every point, in both modes and on every entry point:
+// sample a batch, decode it into a failure bitmask (the decode pipeline
+// on or off is decided inside that one step), then popcount the mask
+// (plain) or fold its likelihood-ratio weights in shot order (rare
+// event). Its output is a Counts — trials, failures, fallbacks, pipeline
+// skips and dedup hits, decoder stage Stats, and the Weighted tally —
+// embedded in Result and ShardResult and merged everywhere by Counts.Add.
+//
 // For deep sub-threshold points, where brute force would see zero failures
 // in any affordable budget, Config.RareEvent switches the engine to
 // importance sampling: shots are drawn from a boosted proposal model

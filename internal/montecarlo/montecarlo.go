@@ -92,11 +92,14 @@ func (cfg Config) extractConfig() extract.Config {
 	}
 }
 
-// Result is the outcome of one Monte-Carlo point.
-type Result struct {
-	Config    Config
+// Counts is the per-cell tally every execution path produces and merges:
+// one worker's share of a point, a shard, a merged Result, and the serving
+// front end's process-wide decode totals. Every field is a plain sum (or,
+// for Weighted, an ordered fold), so one Add carries the counters through
+// Run, RunOn, RunShardOn, MergeShards, and the fabric wire.
+type Counts struct {
 	Trials    int // shots actually taken (< Config.Trials under early stop)
-	Failures  int
+	Failures  int // failing shots (raw proposal shots in RareEvent mode)
 	Fallbacks int // mwpm/exact trials that fell back to union-find
 	// Skipped counts zero-defect shots answered by the pipeline's word-level
 	// fast path without touching the decoder; DedupHits counts shots whose
@@ -105,16 +108,33 @@ type Result struct {
 	Skipped   int
 	DedupHits int
 	// Stats sums the decoder-internal stage counters (growth rounds,
-	// alternating-tree phases, ...) over every shot of the point. Pure sums,
-	// so worker and shard merges are bit-identical at any pool width.
+	// alternating-tree phases, ...) over every shot. Pure sums, so worker
+	// and shard merges are bit-identical at any pool width.
 	Stats decoder.DecoderStats
-	// Mechanisms and DetectorCount describe the underlying model.
+	// Weighted is the importance-sampling tally, populated only in RareEvent
+	// mode (the estimate and error bar live here).
+	Weighted WeightedResult
+}
+
+// Add folds o into c. The integer sums commute but Weighted's float sums
+// do not, so callers fold parts in worker or shard index order.
+func (c *Counts) Add(o Counts) {
+	c.Trials += o.Trials
+	c.Failures += o.Failures
+	c.Fallbacks += o.Fallbacks
+	c.Skipped += o.Skipped
+	c.DedupHits += o.DedupHits
+	c.Stats.Add(o.Stats)
+	c.Weighted.Add(o.Weighted)
+}
+
+// Result is the outcome of one Monte-Carlo point: its counters plus the
+// dimensions of the underlying model.
+type Result struct {
+	Config Config
+	Counts
 	Mechanisms    int
 	DetectorCount int
-	// Weighted is the importance-sampling tally, populated only in RareEvent
-	// mode (Failures then counts raw failing proposal shots; the estimate
-	// and error bar live here).
-	Weighted WeightedResult
 }
 
 // Rate returns the logical error rate: the weighted estimate in RareEvent
@@ -387,6 +407,7 @@ type WorkerState struct {
 	probs []float64
 	model *dem.Model
 	batch decoder.Batch
+	out   [dem.BatchShots]bool
 	bs    *dem.BatchSampler
 	uf    *decoder.UnionFind
 	bl    *decoder.Blossom
@@ -399,14 +420,29 @@ type WorkerState struct {
 	wsamp  *dem.WeightedBatchSampler
 }
 
-// sampler returns a batch sampler over model, reusing the worker's buffers.
-func (st *WorkerState) sampler(model *dem.Model) *dem.BatchSampler {
-	if st.bs == nil {
-		st.bs = model.NewBatchSampler()
-	} else {
-		st.bs.Reset(model)
+// samplerFor returns the batch sampler for one cell, reusing the worker's
+// tables: the plain sampler over model, or — for a rare-event cell, prop
+// non-nil — the BatchSampler embedded in the weighted sampler over the
+// (model, prop) pair, returned alongside for its per-shot weights.
+func (st *WorkerState) samplerFor(model, prop *dem.Model) (*dem.BatchSampler, *dem.WeightedBatchSampler, error) {
+	if prop == nil {
+		if st.bs == nil {
+			st.bs = model.NewBatchSampler()
+		} else {
+			st.bs.Reset(model)
+		}
+		return st.bs, nil, nil
 	}
-	return st.bs
+	if st.wsamp == nil {
+		ws, err := dem.NewWeightedBatchSampler(model, prop)
+		if err != nil {
+			return nil, nil, err
+		}
+		st.wsamp = ws
+	} else if err := st.wsamp.Reset(model, prop); err != nil {
+		return nil, nil, err
+	}
+	return &st.wsamp.BatchSampler, st.wsamp, nil
 }
 
 // decoderFor returns the shot decoder for one cell, reusing the worker's
@@ -446,112 +482,113 @@ func (st *WorkerState) pipeline(inner decoder.BatchDecoder) *decoder.Pipeline {
 	return st.pipe
 }
 
-type tally struct {
-	trials, failures, fallbacks int
-	skipped, dedupHits          int
-	stats                       decoder.DecoderStats
-	weighted                    WeightedResult
-}
-
-// runWorker executes worker w's share of one point: sample 64-shot batches
-// from the worker's ChaCha8 stream, decode them, and tally failures. budget
-// coordinates early stopping across the point's workers (or shards) when
-// cfg.TargetFailures > 0, and its abort flag stops the loop at the next
-// batch boundary.
-//
-// With the pipeline enabled (the default), each batch is pruned before the
-// matcher sees it: the word-level EventMask classifies zero-defect shots —
-// their minimum-weight correction is empty, so bit s of ObsWord alone
-// decides failure, at popcount cost — and the surviving shots are extracted
-// in one CSR pass and deduplicated by full syndrome, decoding each distinct
-// syndrome once. The per-shot predictions are bit-identical to the unpruned
-// path, so trial and failure counts cannot depend on the switch.
-func runWorker(model *dem.Model, graph *dem.Graph, cfg Config, w, trials int, budget *ShardBudget, st *WorkerState) (tally, error) {
-	var t tally
-	target := int64(cfg.TargetFailures)
-	rng := rand.New(rand.NewChaCha8(workerSeed(cfg.Seed, w)))
-	bs := st.sampler(model)
+// runCell executes worker w's share of one point — the single 64-shot
+// loop behind Run, RunOn and RunShardOn in both modes. Batches come from
+// the worker's ChaCha8 stream through a *dem.BatchSampler (the plain one,
+// or the one embedded in the weighted sampler when prop is non-nil, so
+// boost = 1 consumes the stream identically to a plain point), and
+// decodeBatch turns each into a failure bitmask. Plain points popcount the
+// mask and bank failures toward TargetFailures; rare-event points fold the
+// likelihood-ratio weights in ascending shot order and bank them toward
+// TargetRelErr. budget coordinates that early stop across the point's
+// workers (or shards), and its abort flag stops the loop at the next batch
+// boundary.
+func runCell(model, prop *dem.Model, graph *dem.Graph, cfg Config, w, trials int, budget *ShardBudget, st *WorkerState) (Counts, error) {
+	var c Counts
+	bs, ws, err := st.samplerFor(model, prop)
+	if err != nil {
+		return c, err
+	}
 	dec, fb := st.decoderFor(cfg.Decoder, graph)
+	var pipe *decoder.Pipeline
+	if !cfg.DisablePipeline {
+		pipe = st.pipeline(dec)
+	}
 	// Decoder stage counters are cumulative for the decoder's lifetime
 	// (WorkerState reuses matchers across cells), so bracket this run with
-	// two snapshots — the same pattern the dedup counter uses below.
+	// two snapshots.
 	statsSrc, _ := dec.(decoder.StatsSource)
 	var statsBase decoder.DecoderStats
 	if statsSrc != nil {
 		statsBase = statsSrc.DecoderStats()
 	}
-	var pipe *decoder.Pipeline
-	if !cfg.DisablePipeline {
-		pipe = st.pipeline(dec)
-	}
-	var out, truth [dem.BatchShots]bool
-	for t.trials < trials {
-		if budget.aborted.Load() {
-			break
-		}
-		if target > 0 && budget.failures.Load() >= target {
-			break
-		}
-		n := min(dem.BatchShots, trials-t.trials)
+	rng := rand.New(rand.NewChaCha8(workerSeed(cfg.Seed, w)))
+	for c.Trials < trials && !budget.aborted.Load() && !budget.TargetMet(cfg) {
+		n := min(dem.BatchShots, trials-c.Trials)
 		bs.SampleN(rng, n)
-		fails := 0
-		if pipe != nil {
-			full := ^uint64(0)
-			if n < dem.BatchShots {
-				full = 1<<uint(n) - 1
-			}
-			mask := bs.EventMask()
-			obsW := bs.ObsWord()
-			// Zero-defect fast path: empty syndrome => empty correction =>
-			// prediction false; the shot fails iff the error flipped the
-			// observable anyway.
-			zero := full &^ mask
-			t.skipped += bits.OnesCount64(zero)
-			fails += bits.OnesCount64(obsW & zero)
-			bs.Extract(mask, &st.shots)
-			st.batch.Reset()
-			for i := 0; i < st.shots.Len(); i++ {
-				st.batch.Add(st.shots.Shot(i))
-			}
-			before := pipe.Stats().DedupHits
-			if err := pipe.DecodeBatch(&st.batch, out[:st.shots.Len()]); err != nil {
-				return t, err
-			}
-			t.dedupHits += int(pipe.Stats().DedupHits - before)
-			for i := 0; i < st.shots.Len(); i++ {
-				if out[i] != (obsW&(1<<uint(st.shots.Index(i))) != 0) {
-					fails++
-				}
-			}
-		} else {
-			st.batch.Reset()
-			for s := 0; s < n; s++ {
-				events, obs := bs.Shot(s)
-				st.batch.Add(events)
-				truth[s] = obs
-			}
-			if err := dec.DecodeBatch(&st.batch, out[:n]); err != nil {
-				return t, err
-			}
-			for s := 0; s < n; s++ {
-				if out[s] != truth[s] {
-					fails++
-				}
-			}
+		failw, err := st.decodeBatch(bs, n, dec, pipe, &c)
+		if err != nil {
+			return c, err
 		}
-		t.trials += n
-		t.failures += fails
-		if target > 0 && fails > 0 {
-			budget.failures.Add(int64(fails))
+		fails := bits.OnesCount64(failw)
+		c.Trials += n
+		c.Failures += fails
+		if ws == nil {
+			if cfg.TargetFailures > 0 && fails > 0 {
+				budget.failures.Add(int64(fails))
+			}
+			continue
+		}
+		// Weights fold shot by shot into a per-batch delta and deltas batch
+		// by batch into the tally — a fixed association, so the sums cannot
+		// depend on the pipeline switch, pool width, or sibling timing.
+		var delta WeightedResult
+		for s := range n {
+			delta.addShot(ws.Weight(s), failw>>uint(s)&1 != 0)
+		}
+		c.Weighted.Add(delta)
+		if cfg.TargetRelErr > 0 {
+			budget.AddWeighted(delta)
 		}
 	}
 	if fb != nil {
-		t.fallbacks = int(fb.Fallbacks)
+		c.Fallbacks = int(fb.Fallbacks)
 	}
 	if statsSrc != nil {
-		t.stats = statsSrc.DecoderStats().Sub(statsBase)
+		c.Stats = statsSrc.DecoderStats().Sub(statsBase)
 	}
-	return t, nil
+	return c, nil
+}
+
+// decodeBatch decodes the n shots of bs's last batch and returns their
+// failure mask: bit s is set iff the prediction for shot s disagrees with
+// its sampled observable. With the pipeline on (pipe non-nil), zero-defect
+// shots are decided from ObsWord alone — an empty syndrome's
+// minimum-weight correction is empty — and only the rest are extracted, in
+// one CSR pass, into the pipeline's dedup front end; with it off every
+// shot goes straight to dec. The per-shot predictions are bit-identical
+// either way, so the mask cannot depend on the switch; only Skipped and
+// DedupHits in c record it.
+func (st *WorkerState) decodeBatch(bs *dem.BatchSampler, n int, dec decoder.BatchDecoder, pipe *decoder.Pipeline, c *Counts) (uint64, error) {
+	full := ^uint64(0) >> uint(dem.BatchShots-n)
+	obsW := bs.ObsWord()
+	mask, failw := full, uint64(0)
+	var dedupBase int64
+	if pipe != nil {
+		mask = bs.EventMask()
+		zero := full &^ mask
+		c.Skipped += bits.OnesCount64(zero)
+		failw = obsW & zero
+		dec, dedupBase = pipe, pipe.Stats().DedupHits
+	}
+	bs.Extract(mask, &st.shots)
+	st.batch.Reset()
+	for i := range st.shots.Len() {
+		st.batch.Add(st.shots.Shot(i))
+	}
+	if err := dec.DecodeBatch(&st.batch, st.out[:st.shots.Len()]); err != nil {
+		return 0, err
+	}
+	if pipe != nil {
+		c.DedupHits += int(pipe.Stats().DedupHits - dedupBase)
+	}
+	for i := range st.shots.Len() {
+		s := uint(st.shots.Index(i))
+		if st.out[i] != (obsW>>s&1 != 0) {
+			failw |= 1 << s
+		}
+	}
+	return failw, nil
 }
 
 // Run executes one Monte-Carlo point on the engine, splitting the trials
@@ -564,52 +601,47 @@ func (en *Engine) Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	var budget ShardBudget // early-stop coordination only
+	return fanOut(cfg, model, func(w, trials int) (Counts, error) {
+		var st WorkerState
+		return runCell(model, prop, graph, cfg, w, trials, &budget, &st)
+	})
+}
 
+// fanOut runs fn for each of the point's cfg.Workers workers (0 =>
+// GOMAXPROCS, at most one per trial) on its own goroutine and folds their
+// Counts in worker order into a Result over model. The worker split IS the
+// shard split: worker w takes ShardTrials(w) of a plan with one shard per
+// worker, which is what makes a fully merged shard plan bit-identical to
+// Run with Workers == Shards (worker w and shard w take the same allotment
+// from the same stream).
+func fanOut(cfg Config, model *dem.Model, fn func(w, trials int) (Counts, error)) (Result, error) {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-
-	tallies := make([]tally, workers)
-	errs := make([]error, workers)
-	var budget ShardBudget // early-stop coordination only
-
+	plan := ShardPlan{Shards: min(workers, cfg.Trials), Trials: cfg.Trials}
+	parts := make([]Counts, plan.Shards)
+	errs := make([]error, plan.Shards)
 	var wg sync.WaitGroup
-	// The worker split IS the shard split: sharing ShardTrials is what
-	// makes a fully merged shard plan bit-identical to Run with
-	// Workers == Shards (worker w and shard w take the same allotment
-	// from the same stream).
-	plan := ShardPlan{Shards: workers, Trials: cfg.Trials}
-	for w := 0; w < workers; w++ {
-		trials := plan.ShardTrials(w)
+	for w := range plan.Shards {
 		wg.Add(1)
-		go func(w, trials int) {
+		go func() {
 			defer wg.Done()
-			var st WorkerState
-			tallies[w], errs[w] = runAnyWorker(model, prop, graph, cfg, w, trials, &budget, &st)
-		}(w, trials)
+			parts[w], errs[w] = fn(w, plan.ShardTrials(w))
+		}()
 	}
 	wg.Wait()
-
 	res := Result{
 		Config:        cfg,
 		Mechanisms:    model.Stats.Mechanisms,
 		DetectorCount: model.NumDets,
 	}
-	for w, t := range tallies {
+	for w, part := range parts {
 		if errs[w] != nil {
 			return Result{}, errs[w]
 		}
-		res.Trials += t.trials
-		res.Failures += t.failures
-		res.Fallbacks += t.fallbacks
-		res.Skipped += t.skipped
-		res.DedupHits += t.dedupHits
-		res.Stats.Add(t.stats)
-		res.Weighted.Add(t.weighted)
+		res.Counts.Add(part)
 	}
 	return res, nil
 }
@@ -630,22 +662,15 @@ func (en *Engine) RunOn(cfg Config, st *WorkerState) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var budget ShardBudget
-	t, err := runAnyWorker(model, prop, graph, cfg, 0, cfg.Trials, &budget, st)
+	c, err := runCell(model, prop, graph, cfg, 0, cfg.Trials, &ShardBudget{}, st)
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{
 		Config:        cfg,
-		Trials:        t.trials,
-		Failures:      t.failures,
-		Fallbacks:     t.fallbacks,
-		Skipped:       t.skipped,
-		DedupHits:     t.dedupHits,
-		Stats:         t.stats,
+		Counts:        c,
 		Mechanisms:    model.Stats.Mechanisms,
 		DetectorCount: model.NumDets,
-		Weighted:      t.weighted,
 	}, nil
 }
 
@@ -683,70 +708,31 @@ func RunReference(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Trials {
-		workers = cfg.Trials
-	}
-
-	type tally struct {
-		failures, fallbacks int
-		err                 error
-	}
-	tallies := make([]tally, workers)
-	var wg sync.WaitGroup
-	per := cfg.Trials / workers
-	extra := cfg.Trials % workers
-	for w := 0; w < workers; w++ {
-		trials := per
-		if w < extra {
-			trials++
-		}
-		wg.Add(1)
-		go func(w, trials int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(uint64(cfg.Seed), uint64(w)*1_000_003))
-			sampler := model.NewSampler()
-			// Decoder selection goes through the same helper as the batched
-			// engine — one switch, so a new Kind cannot diverge between the
-			// two paths. The fallback wrapper reproduces the old ad-hoc
-			// primary-error -> union-find loop, count included.
-			var st WorkerState
-			dec, fb := st.decoderFor(cfg.Decoder, graph)
-			for n := 0; n < trials; n++ {
-				events, truth := sampler.Sample(rng)
-				pred, derr := dec.Decode(events)
-				if derr != nil {
-					tallies[w].err = derr
-					return
-				}
-				if pred != truth {
-					tallies[w].failures++
-				}
+	return fanOut(cfg, model, func(w, trials int) (Counts, error) {
+		rng := rand.New(rand.NewPCG(uint64(cfg.Seed), uint64(w)*1_000_003))
+		sampler := model.NewSampler()
+		// Decoder selection goes through the same helper as the batched
+		// engine — one switch, so a new Kind cannot diverge between the two
+		// paths. The fallback wrapper reproduces the old ad-hoc
+		// primary-error -> union-find loop, count included.
+		var st WorkerState
+		dec, fb := st.decoderFor(cfg.Decoder, graph)
+		c := Counts{Trials: trials}
+		for range trials {
+			events, truth := sampler.Sample(rng)
+			pred, err := dec.Decode(events)
+			if err != nil {
+				return Counts{}, err
 			}
-			if fb != nil {
-				tallies[w].fallbacks = int(fb.Fallbacks)
+			if pred != truth {
+				c.Failures++
 			}
-		}(w, trials)
-	}
-	wg.Wait()
-
-	res := Result{
-		Config:        cfg,
-		Trials:        cfg.Trials,
-		Mechanisms:    model.Stats.Mechanisms,
-		DetectorCount: model.NumDets,
-	}
-	for _, t := range tallies {
-		if t.err != nil {
-			return Result{}, t.err
 		}
-		res.Failures += t.failures
-		res.Fallbacks += t.fallbacks
-	}
-	return res, nil
+		if fb != nil {
+			c.Fallbacks = int(fb.Fallbacks)
+		}
+		return c, nil
+	})
 }
 
 // SweepPoint is one (distance, physical rate) cell of a threshold sweep.

@@ -101,7 +101,7 @@ func TestEstimateThreshold(t *testing.T) {
 			r := math.Pow(p/1e-2, float64(d)/2)
 			failures := int(r * 1e6)
 			pts = append(pts, SweepPoint{Distance: d, Phys: p,
-				Result: Result{Trials: 1e6, Failures: failures}})
+				Result: Result{Counts: Counts{Trials: 1e6, Failures: failures}}})
 		}
 	}
 	th := EstimateThreshold(pts)
@@ -112,8 +112,8 @@ func TestEstimateThreshold(t *testing.T) {
 
 func TestEstimateThresholdNoCrossing(t *testing.T) {
 	pts := []SweepPoint{
-		{Distance: 3, Phys: 1e-3, Result: Result{Trials: 100, Failures: 10}},
-		{Distance: 5, Phys: 1e-3, Result: Result{Trials: 100, Failures: 1}},
+		{Distance: 3, Phys: 1e-3, Result: Result{Counts: Counts{Trials: 100, Failures: 10}}},
+		{Distance: 5, Phys: 1e-3, Result: Result{Counts: Counts{Trials: 100, Failures: 1}}},
 	}
 	if th := EstimateThreshold(pts); th != 0 {
 		t.Errorf("no crossing should give 0, got %g", th)

@@ -118,8 +118,8 @@ func TestMergeShardsSkipsEmptyDims(t *testing.T) {
 	cfg := Config{Trials: 100, Decoder: UF}
 	parts := []ShardResult{
 		{Shard: 0}, // skipped whole: no trials, no dims
-		{Shard: 2, Trials: 10, Failures: 1, Skipped: 5, DedupHits: 2, Mechanisms: 40, DetectorCount: 12},
-		{Shard: 1, Trials: 20, Failures: 2, Skipped: 9, DedupHits: 3, Mechanisms: 40, DetectorCount: 12},
+		{Shard: 2, Counts: Counts{Trials: 10, Failures: 1, Skipped: 5, DedupHits: 2}, Mechanisms: 40, DetectorCount: 12},
+		{Shard: 1, Counts: Counts{Trials: 20, Failures: 2, Skipped: 9, DedupHits: 3}, Mechanisms: 40, DetectorCount: 12},
 	}
 	res, err := MergeShards(cfg, parts)
 	if err != nil {

@@ -3,10 +3,7 @@ package montecarlo
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"math/rand/v2"
 
-	"repro/internal/decoder"
 	"repro/internal/dem"
 	"repro/internal/extract"
 )
@@ -240,144 +237,13 @@ func (en *Engine) prepareRare(cfg Config, st *WorkerState) (target, prop *dem.Mo
 
 // prepareModels is the mode dispatcher the point executors share: plain
 // points get (model, nil, graph), rare-event points (target, proposal,
-// graph). A non-nil proposal is the signal runAnyWorker switches on.
+// graph). A non-nil proposal is the signal runCell switches on.
 func (en *Engine) prepareModels(cfg Config, st *WorkerState) (model, prop *dem.Model, graph *dem.Graph, err error) {
 	if cfg.RareEvent {
 		return en.prepareRare(cfg, st)
 	}
 	model, graph, err = en.prepare(cfg, st)
 	return model, nil, graph, err
-}
-
-// runAnyWorker executes worker w's share of a point in whichever mode the
-// prepared models imply.
-func runAnyWorker(model, prop *dem.Model, graph *dem.Graph, cfg Config, w, trials int, budget *ShardBudget, st *WorkerState) (tally, error) {
-	if prop != nil {
-		return runWeightedWorker(model, prop, graph, cfg, w, trials, budget, st)
-	}
-	return runWorker(model, graph, cfg, w, trials, budget, st)
-}
-
-// weightedSampler returns the worker's weighted batch sampler rebound over
-// the (target, proposal) pair, creating it on first use — the weighted
-// sibling of WorkerState.sampler.
-func (st *WorkerState) weightedSampler(target, prop *dem.Model) (*dem.WeightedBatchSampler, error) {
-	if st.wsamp == nil {
-		ws, err := dem.NewWeightedBatchSampler(target, prop)
-		if err != nil {
-			return nil, err
-		}
-		st.wsamp = ws
-		return ws, nil
-	}
-	if err := st.wsamp.Reset(target, prop); err != nil {
-		return nil, err
-	}
-	return st.wsamp, nil
-}
-
-// runWeightedWorker is runWorker's importance-sampling twin: shots come from
-// the proposal model through the worker's ChaCha8 stream (same seed
-// derivation, so boost = 1 consumes the stream identically to the plain
-// path), decode through the unchanged pipeline/decoder against the target
-// graph, and every shot's likelihood-ratio weight folds into the tally in
-// ascending shot order — the pipeline and bare paths share one accumulation
-// loop over a failure bitmask, so the weighted sums are bit-identical with
-// the pipeline on or off. Early stop is on budget-pooled relative error
-// (cfg.TargetRelErr), checked at batch boundaries like TargetFailures.
-func runWeightedWorker(target, prop *dem.Model, graph *dem.Graph, cfg Config, w, trials int, budget *ShardBudget, st *WorkerState) (tally, error) {
-	var t tally
-	relTarget := cfg.TargetRelErr
-	rng := rand.New(rand.NewChaCha8(workerSeed(cfg.Seed, w)))
-	ws, err := st.weightedSampler(target, prop)
-	if err != nil {
-		return t, err
-	}
-	dec, fb := st.decoderFor(cfg.Decoder, graph)
-	statsSrc, _ := dec.(decoder.StatsSource)
-	var statsBase decoder.DecoderStats
-	if statsSrc != nil {
-		statsBase = statsSrc.DecoderStats()
-	}
-	var pipe *decoder.Pipeline
-	if !cfg.DisablePipeline {
-		pipe = st.pipeline(dec)
-	}
-	var out, truth [dem.BatchShots]bool
-	for t.trials < trials {
-		if budget.aborted.Load() {
-			break
-		}
-		if relTarget > 0 && budget.WeightedRelErrMet(relTarget) {
-			break
-		}
-		n := min(dem.BatchShots, trials-t.trials)
-		ws.SampleN(rng, n)
-		var failw uint64
-		if pipe != nil {
-			full := ^uint64(0)
-			if n < dem.BatchShots {
-				full = 1<<uint(n) - 1
-			}
-			mask := ws.EventMask()
-			obsW := ws.ObsWord()
-			zero := full &^ mask
-			t.skipped += bits.OnesCount64(zero)
-			failw |= obsW & zero
-			ws.Extract(mask, &st.shots)
-			st.batch.Reset()
-			for i := 0; i < st.shots.Len(); i++ {
-				st.batch.Add(st.shots.Shot(i))
-			}
-			before := pipe.Stats().DedupHits
-			if err := pipe.DecodeBatch(&st.batch, out[:st.shots.Len()]); err != nil {
-				return t, err
-			}
-			t.dedupHits += int(pipe.Stats().DedupHits - before)
-			for i := 0; i < st.shots.Len(); i++ {
-				s := st.shots.Index(i)
-				if out[i] != (obsW&(1<<uint(s)) != 0) {
-					failw |= 1 << uint(s)
-				}
-			}
-		} else {
-			st.batch.Reset()
-			for s := 0; s < n; s++ {
-				events, obs := ws.Shot(s)
-				st.batch.Add(events)
-				truth[s] = obs
-			}
-			if err := dec.DecodeBatch(&st.batch, out[:n]); err != nil {
-				return t, err
-			}
-			for s := 0; s < n; s++ {
-				if out[s] != truth[s] {
-					failw |= 1 << uint(s)
-				}
-			}
-		}
-		// One ordered accumulation loop for both decode paths: weights fold
-		// shot-by-shot into a per-batch delta, deltas fold batch-by-batch
-		// into the tally — a fixed association, so the sums cannot depend on
-		// the pipeline switch, pool width, or sibling-shard timing.
-		var delta WeightedResult
-		for s := 0; s < n; s++ {
-			delta.addShot(ws.Weight(s), failw&(1<<uint(s)) != 0)
-		}
-		t.trials += n
-		t.failures += bits.OnesCount64(failw)
-		t.weighted.Add(delta)
-		if relTarget > 0 {
-			budget.AddWeighted(delta)
-		}
-	}
-	if fb != nil {
-		t.fallbacks = int(fb.Fallbacks)
-	}
-	if statsSrc != nil {
-		t.stats = statsSrc.DecoderStats().Sub(statsBase)
-	}
-	return t, nil
 }
 
 // normalizeRare validates the rare-event half of a Config, filling the

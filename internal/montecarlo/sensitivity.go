@@ -176,7 +176,8 @@ func GateBudgetPerRound(params hardware.Params) float64 {
 // because "dominating" depends on the comparison point: against the
 // per-round gate budget the crossover is early; against the much higher
 // effective threshold for independent storage (space-like) errors it is
-// far later — see EXPERIMENTS.md for the measured-vs-paper discussion.
+// far later — BenchmarkFigure12_CavitySizeSensitivity prints both
+// crossovers (see README, "Reproducing the paper").
 // roundDur is the duration of one extraction round.
 func CavityCrossoverEstimate(params hardware.Params, roundDur, budget float64) int {
 	for k := 2; k < 1000000; k++ {

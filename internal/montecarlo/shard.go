@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/decoder"
 )
 
 // MinShardShots is the documented shot floor below which sharding never
@@ -97,6 +95,22 @@ func (b *ShardBudget) Abort() { b.aborted.Store(true) }
 // Aborted reports whether Abort has been called.
 func (b *ShardBudget) Aborted() bool { return b.aborted.Load() }
 
+// TargetMet reports whether the shards sharing the budget have banked the
+// point's early-stop target: cfg.TargetFailures failures, or a pooled
+// weighted estimate at cfg.TargetRelErr (a normalized Config sets at most
+// one). Without a target it is always false.
+func (b *ShardBudget) TargetMet(cfg Config) bool {
+	if tf := cfg.TargetFailures; tf > 0 {
+		return b.failures.Load() >= int64(tf)
+	}
+	if cfg.TargetRelErr <= 0 {
+		return false
+	}
+	b.wmu.Lock()
+	defer b.wmu.Unlock()
+	return b.wpool.RelErrMet(cfg.TargetRelErr)
+}
+
 // AddWeighted banks one batch's weighted tally toward TargetRelErr early
 // stopping. Like the failure counter, the pooled sums see contributions in
 // sibling-timing order — the stop *decision* may vary run to run, but each
@@ -107,40 +121,15 @@ func (b *ShardBudget) AddWeighted(d WeightedResult) {
 	b.wmu.Unlock()
 }
 
-// WeightedRelErrMet reports whether the pooled weighted estimate has reached
-// the target relative error (target <= 0 never stops).
-func (b *ShardBudget) WeightedRelErrMet(target float64) bool {
-	b.wmu.Lock()
-	defer b.wmu.Unlock()
-	return b.wpool.RelErrMet(target)
-}
-
-// WeightedBanked returns a snapshot of the pooled weighted tally — the
-// scheduler's steal-aware skip reads it to settle unstarted shards of an
-// already-converged rare-event point.
-func (b *ShardBudget) WeightedBanked() WeightedResult {
-	b.wmu.Lock()
-	defer b.wmu.Unlock()
-	return b.wpool
-}
-
 // ShardResult is one shard's tally, mergeable into a Result with
 // MergeShards. It carries the model dimensions so a merge does not need to
-// touch the engine.
+// touch the engine. Go's JSON float64 round-trip is exact, so the weighted
+// sums ride the fabric wire bit-identically.
 type ShardResult struct {
-	Shard         int // index within the plan
-	Trials        int // shots this shard actually took
-	Failures      int
-	Fallbacks     int
-	Skipped       int // zero-defect shots answered by the pipeline fast path
-	DedupHits     int // shots replayed from a duplicate syndrome's prediction
-	Stats         decoder.DecoderStats
+	Shard int // index within the plan
+	Counts
 	Mechanisms    int
 	DetectorCount int
-	// Weighted is the shard's importance-sampling tally (RareEvent mode
-	// only). Go's JSON float64 round-trip is exact, so the sums ride the
-	// fabric wire bit-identically.
-	Weighted WeightedResult
 }
 
 // RunShardOn executes one shard of a planned point single-threaded on the
@@ -179,21 +168,15 @@ func (en *Engine) RunShardOn(cfg Config, plan ShardPlan, shard int, budget *Shar
 	if err != nil {
 		return ShardResult{}, err
 	}
-	t, err := runAnyWorker(model, prop, graph, cfg, shard, plan.ShardTrials(shard), budget, st)
+	c, err := runCell(model, prop, graph, cfg, shard, plan.ShardTrials(shard), budget, st)
 	if err != nil {
 		return ShardResult{}, err
 	}
 	return ShardResult{
 		Shard:         shard,
-		Trials:        t.trials,
-		Failures:      t.failures,
-		Fallbacks:     t.fallbacks,
-		Skipped:       t.skipped,
-		DedupHits:     t.dedupHits,
-		Stats:         t.stats,
+		Counts:        c,
 		Mechanisms:    model.Stats.Mechanisms,
 		DetectorCount: model.NumDets,
-		Weighted:      t.weighted,
 	}, nil
 }
 
@@ -226,13 +209,7 @@ func MergeShards(cfg Config, parts []ShardResult) (Result, error) {
 		if p.Mechanisms > 0 && (first.Mechanisms == 0 || p.Shard < first.Shard) {
 			first = p
 		}
-		res.Trials += p.Trials
-		res.Failures += p.Failures
-		res.Fallbacks += p.Fallbacks
-		res.Skipped += p.Skipped
-		res.DedupHits += p.DedupHits
-		res.Stats.Add(p.Stats)
-		res.Weighted.Add(p.Weighted)
+		res.Counts.Add(p.Counts)
 	}
 	res.Mechanisms = first.Mechanisms
 	res.DetectorCount = first.DetectorCount

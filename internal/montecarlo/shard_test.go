@@ -287,7 +287,7 @@ func TestMergeShardsDimsProvenance(t *testing.T) {
 	cfg := shardTestConfig(4096)
 	real := func(shard int) ShardResult {
 		return ShardResult{
-			Shard: shard, Trials: 1024, Failures: shard + 1,
+			Shard: shard, Counts: Counts{Trials: 1024, Failures: shard + 1},
 			Mechanisms: 77, DetectorCount: 24,
 		}
 	}

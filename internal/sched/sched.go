@@ -277,18 +277,13 @@ func (s *Scheduler) run(ctx context.Context, jobs []Job, results []CellResult, e
 					} else {
 						c.direct, err = s.en.RunOn(c.job.Cfg, &st)
 					}
-				} else if tf := c.job.Cfg.TargetFailures; tf > 0 && c.budget.Failures() >= int64(tf) {
+				} else if c.budget.TargetMet(c.job.Cfg) {
 					// Steal-aware early stop: sibling shards already banked
-					// the cell's failure target, so this unit would observe
-					// the met budget and exit after zero batches. Settle it
-					// as an empty shard without paying the engine prepare;
-					// MergeShards takes the model dimensions from the lowest
-					// shard that actually ran.
-					sr = montecarlo.ShardResult{Shard: u.Shard}
-				} else if re := c.job.Cfg.TargetRelErr; re > 0 && c.budget.WeightedRelErrMet(re) {
-					// Weighted sibling of the failure-target skip: the pooled
-					// weighted estimate already reached the target relative
-					// error, so settle the unit empty.
+					// the cell's failure or relative-error target, so this
+					// unit would observe the met budget and exit after zero
+					// batches. Settle it as an empty shard without paying
+					// the engine prepare; MergeShards takes the model
+					// dimensions from the lowest shard that actually ran.
 					sr = montecarlo.ShardResult{Shard: u.Shard}
 				} else {
 					sr, err = s.en.RunShardOn(c.job.Cfg, c.plan, u.Shard, &c.budget, &st)

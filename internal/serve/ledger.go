@@ -12,7 +12,8 @@ package serve
 // and "ledger" source on the way out. The JSONL backend is append-only:
 // one {"key":...,"cell":...} object per line, the whole file replayed
 // into memory on open with last-entry-wins semantics, torn or corrupt
-// trailing lines skipped (a crash mid-append must not poison the store).
+// trailing lines skipped and a torn final line newline-terminated (a crash
+// mid-append must not poison the store or the next append).
 
 import (
 	"bufio"
@@ -161,8 +162,29 @@ func OpenFileLedger(path string) (Ledger, error) {
 		f.Close()
 		return nil, fmt.Errorf("ledger: replaying %s: %w", path, err)
 	}
+	if err := terminateTail(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("ledger: repairing %s: %w", path, err)
+	}
 	l.persist = l.appendLine
 	return l, nil
+}
+
+// terminateTail ends a torn final line — a crash mid-append leaves one
+// without its newline — so the next append starts a line of its own
+// instead of being glued onto the fragment and dropped as corrupt on the
+// following replay. The fragment itself stays and is skipped on replay.
+func terminateTail(f *os.File) error {
+	fi, err := f.Stat()
+	if err != nil || fi.Size() == 0 {
+		return err
+	}
+	var last [1]byte
+	if _, err := f.ReadAt(last[:], fi.Size()-1); err != nil || last[0] == '\n' {
+		return err
+	}
+	_, err = f.Write([]byte{'\n'})
+	return err
 }
 
 // appendLine writes one entry; called under memLedger.mu, so lines never

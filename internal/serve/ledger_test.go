@@ -1,10 +1,17 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/decoder"
+	"repro/internal/extract"
+	"repro/internal/hardware"
+	"repro/internal/montecarlo"
+	"repro/internal/sched"
 )
 
 // The restart round trip the file ledger exists for: a sweep served by one
@@ -100,6 +107,53 @@ func TestFileLedgerSkipsTornTail(t *testing.T) {
 	}
 }
 
+// The first record appended after a torn tail must survive the next
+// replay: the fragment has no newline, so without repair on open the new
+// line is glued onto it and dropped with it as corrupt.
+func TestFileLedgerAppendAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.ledger")
+	led, err := OpenFileLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	led.Put("a", CellRecord{Distance: 3, Trials: 10})
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"key":"b","ce`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	led, err = OpenFileLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	led.Put("c", CellRecord{Distance: 7, Trials: 30})
+	if err := led.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := OpenFileLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if rec, ok := reopened.Get("c"); !ok || rec.Distance != 7 {
+		t.Errorf("record appended after a torn tail lost on replay: %+v, %v", rec, ok)
+	}
+	if _, ok := reopened.Get("a"); !ok {
+		t.Error("record before the torn tail lost on replay")
+	}
+	if st := reopened.Stats(); st.Entries != 2 {
+		t.Errorf("replayed %d entries, want 2 (a and c)", st.Entries)
+	}
+}
+
 // Duplicate Puts keep the first record and append once — the property that
 // makes concurrent leaders and no_cache re-derivations harmless.
 func TestLedgerDuplicatePutsAreIdempotent(t *testing.T) {
@@ -138,7 +192,7 @@ func TestIntraJobDuplicateCellsCoalesce(t *testing.T) {
 	if len(cells) != 2 {
 		t.Fatalf("streamed %d cells, want 2", len(cells))
 	}
-	if got := s.decShots.Load(); got != 300 {
+	if got := s.decodeCounts().Trials; got != 300 {
 		t.Errorf("decoded %d shots for twin cells, want 300 (one execution)", got)
 	}
 	st := getStats(t, ts)
@@ -203,5 +257,66 @@ func TestCoalescerPlanResolveAbort(t *testing.T) {
 	}
 	if c.pendingCount() != 0 {
 		t.Errorf("pending = %d after resolve, want 0", c.pendingCount())
+	}
+}
+
+// The stored ledger line is the durable contract between releases: a file
+// written by one build is replayed by the next, so its key and cell bytes
+// must not drift. This pins the line for a plain cell, a rare-event cell,
+// and a rare-event cell with no failures yet (rel_err -1).
+func TestLedgerLineFormat(t *testing.T) {
+	plain := sched.Job{
+		Cfg: montecarlo.ThresholdCellConfig(extract.CompactInterleaved, 5, 4e-3, hardware.Default(),
+			2000, 11, montecarlo.UF, montecarlo.SweepOptions{}),
+		Tag: sched.ThresholdCell{Scheme: extract.CompactInterleaved, Distance: 5, Phys: 4e-3},
+	}
+	rare := sched.Job{
+		Cfg: montecarlo.ThresholdCellConfig(extract.Baseline, 9, 1e-3, hardware.Default(),
+			32768, 4242, montecarlo.UF, montecarlo.SweepOptions{RareEvent: true, Boost: 1.5}),
+		Tag: sched.ThresholdCell{Scheme: extract.Baseline, Distance: 9, Phys: 1e-3},
+	}
+	weighted := montecarlo.WeightedResult{
+		Shots: 32768, SumW: 32397.473160502912, SumW2: 91293.63219123585,
+		SumWFail: 9.224334324822518, SumW2Fail: 3.170974254434215, MaxW: 24.923388973973555,
+	}
+	cell := func(j sched.Job, trials, failures, skipped, dedup int, st decoder.DecoderStats, w montecarlo.WeightedResult) sched.CellResult {
+		r := sched.CellResult{Index: 3, Job: j}
+		r.Result.Config = j.Cfg
+		r.Result.Trials, r.Result.Failures = trials, failures
+		r.Result.Skipped, r.Result.DedupHits = skipped, dedup
+		r.Result.Stats, r.Result.Weighted = st, w
+		r.Result.Mechanisms, r.Result.DetectorCount = 999, 72
+		return r
+	}
+	noFail := weighted
+	noFail.SumWFail, noFail.SumW2Fail = 0, 0
+	for _, tc := range []struct {
+		name string
+		r    sched.CellResult
+		want string
+	}{
+		{"plain", cell(plain, 2000, 37, 1500, 60, decoder.DecoderStats{UFGrowthRounds: 900, UFEdgeScans: 4000, UFPeelNodes: 1200}, montecarlo.WeightedResult{}),
+			`{"key":"t|compact-interleaved|5|0x1.0624dd2f1a9fcp-08|c1|compact-interleaved|d=5|r=5|b=Z|n=2000|s=4039606|dec=uf|cgi=0|tf=0|rare=0|boost=0x0p+00|tre=0x0p+00|nopipe=0` +
+				`|hw=0x1.a36e2eb1c432dp-14,0x1.0624dd2f1a9fcp-10,0x1.ad7f29abcaf48p-23,0x1.ad7f29abcaf48p-25,0x1.ad7f29abcaf48p-23,0x1.421f5f40d8376p-23,0x1.421f5f40d8376p-22,0x1.ad7f29abcaf48p-23,0x1.0624dd2f1a9fcp-08,0x1.a36e2eb1c432dp-12,0x1.0624dd2f1a9fcp-08,0x1.0624dd2f1a9fcp-08,0x1.0624dd2f1a9fcp-08,0x1.0624dd2f1a9fcp-08,10"` +
+				`,"cell":{"index":0,"decoder":"uf","scheme":"compact-interleaved","distance":5,"phys_rate":0.004` +
+				`,"logical_rate":0.0185,"stderr":0.003013117156700018,"trials":2000,"failures":37,"skipped":1500,"dedup_hits":60,"decoder_stats":{"uf_growth_rounds":900,"uf_edge_scans":4000,"uf_peel_nodes":1200}}}`},
+		{"rare", cell(rare, 32768, 70, 20000, 900, decoder.DecoderStats{UFGrowthRounds: 5000}, weighted),
+			`{"key":"t|baseline|9|0x1.0624dd2f1a9fcp-10|c1|baseline|d=9|r=9|b=Z|n=32768|s=1075513|dec=uf|cgi=0|tf=0|rare=1|boost=0x1.8p+00|tre=0x0p+00|nopipe=0` +
+				`|hw=0x1.a36e2eb1c432dp-14,0x1.0624dd2f1a9fcp-10,0x1.ad7f29abcaf48p-23,0x1.ad7f29abcaf48p-25,0x1.ad7f29abcaf48p-23,0x1.421f5f40d8376p-23,0x1.421f5f40d8376p-22,0x1.ad7f29abcaf48p-23,0x1.0624dd2f1a9fcp-10,0x1.a36e2eb1c432dp-14,0x1.0624dd2f1a9fcp-10,0x1.0624dd2f1a9fcp-10,0x1.0624dd2f1a9fcp-10,0x1.0624dd2f1a9fcp-10,10"` +
+				`,"cell":{"index":0,"decoder":"uf","scheme":"baseline","distance":9,"phys_rate":0.001` +
+				`,"logical_rate":0.0002815043434088903,"stderr":0.000054321925628167854,"rel_err":0.19297011538207154,"ess":11496.927463537455,"trials":32768,"failures":70,"skipped":20000,"dedup_hits":900,"decoder_stats":{"uf_growth_rounds":5000}}}`},
+		{"rare no failures", cell(rare, 32768, 0, 20000, 900, decoder.DecoderStats{UFGrowthRounds: 5000}, noFail),
+			`{"key":"t|baseline|9|0x1.0624dd2f1a9fcp-10|c1|baseline|d=9|r=9|b=Z|n=32768|s=1075513|dec=uf|cgi=0|tf=0|rare=1|boost=0x1.8p+00|tre=0x0p+00|nopipe=0` +
+				`|hw=0x1.a36e2eb1c432dp-14,0x1.0624dd2f1a9fcp-10,0x1.ad7f29abcaf48p-23,0x1.ad7f29abcaf48p-25,0x1.ad7f29abcaf48p-23,0x1.421f5f40d8376p-23,0x1.421f5f40d8376p-22,0x1.ad7f29abcaf48p-23,0x1.0624dd2f1a9fcp-10,0x1.a36e2eb1c432dp-14,0x1.0624dd2f1a9fcp-10,0x1.0624dd2f1a9fcp-10,0x1.0624dd2f1a9fcp-10,0x1.0624dd2f1a9fcp-10,10"` +
+				`,"cell":{"index":0,"decoder":"uf","scheme":"baseline","distance":9,"phys_rate":0.001` +
+				`,"logical_rate":0,"stderr":0,"rel_err":-1,"ess":11496.927463537455,"trials":32768,"failures":0,"skipped":20000,"dedup_hits":900,"decoder_stats":{"uf_growth_rounds":5000}}}`},
+	} {
+		line, err := json.Marshal(ledgerEntry{Key: cellKey(tc.r.Job), Cell: canonicalRecord(cellRecord(tc.r))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(line) != tc.want {
+			t.Errorf("%s ledger line changed:\n got %s\nwant %s", tc.name, line, tc.want)
+		}
 	}
 }

@@ -57,10 +57,8 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/decoder"
 	"repro/internal/fabric"
 	"repro/internal/montecarlo"
 	"repro/internal/sched"
@@ -150,17 +148,11 @@ type Server struct {
 	submitted int64
 	nextID    int
 
-	// Process-wide decode pipeline counters, accumulated per engine-run
-	// cell across every job and surfaced by GET /v1/stats. Ledger-served
-	// and coalesced cells do not add here — they did no decode work.
-	decShots   atomic.Int64
-	decSkipped atomic.Int64
-	decDedup   atomic.Int64
-	// Decoder-internal stage counters (growth rounds, tree phases, ...),
-	// summed over every engine-run cell; a struct, so guarded by its own
-	// lock rather than per-field atomics.
-	decStatsMu sync.Mutex
-	decStats   decoder.DecoderStats
+	// Process-wide decode counters, summed per engine-run cell across every
+	// job and read by both GET /v1/stats and /metrics. Ledger-served and
+	// coalesced cells do not add here — they did no decode work.
+	decMu sync.Mutex
+	dec   montecarlo.Counts
 
 	// beforeRun, when non-nil, gates each job between acquiring its run
 	// slot and executing cells — a test hook for holding jobs in the
@@ -488,12 +480,9 @@ func (s *Server) runCells(jb *job) error {
 			onResult := func(r sched.CellResult) {
 				i := owned[r.Index]
 				completed[r.Index] = true
-				s.decShots.Add(int64(r.Result.Trials))
-				s.decSkipped.Add(int64(r.Result.Skipped))
-				s.decDedup.Add(int64(r.Result.DedupHits))
-				s.decStatsMu.Lock()
-				s.decStats.Add(r.Result.Stats)
-				s.decStatsMu.Unlock()
+				s.decMu.Lock()
+				s.dec.Add(r.Result.Counts)
+				s.decMu.Unlock()
 				rec := canonicalRecord(cellRecord(r))
 				if e := entries[i]; e != nil {
 					// Ledger first, then retire the pending entry: a planner
@@ -674,20 +663,25 @@ func (s *Server) ledgerSection() LedgerSection {
 	}
 }
 
+// decodeCounts returns a snapshot of the process-wide decode counters.
+func (s *Server) decodeCounts() montecarlo.Counts {
+	s.decMu.Lock()
+	defer s.decMu.Unlock()
+	return s.dec
+}
+
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	counts := s.countsLocked()
 	s.mu.Unlock()
-	s.decStatsMu.Lock()
-	decStats := s.decStats
-	s.decStatsMu.Unlock()
+	dec := s.decodeCounts()
 	resp := StatsResponse{
 		Engine: s.en.CacheStats(),
 		Decode: DecodeStats{
-			Shots:     s.decShots.Load(),
-			Skipped:   s.decSkipped.Load(),
-			DedupHits: s.decDedup.Load(),
-			Decoder:   decStats,
+			Shots:     int64(dec.Trials),
+			Skipped:   int64(dec.Skipped),
+			DedupHits: int64(dec.DedupHits),
+			Decoder:   dec.Stats,
 		},
 		Jobs:   counts,
 		Ledger: s.ledgerSection(),

@@ -266,7 +266,7 @@ func TestConcurrentSubmitsShareCachedStructures(t *testing.T) {
 		t.Errorf("4 concurrent identical sweeps built %d structures, want 1", st.Engine.Builds)
 	}
 	// Exactly one engine execution per distinct cell: 3 cells x 300 trials.
-	if got := srv.decShots.Load(); got != 900 {
+	if got := srv.decodeCounts().Trials; got != 900 {
 		t.Errorf("decoded %d shots across 4 identical sweeps, want 900 (each cell ran once)", got)
 	}
 	if dedup := st.Ledger.Hits + st.Ledger.CoalesceHits; dedup != 9 {

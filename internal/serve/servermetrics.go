@@ -3,10 +3,10 @@ package serve
 // serverMetrics is the Server's /metrics family set: request-path counters
 // and histograms fed inline by the handlers, plus scrape-time re-exports
 // of the counters that already live elsewhere (engine cache, decode
-// atomics, ledger, coalescer, job registry) so one scrape shows the whole
+// counters, ledger, coalescer, job registry) so one scrape shows the whole
 // serving stack without double bookkeeping.
 
-import "sync/atomic"
+import "repro/internal/montecarlo"
 
 type serverMetrics struct {
 	reg *Registry
@@ -92,15 +92,18 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	// Decode pipeline (engine-run cells only; ledger and coalesced cells
 	// did no decode work).
-	atomicCounter := func(a *atomic.Int64) func() float64 {
-		return func() float64 { return float64(a.Load()) }
+	decCounter := func(pick func(montecarlo.Counts) int) func() float64 {
+		return func() float64 { return float64(pick(s.decodeCounts())) }
 	}
 	reg.NewCounterFunc("vlq_decode_shots_total",
-		"Monte-Carlo shots decoded by engine-run cells.", atomicCounter(&s.decShots))
+		"Monte-Carlo shots decoded by engine-run cells.",
+		decCounter(func(c montecarlo.Counts) int { return c.Trials }))
 	reg.NewCounterFunc("vlq_decode_skipped_total",
-		"Shots answered by the zero-defect fast path.", atomicCounter(&s.decSkipped))
+		"Shots answered by the zero-defect fast path.",
+		decCounter(func(c montecarlo.Counts) int { return c.Skipped }))
 	reg.NewCounterFunc("vlq_decode_dedup_hits_total",
-		"Shots replayed from a duplicate syndrome in the same batch.", atomicCounter(&s.decDedup))
+		"Shots replayed from a duplicate syndrome in the same batch.",
+		decCounter(func(c montecarlo.Counts) int { return c.DedupHits }))
 
 	// Result ledger and coalescer.
 	reg.NewGaugeFunc("vlq_ledger_entries",
