@@ -373,8 +373,8 @@ func BenchmarkAblation_SchedulingOverhead(b *testing.B) {
 
 // BenchmarkSweepRow times a 3-distance x 8-rate Compact-Interleaved
 // threshold sweep row three ways: through the shared-pool scheduler
-// (single-threaded cells, per-worker decoder/sampler/model reuse, hoisted
-// graph topology), through the PR 1 sequential-cell path (one engine.Run
+// (one owner per cell, helped by idle workers; per-worker
+// decoder/sampler/model reuse, hoisted graph topology), through the PR 1 sequential-cell path (one engine.Run
 // per cell with per-cell worker forking and fresh per-cell state), and once
 // through the retained pre-batching scalar path (fresh model build per
 // cell, one RNG draw per mechanism per shot). The scheduler and sequential

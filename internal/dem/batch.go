@@ -223,6 +223,10 @@ type ShotSet struct {
 // Len returns the number of extracted shots.
 func (ss *ShotSet) Len() int { return len(ss.idx) }
 
+// Events returns the total number of fired detectors over the extracted
+// shots.
+func (ss *ShotSet) Events() int { return len(ss.events) }
+
 // Index returns entry i's original shot index within the batch.
 func (ss *ShotSet) Index(i int) int { return int(ss.idx[i]) }
 

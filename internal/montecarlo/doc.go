@@ -19,12 +19,21 @@
 // target failure count is reached.
 //
 // One kernel runs every point, in both modes and on every entry point:
-// sample a batch, decode it into a failure bitmask (the decode pipeline
-// on or off is decided inside that one step), then popcount the mask
-// (plain) or fold its likelihood-ratio weights in shot order (rare
-// event). Its output is a Counts — trials, failures, fallbacks, pipeline
-// skips and dedup hits, decoder stage Stats, and the Weighted tally —
-// embedded in Result and ShardResult and merged everywhere by Counts.Add.
+// sample a batch into a Slot, decode the Slot into a failure bitmask
+// (DecodeSlot; the decode pipeline on or off is decided inside that one
+// step), then, strictly in batch order, popcount the mask (plain) or fold
+// its likelihood-ratio weights in shot order (rare event). Its output is a
+// Counts — trials, failures, fallbacks, pipeline skips and dedup hits,
+// decoder stage Stats, and the Weighted tally — embedded in Result and
+// ShardResult and merged everywhere by Counts.Add.
+//
+// The decode half may run on another goroutine. A WorkerState joined to a
+// Crew (the sweep scheduler gives each run one) lends the batches its cell
+// samples to crew members idle in Claim, which decode them on their own
+// WorkerState and hand them back with Finish. Sampling and folding stay on
+// the cell's goroutine, early stop is checked at fold time, and a batch's
+// decode is a pure function of its syndromes, so a helped point's Counts
+// are bit-identical to its solo run.
 //
 // For deep sub-threshold points, where brute force would see zero failures
 // in any affordable budget, Config.RareEvent switches the engine to
@@ -46,9 +55,12 @@
 // Entry points:
 //
 //   - Config -> Engine.Run: one point, trials split over parallel workers
-//   - Engine.RunOn(cfg, *WorkerState): one point single-threaded with
-//     reusable per-worker scratch — the sweep scheduler's per-cell entry;
-//     bit-identical to Run with Workers == 1
+//   - Engine.RunOn(cfg, *WorkerState): one point on the calling goroutine
+//     with reusable per-worker scratch — the sweep scheduler's per-cell
+//     entry; bit-identical to Run with Workers == 1, helped or not
+//   - NewCrew / WorkerState.JoinCrew / Crew.Claim / WorkerState.DecodeSlot
+//     / Crew.Finish: the rendezvous through which idle pool workers decode
+//     running cells' batches
 //   - PlanShards / Engine.RunShardOn / MergeShards: the partial-run API —
 //     a fixed decomposition of one point into shard units the scheduler's
 //     idle workers steal. Shard i consumes worker stream i, a shared

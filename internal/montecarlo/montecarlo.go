@@ -401,8 +401,10 @@ func (en *Engine) prepare(cfg Config, st *WorkerState) (*dem.Model, *dem.Graph, 
 // sampler/decoder state. A sweep scheduler threads one WorkerState through
 // the consecutive cells a pool worker executes, so cells sharing a
 // structure reuse the sampler tables and union-find arrays instead of
-// reallocating them per noise scale. The zero value is ready to use; a
-// WorkerState must not be shared between concurrent calls.
+// reallocating them per noise scale. Joined to a Crew (JoinCrew), it also
+// carries the slots its cells lend to idle pool workers, and as a helper
+// it decodes other cells' slots (DecodeSlot). The zero value is ready to
+// use; a WorkerState must not be shared between concurrent calls.
 type WorkerState struct {
 	probs []float64
 	model *dem.Model
@@ -412,7 +414,15 @@ type WorkerState struct {
 	uf    *decoder.UnionFind
 	bl    *decoder.Blossom
 	pipe  *decoder.Pipeline
-	shots dem.ShotSet
+	// The current decode binding (see bind): the decoder over decGraph and,
+	// for the fallback-wrapped kinds, its Fallback.
+	dec      decoder.BatchDecoder
+	fb       *decoder.Fallback
+	decKind  DecoderKind
+	decGraph *dem.Graph
+	// The owner side of a cell's batches, and the crew it lends them to.
+	lane *lane
+	crew *Crew
 	// Rare-event siblings of probs/model/bs: the boosted proposal column,
 	// its folded model, and the weighted sampler over the pair.
 	wprobs []float64
@@ -470,13 +480,14 @@ func (st *WorkerState) decoderFor(kind DecoderKind, graph *dem.Graph) (decoder.B
 	return st.uf, nil
 }
 
-// pipeline returns the worker's dedup pipeline rebound over inner, creating
-// it on first use. The epoch-stamped dedup table and batch buffers survive
-// across cells exactly like the sampler tables do.
+// pipeline returns the worker's dedup pipeline over inner, creating it on
+// first use and rebinding it when inner changes. The epoch-stamped dedup
+// table and batch buffers survive across cells exactly like the sampler
+// tables do.
 func (st *WorkerState) pipeline(inner decoder.BatchDecoder) *decoder.Pipeline {
 	if st.pipe == nil {
 		st.pipe = decoder.NewPipeline(inner)
-	} else {
+	} else if st.pipe.Inner() != inner {
 		st.pipe.Rebind(inner)
 	}
 	return st.pipe
@@ -486,109 +497,110 @@ func (st *WorkerState) pipeline(inner decoder.BatchDecoder) *decoder.Pipeline {
 // loop behind Run, RunOn and RunShardOn in both modes. Batches come from
 // the worker's ChaCha8 stream through a *dem.BatchSampler (the plain one,
 // or the one embedded in the weighted sampler when prop is non-nil, so
-// boost = 1 consumes the stream identically to a plain point), and
-// decodeBatch turns each into a failure bitmask. Plain points popcount the
-// mask and bank failures toward TargetFailures; rare-event points fold the
-// likelihood-ratio weights in ascending shot order and bank them toward
-// TargetRelErr. budget coordinates that early stop across the point's
-// workers (or shards), and its abort flag stops the loop at the next batch
-// boundary.
+// boost = 1 consumes the stream identically to a plain point), each into a
+// Slot that DecodeSlot turns into a failure bitmask. Slots fold strictly
+// in batch order: plain points popcount the mask and bank failures toward
+// TargetFailures; rare-event points fold the likelihood-ratio weights in
+// ascending shot order and bank them toward TargetRelErr. budget
+// coordinates that early stop across the point's workers (or shards), and
+// both it and the abort flag are checked after each fold — the batch
+// boundary a serial loop checks at.
+//
+// Alone, the loop samples one batch, decodes it and folds it. When st has
+// joined a Crew with idle helpers, it samples ahead and lends them the
+// batches heavy enough to repay the handoff (minLendEvents): never more
+// unclaimed than one per idle helper, plus one queued behind each batch a
+// helper of this cell holds, so a helper that finishes finds its next
+// batch waiting. It decodes every batch no helper claimed itself, and
+// waits only on batches a helper holds. Sampling stays serial on this
+// goroutine and decoding is a pure function of the batch, so the Counts
+// are bit-identical either way; batches sampled past the stop point are
+// discarded uncounted.
 func runCell(model, prop *dem.Model, graph *dem.Graph, cfg Config, w, trials int, budget *ShardBudget, st *WorkerState) (Counts, error) {
 	var c Counts
 	bs, ws, err := st.samplerFor(model, prop)
 	if err != nil {
 		return c, err
 	}
-	dec, fb := st.decoderFor(cfg.Decoder, graph)
-	var pipe *decoder.Pipeline
-	if !cfg.DisablePipeline {
-		pipe = st.pipeline(dec)
-	}
-	// Decoder stage counters are cumulative for the decoder's lifetime
-	// (WorkerState reuses matchers across cells), so bracket this run with
-	// two snapshots.
-	statsSrc, _ := dec.(decoder.StatsSource)
-	var statsBase decoder.DecoderStats
-	if statsSrc != nil {
-		statsBase = statsSrc.DecoderStats()
-	}
+	l := st.openLane(cfg.Decoder, graph, !cfg.DisablePipeline)
+	defer l.drain()
 	rng := rand.New(rand.NewChaCha8(workerSeed(cfg.Seed, w)))
-	for c.Trials < trials && !budget.aborted.Load() && !budget.TargetMet(cfg) {
-		n := min(dem.BatchShots, trials-c.Trials)
-		bs.SampleN(rng, n)
-		failw, err := st.decodeBatch(bs, n, dec, pipe, &c)
-		if err != nil {
-			return c, err
-		}
-		fails := bits.OnesCount64(failw)
-		c.Trials += n
-		c.Failures += fails
-		if ws == nil {
-			if cfg.TargetFailures > 0 && fails > 0 {
-				budget.failures.Add(int64(fails))
+	sampled := 0
+	stop := budget.aborted.Load() || budget.TargetMet(cfg)
+	for !stop && (sampled < trials || len(l.slots) > 0) {
+		v := l.snapshot()
+		more := sampled < trials
+		// Helpers that will claim a lent batch soon: the idle ones, and one
+		// per batch of this cell a helper holds.
+		want := v.idle + v.held
+		switch {
+		case v.headDone:
+			s := l.pop()
+			if s.err != nil {
+				return c, s.err
 			}
-			continue
+			c.fold(s, ws != nil, cfg, budget)
+			l.release(s)
+			stop = budget.aborted.Load() || budget.TargetMet(cfg)
+		case more && (v.lent < want || v.lent == want && len(l.slots) < 2*(1+v.held+v.lent)):
+			n := min(dem.BatchShots, trials-sampled)
+			s := l.sample(bs, ws, rng, n)
+			sampled += n
+			if v.lent < want && s.shots.Events() >= minLendEvents {
+				l.lend(s)
+			} else {
+				// Every lent batch has a helper coming for it (or this one
+				// is too light to lend), so decode it here, running ahead of
+				// the helpers within a window of twice their batches.
+				s.err, s.done = st.DecodeSlot(s), true
+			}
+		case v.lent > 0:
+			if s := l.reclaim(); s != nil {
+				s.err, s.done = st.DecodeSlot(s), true
+			}
+		default:
+			l.waitHead()
 		}
-		// Weights fold shot by shot into a per-batch delta and deltas batch
-		// by batch into the tally — a fixed association, so the sums cannot
-		// depend on the pipeline switch, pool width, or sibling timing.
-		var delta WeightedResult
-		for s := range n {
-			delta.addShot(ws.Weight(s), failw>>uint(s)&1 != 0)
-		}
-		c.Weighted.Add(delta)
-		if cfg.TargetRelErr > 0 {
-			budget.AddWeighted(delta)
-		}
-	}
-	if fb != nil {
-		c.Fallbacks = int(fb.Fallbacks)
-	}
-	if statsSrc != nil {
-		c.Stats = statsSrc.DecoderStats().Sub(statsBase)
 	}
 	return c, nil
 }
 
-// decodeBatch decodes the n shots of bs's last batch and returns their
-// failure mask: bit s is set iff the prediction for shot s disagrees with
-// its sampled observable. With the pipeline on (pipe non-nil), zero-defect
-// shots are decided from ObsWord alone — an empty syndrome's
-// minimum-weight correction is empty — and only the rest are extracted, in
-// one CSR pass, into the pipeline's dedup front end; with it off every
-// shot goes straight to dec. The per-shot predictions are bit-identical
-// either way, so the mask cannot depend on the switch; only Skipped and
-// DedupHits in c record it.
-func (st *WorkerState) decodeBatch(bs *dem.BatchSampler, n int, dec decoder.BatchDecoder, pipe *decoder.Pipeline, c *Counts) (uint64, error) {
-	full := ^uint64(0) >> uint(dem.BatchShots-n)
-	obsW := bs.ObsWord()
-	mask, failw := full, uint64(0)
-	var dedupBase int64
-	if pipe != nil {
-		mask = bs.EventMask()
-		zero := full &^ mask
-		c.Skipped += bits.OnesCount64(zero)
-		failw = obsW & zero
-		dec, dedupBase = pipe, pipe.Stats().DedupHits
-	}
-	bs.Extract(mask, &st.shots)
-	st.batch.Reset()
-	for i := range st.shots.Len() {
-		st.batch.Add(st.shots.Shot(i))
-	}
-	if err := dec.DecodeBatch(&st.batch, st.out[:st.shots.Len()]); err != nil {
-		return 0, err
-	}
-	if pipe != nil {
-		c.DedupHits += int(pipe.Stats().DedupHits - dedupBase)
-	}
-	for i := range st.shots.Len() {
-		s := uint(st.shots.Index(i))
-		if st.out[i] != (obsW>>s&1 != 0) {
-			failw |= 1 << s
+// minLendEvents is the fewest fired detectors a batch must carry to be lent
+// to a helper; lighter batches are decoded where they were sampled. Handing
+// a batch over costs a goroutine wake-up or two, tens of microseconds,
+// while union-find decodes roughly one event per microsecond (2-vCPU Xeon
+// VM): a d=3 batch at p = 1e-3..2e-3 carries 20-30 events and decodes in
+// ~20 us, so lending it costs more than it saves, whereas a d=5 batch at
+// the same rates carries 120-160 events (~150-250 us) and already gains.
+const minLendEvents = 64
+
+// fold adds one decoded batch to c and banks it toward the early-stop
+// target.
+func (c *Counts) fold(s *Slot, weighted bool, cfg Config, budget *ShardBudget) {
+	fails := bits.OnesCount64(s.failw)
+	c.Trials += s.n
+	c.Failures += fails
+	c.Skipped += s.skipped
+	c.DedupHits += s.dedup
+	c.Fallbacks += s.fallbacks
+	c.Stats.Add(s.stats)
+	if !weighted {
+		if cfg.TargetFailures > 0 && fails > 0 {
+			budget.failures.Add(int64(fails))
 		}
+		return
 	}
-	return failw, nil
+	// Weights fold shot by shot into a per-batch delta and deltas batch by
+	// batch into the tally — a fixed association, so the sums cannot depend
+	// on the pipeline switch, pool width, or which worker decoded the batch.
+	var delta WeightedResult
+	for i := range s.n {
+		delta.addShot(s.w[i], s.failw>>uint(i)&1 != 0)
+	}
+	c.Weighted.Add(delta)
+	if cfg.TargetRelErr > 0 {
+		budget.AddWeighted(delta)
+	}
 }
 
 // Run executes one Monte-Carlo point on the engine, splitting the trials
@@ -646,11 +658,12 @@ func fanOut(cfg Config, model *dem.Model, fn func(w, trials int) (Counts, error)
 	return res, nil
 }
 
-// RunOn executes one Monte-Carlo point single-threaded on the calling
-// goroutine as worker 0, reusing st's buffers across calls — the per-worker
-// entry point of the sweep scheduler. cfg.Workers is ignored, so the result
-// is bit-identical to Run with Workers == 1 and independent of any pool
-// width the caller schedules cells under. st may be nil for one-shot use.
+// RunOn executes one Monte-Carlo point on the calling goroutine as worker
+// 0, reusing st's buffers across calls — the per-worker entry point of the
+// sweep scheduler. If st has joined a Crew, idle members may decode some
+// of its batches. cfg.Workers is ignored, so the result is bit-identical
+// to Run with Workers == 1 and independent of any pool width the caller
+// schedules cells under, helped or not. st may be nil for one-shot use.
 func (en *Engine) RunOn(cfg Config, st *WorkerState) (Result, error) {
 	if st == nil {
 		st = &WorkerState{}

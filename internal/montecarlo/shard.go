@@ -132,8 +132,9 @@ type ShardResult struct {
 	DetectorCount int
 }
 
-// RunShardOn executes one shard of a planned point single-threaded on the
-// calling goroutine, reusing st's buffers across calls — the partial-run
+// RunShardOn executes one shard of a planned point on the calling
+// goroutine (helped, like RunOn, by st's Crew if it has joined one),
+// reusing st's buffers across calls — the partial-run
 // entry point of the sweep scheduler's work stealing. The shard samples
 // worker stream `shard` of cfg.Seed (the same derivation Engine.Run gives
 // worker `shard`), takes plan.ShardTrials(shard) shots, and coordinates

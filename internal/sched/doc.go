@@ -5,13 +5,23 @@
 //
 // # Execution model
 //
-// Each cell executes single-threaded on whichever pool worker picks it up
-// (montecarlo.Engine.RunOn as worker 0 of its own point), so a cell's
-// result depends only on its Config — never on the pool width or on which
-// cells finished first. Workers thread one montecarlo.WorkerState through
-// their consecutive units, reusing sampler tables, union-find arrays, and
-// batch buffers across the noise scales of a row; the engine's bounded
-// structure cache does the same for the expensive structural halves.
+// Each cell is owned by whichever pool worker picks it up
+// (montecarlo.Engine.RunOn as worker 0 of its own point). The owner
+// samples every batch from the cell's own ChaCha8 stream and folds every
+// result, strictly in batch order. Decoding, the bulk of a cell's time,
+// may run on other workers: a worker that finds the unit queue drained
+// does not exit but waits in the run's montecarlo.Crew, decoding batches
+// that running cells have sampled, until the last unit finishes. An owner
+// lends only batches heavy enough to repay the handoff, samples ahead only
+// for helpers that are idle or already decoding its batches, decodes
+// itself every batch no helper claimed, and checks early stop at fold
+// time. Decoding is a pure function of a batch, so a cell's result
+// depends only on its Config — never on the pool width, on which worker
+// decoded which batch, or on which cells finished first. Workers thread
+// one montecarlo.WorkerState through their consecutive units, reusing
+// sampler tables, union-find arrays, and batch buffers across the noise
+// scales of a row; the engine's bounded structure cache does the same for
+// the expensive structural halves.
 //
 // # Cost model
 //

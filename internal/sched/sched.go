@@ -14,9 +14,10 @@ import (
 
 // Job is one sweep cell: a Monte-Carlo point configuration plus an opaque
 // caller tag carried through to the result (grid coordinates, typically).
-// If Cfg.Workers is 0 the cell runs single-threaded; an explicit positive
-// value is honored via the engine's parallel path, which trades per-worker
-// state reuse for intra-cell parallelism.
+// If Cfg.Workers is 0 the cell runs on one pool worker, which idle workers
+// may help decode (see the package doc); an explicit positive value is
+// honored via the engine's parallel path, which trades per-worker state
+// reuse for independent worker streams.
 type Job struct {
 	Cfg montecarlo.Config
 	Tag any
@@ -72,12 +73,14 @@ type Options struct {
 	// ShardShots, when positive, splits cells whose trial budget exceeds
 	// it into shard units of ~ShardShots trials (never smaller — floor
 	// division folds the last partial chunk into the others) that idle
-	// workers steal, cutting the tail latency of a grid dominated by one
-	// huge cell. Values below montecarlo.MinShardShots are raised to that
-	// floor, so pinned small cells are never split. The shard plan is a
-	// pure function of (Config.Trials, ShardShots) and per-shard RNG
-	// streams derive from the cell seed + shard index, so a sharded cell's
-	// merged Result is bit-identical at every pool width; it equals
+	// workers steal. Idle workers already help decode a running cell
+	// without changing its result, so locally a big cell's tail needs no
+	// sharding; shard units are what the fabric leases. Values below
+	// montecarlo.MinShardShots are raised to that floor, so pinned small
+	// cells are never split. The shard plan is a pure function of
+	// (Config.Trials, ShardShots) and per-shard RNG streams derive from
+	// the cell seed + shard index, so a sharded cell's merged Result is
+	// bit-identical at every pool width; it equals
 	// montecarlo.Engine.Run with Workers == shards, not the unsharded
 	// single-threaded result. With Config.TargetFailures set, shards
 	// coordinate early stop through one shared atomic budget, and the
@@ -97,6 +100,9 @@ type Options struct {
 type Scheduler struct {
 	en   *montecarlo.Engine
 	opts Options
+	// helped counts the batches idle workers decoded for other workers'
+	// cells, over the scheduler's lifetime. It never reaches a result.
+	helped atomic.Int64
 }
 
 // New returns a scheduler over the engine (a fresh default engine if nil).
@@ -233,6 +239,9 @@ func (s *Scheduler) finishUnit(c *cellRun, u Unit, sr montecarlo.ShardResult, er
 // unsharded cells keep the documented run-to-completion semantics.
 func (s *Scheduler) run(ctx context.Context, jobs []Job, results []CellResult, emit func(CellResult)) {
 	cells, units := s.buildQueue(jobs)
+	if len(units) == 0 {
+		return
+	}
 
 	if done := ctx.Done(); done != nil {
 		finished := make(chan struct{})
@@ -250,7 +259,12 @@ func (s *Scheduler) run(ctx context.Context, jobs []Job, results []CellResult, e
 		}()
 	}
 
+	// Workers that find the unit queue drained help the cells still running
+	// by decoding their sampled batches, until the last unit finishes.
+	crew := montecarlo.NewCrew()
 	var next atomic.Int64
+	var left atomic.Int64
+	left.Store(int64(len(units)))
 	var emitMu sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < s.width(len(units)); w++ {
@@ -258,50 +272,67 @@ func (s *Scheduler) run(ctx context.Context, jobs []Job, results []CellResult, e
 		go func() {
 			defer wg.Done()
 			var st montecarlo.WorkerState
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(units) {
-					return
+			st.JoinCrew(crew)
+			for k := int(next.Add(1)) - 1; k < len(units); k = int(next.Add(1)) - 1 {
+				s.runUnit(ctx, cells[units[k].Cell], units[k], &st, results, emit, &emitMu)
+				if left.Add(-1) == 0 {
+					crew.Close()
 				}
-				u := units[k]
-				c := cells[u.Cell]
-				if err := ctx.Err(); err != nil {
-					s.finishUnit(c, u, montecarlo.ShardResult{}, nil, err, results, emit, &emitMu)
-					continue
-				}
-				var sr montecarlo.ShardResult
-				var err error
-				if c.plan.Shards == 1 {
-					if c.job.Cfg.Workers > 1 {
-						c.direct, err = s.en.Run(c.job.Cfg)
-					} else {
-						c.direct, err = s.en.RunOn(c.job.Cfg, &st)
-					}
-				} else if c.budget.TargetMet(c.job.Cfg) {
-					// Steal-aware early stop: sibling shards already banked
-					// the cell's failure or relative-error target, so this
-					// unit would observe the met budget and exit after zero
-					// batches. Settle it as an empty shard without paying
-					// the engine prepare; MergeShards takes the model
-					// dimensions from the lowest shard that actually ran.
-					sr = montecarlo.ShardResult{Shard: u.Shard}
-				} else {
-					sr, err = s.en.RunShardOn(c.job.Cfg, c.plan, u.Shard, &c.budget, &st)
-				}
-				// An abort observed alongside cancellation means this unit's
-				// tally may be short; treat the cell as skipped rather than
-				// merging a partial shard.
-				var skipErr error
-				if c.plan.Shards > 1 && c.budget.Aborted() {
-					if cerr := ctx.Err(); cerr != nil {
-						skipErr = cerr
-					}
-				}
-				s.finishUnit(c, u, sr, err, skipErr, results, emit, &emitMu)
 			}
+			s.help(crew, &st)
 		}()
 	}
 	wg.Wait()
+}
+
+// runUnit executes one unit on st and records it on its cell.
+func (s *Scheduler) runUnit(ctx context.Context, c *cellRun, u Unit, st *montecarlo.WorkerState,
+	results []CellResult, emit func(CellResult), emitMu *sync.Mutex) {
+	if err := ctx.Err(); err != nil {
+		s.finishUnit(c, u, montecarlo.ShardResult{}, nil, err, results, emit, emitMu)
+		return
+	}
+	var sr montecarlo.ShardResult
+	var err error
+	if c.plan.Shards == 1 {
+		if c.job.Cfg.Workers > 1 {
+			c.direct, err = s.en.Run(c.job.Cfg)
+		} else {
+			c.direct, err = s.en.RunOn(c.job.Cfg, st)
+		}
+	} else if c.budget.TargetMet(c.job.Cfg) {
+		// Steal-aware early stop: sibling shards already banked the cell's
+		// failure or relative-error target, so this unit would observe the
+		// met budget and exit after zero batches. Settle it as an empty
+		// shard without paying the engine prepare; MergeShards takes the
+		// model dimensions from the lowest shard that actually ran.
+		sr = montecarlo.ShardResult{Shard: u.Shard}
+	} else {
+		sr, err = s.en.RunShardOn(c.job.Cfg, c.plan, u.Shard, &c.budget, st)
+	}
+	// An abort observed alongside cancellation means this unit's tally may
+	// be short; treat the cell as skipped rather than merging a partial
+	// shard.
+	var skipErr error
+	if c.plan.Shards > 1 && c.budget.Aborted() {
+		if cerr := ctx.Err(); cerr != nil {
+			skipErr = cerr
+		}
+	}
+	s.finishUnit(c, u, sr, err, skipErr, results, emit, emitMu)
+}
+
+// decodeSlot is a helper's decode step, a variable so that tests can make
+// it fail.
+var decodeSlot = (*montecarlo.WorkerState).DecodeSlot
+
+// help lends st to the crew: it decodes batches that running cells sampled
+// until the crew closes, counting them in s.helped.
+func (s *Scheduler) help(crew *montecarlo.Crew, st *montecarlo.WorkerState) {
+	for sl := crew.Claim(); sl != nil; sl = crew.Claim() {
+		crew.Finish(sl, decodeSlot(st, sl))
+		s.helped.Add(1)
+	}
 }
 
 // Run executes all jobs and returns their results in submission order —

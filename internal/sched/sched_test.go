@@ -21,9 +21,9 @@ func thresholdGrid(trials int) []Job {
 }
 
 // Same seed => identical per-cell stats regardless of the pool width (and
-// therefore of cell completion order): every cell runs single-threaded as
-// worker 0 of its own point, so the stream it consumes is fixed by its
-// Config alone.
+// therefore of cell completion order): every cell runs as worker 0 of its
+// own point, whichever workers decode its batches, so the stream it
+// consumes is fixed by its Config alone.
 func TestSchedulerDeterministicAcrossPoolWidths(t *testing.T) {
 	var ref []CellResult
 	for _, width := range []int{1, 2, 7} {
