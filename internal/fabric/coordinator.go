@@ -98,8 +98,9 @@ type Run struct {
 	finished  bool
 	results   []sched.CellResult
 
-	emitMu sync.Mutex // serializes OnResult
-	done   chan struct{}
+	emitMu    sync.Mutex // serializes OnResult
+	delivered int        // cells passed to OnResult; guarded by emitMu
+	done      chan struct{}
 }
 
 // Hub is the fabric coordinator: it leases sweep shard units to registered
@@ -473,13 +474,22 @@ type emission struct {
 	res sched.CellResult
 }
 
+// emitAll delivers completed cells. A finished run's done channel closes
+// only once its last cell has been delivered, so a caller returning from
+// Wait has seen every OnResult call — whichever goroutines' emissions
+// complete the run, and in whatever order they deliver.
 func emitAll(emits []emission) {
 	for _, e := range emits {
-		if e.run.opts.OnResult != nil {
-			e.run.emitMu.Lock()
-			e.run.opts.OnResult(e.res)
-			e.run.emitMu.Unlock()
+		r := e.run
+		r.emitMu.Lock()
+		if r.opts.OnResult != nil {
+			r.opts.OnResult(e.res)
 		}
+		r.delivered++
+		if r.delivered == len(r.jobs) {
+			close(r.done)
+		}
+		r.emitMu.Unlock()
 	}
 }
 
@@ -538,10 +548,10 @@ func (h *Hub) recordUnitLocked(r *Run, k int, sr montecarlo.ShardResult, errMsg 
 		r.completed++
 		emits = append(emits, emission{run: r, res: res})
 		if r.completed == len(r.jobs) {
+			// done closes once this emission is delivered (emitAll).
 			r.finished = true
 			h.stats.RunsCompleted++
 			h.detachRunLocked(r)
-			close(r.done)
 		}
 	}
 	return emits
@@ -613,10 +623,11 @@ func (r *Run) Cancel() {
 	h.mu.Unlock()
 }
 
-// Wait blocks until every cell has merged (or the run is cancelled, or ctx
-// is done — which cancels the run), then returns the per-cell results in
-// submission order and reaps the run from the hub. Completed cells carry
-// exactly the Result a local run of the same unit queue produces.
+// Wait blocks until every cell has merged and been delivered to OnResult
+// (or the run is cancelled, or ctx is done — which cancels the run), then
+// returns the per-cell results in submission order and reaps the run from
+// the hub. Completed cells carry exactly the Result a local run of the
+// same unit queue produces.
 func (r *Run) Wait(ctx context.Context) ([]sched.CellResult, error) {
 	select {
 	case <-r.done:
@@ -644,7 +655,8 @@ func (r *Run) Wait(ctx context.Context) ([]sched.CellResult, error) {
 	return results, nil
 }
 
-// Done returns a channel closed when the run finishes or is cancelled.
+// Done returns a channel closed when the run is cancelled, or when it
+// finishes and its last cell has been delivered to OnResult.
 func (r *Run) Done() <-chan struct{} { return r.done }
 
 // Completed reports how many cells have merged so far.

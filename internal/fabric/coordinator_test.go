@@ -300,3 +300,39 @@ func TestMultiRunLeasingDrainsSubmissionOrder(t *testing.T) {
 		t.Fatalf("second lease from run %s, want %s", l2.Run, r2.ID())
 	}
 }
+
+// Wait must not return before the run's last cell has been delivered to
+// OnResult: a caller that reads its own OnResult state after Wait (serve's
+// fabric mode marks cells completed there) would otherwise race with the
+// delivery, and re-run a cell it thinks unfinished.
+func TestWaitReturnsAfterLastCellDelivered(t *testing.T) {
+	h, _, r := protoHub(t, protoConfig(montecarlo.MinShardShots))
+	release := make(chan struct{})
+	delivered := false
+	r.opts.OnResult = func(sched.CellResult) {
+		<-release
+		delivered = true
+	}
+	l := mustLease(t, h, "w1")
+	waited := make(chan struct{})
+	go func() {
+		r.Wait(context.Background())
+		close(waited)
+	}()
+	go h.Result(fullResult(l))
+
+	select {
+	case <-waited:
+		t.Fatal("Wait returned while the last cell's OnResult was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-waited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait did not return after the last cell was delivered")
+	}
+	if !delivered {
+		t.Fatal("Wait returned before OnResult finished")
+	}
+}
