@@ -3,6 +3,7 @@ package decoder
 import (
 	"math/rand/v2"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dem"
 	"repro/internal/extract"
@@ -88,6 +89,18 @@ func TestDecodeBatchZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: DecodeBatch allocates %.1f times per batch in steady state", dec.Name(), allocs)
 		}
+	}
+}
+
+// Union-find's growth loops touch one node record and one edge record per
+// lookup; both must stay within their cache-line budgets, so per-cluster
+// bookkeeping cannot quietly widen the sparse-shot path.
+func TestUnionFindRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(ufNode{}); n > 72 {
+		t.Errorf("ufNode is %d bytes, budget 72", n)
+	}
+	if n := unsafe.Sizeof(ufEdge{}); n > 40 {
+		t.Errorf("ufEdge is %d bytes, budget 40", n)
 	}
 }
 

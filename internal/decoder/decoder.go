@@ -3,8 +3,9 @@ package decoder
 import "fmt"
 
 // Decoder predicts whether the logical observable flipped, given the fired
-// detector ids (sorted ascending). Implementations reuse internal buffers
-// and are not safe for concurrent use; create one per goroutine.
+// detector ids. The ids are a set: any order gives the same prediction
+// (ascending is cheapest). Implementations reuse internal buffers and are
+// not safe for concurrent use; create one per goroutine.
 type Decoder interface {
 	Decode(events []int) (obsFlip bool, err error)
 	Name() string

@@ -82,7 +82,7 @@ func TestLineGraphPairs(t *testing.T) {
 	}
 }
 
-func circuitGraph(t *testing.T, scheme extract.Scheme, d int, phys float64) (*dem.Model, *dem.Graph) {
+func circuitGraph(t testing.TB, scheme extract.Scheme, d int, phys float64) (*dem.Model, *dem.Graph) {
 	t.Helper()
 	e, err := extract.Build(extract.Config{
 		Scheme: scheme, Distance: d, Basis: extract.BasisZ,

@@ -34,6 +34,14 @@
 // All decoders answer one question per shot: given the set of fired
 // detectors, did the error most likely flip the logical observable?
 //
+// The events are a set, not a sequence: a decoder's prediction must depend
+// only on which detectors fired, never on the order the caller lists them
+// in. The engine always passes ascending ids (dem.ShotSet), but callers of
+// Decode need not. UnionFind, whose growth schedule walks clusters in
+// event order, checks sortedness and sorts an unsorted list into a
+// reusable buffer first, so sorted callers pay one pass. The property
+// tests pin this on sparse random sets and on dense circuit-level shots.
+//
 // In front of the decoders sits Pipeline, the batch-level decode front
 // end: it answers zero-defect shots immediately (an empty syndrome's
 // minimum-weight correction is empty, so the prediction is "no flip"

@@ -3,6 +3,7 @@ package decoder
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dem"
 )
@@ -37,22 +38,29 @@ type UnionFind struct {
 	bfsOrder  []int32
 	bfsEdge   []int32 // edge used to reach node in the forest
 	bfsPar    []int32
-	active    []int32
+	active    []int32 // this round's growing roots, by smallest event id
+	next      []int32 // the next round's active list, built at round end
+	touched   []int32 // roots a union produced this round (may repeat)
 	queue     []int32
 	satBound  []int32 // saturated boundary edges of this decode
-	events    []int   // current shot (caller-owned)
+	events    []int   // current shot, ascending
+	sorted    []int   // reusable buffer for unsorted caller input
 	// Per-root growable-edge cache: seg[r] is root r's growable edge ids as
-	// of r's last slack scan, minUnit[r] the minimum per-unit slack found
-	// then, baseCum[r] the growth clock at that scan, and scanEpoch/staleR
-	// its validity. A clean root (scanned this decode, untouched by any
-	// merge in its neighborhood since) need not rescan: every growable
+	// of r's last slack scan, minAt[r] the growth clock at which the
+	// smallest per-unit slack found then reaches zero, argmin[r] the edge
+	// holding it, and scanEpoch/staleR its validity. A clean root (scanned
+	// this decode, not invalidated since) need not rescan: every growable
 	// edge's per-unit slack has fallen by exactly the summed growth since
-	// the scan, so the cached minimum just shifts — the skip that replaces
-	// the per-round growEdges rebuild. The ids are enough: a clean root's
-	// edges have unchanged ends (an end merge would have stale-marked it),
-	// so the edge records' ra/rb still hold each edge's scan-time roots —
-	// storing bare int32 ids keeps the per-scan write traffic to four bytes
-	// per edge instead of a padded record.
+	// the scan, so the cached minimum just shifts with the clock — the skip
+	// that replaces the per-round growEdges rebuild. A merge changes a
+	// neighbor's slack only through a shared edge whose far side changed
+	// growth status, so validity tracks status changes (see union). The
+	// ids are enough, though a clean root's far ends may have merged since
+	// its scan: the edge records' ra/rb name a root each end's cluster had
+	// when the edge was last resolved, and by the time a walk reads them
+	// they are live wherever it matters (see endRound) — storing bare int32
+	// ids keeps the per-scan write traffic to four bytes per edge instead
+	// of a padded record.
 	seg      [][]int32
 	cumDelta int64 // summed minDelta growth this decode
 
@@ -79,6 +87,13 @@ type UnionFind struct {
 // the golden-pinned predictions — are reproduced exactly), and
 // forcedAt/walkedAt mark union-touched and already-walked roots.
 //
+// Union-find and the incremental active list: rank is the union-by-rank
+// rank, 0 for a node that absorbed nothing this decode; minEv, valid only
+// when rank > 0, is the cluster's smallest event id, the active list's
+// sort key. Both are written only by union, so a shot whose clusters never
+// merge pays nothing for them. minAt and argmin are the cached slack
+// minimum (see UnionFind.seg and argminRose).
+//
 // epoch/scanEpoch/appliedEpoch are the low 32 bits of the decoder epoch
 // (bumpEpoch clears them on wrap); activeAt/forcedAt/walkedAt compare
 // against activeGen, which Decode rewinds long before it can wrap.
@@ -99,8 +114,9 @@ type ufNode struct {
 	scanEpoch    uint32
 	forcedAt     uint32
 	walkedAt     uint32
-	minUnit      int64
-	baseCum      int64
+	minAt        int64
+	argmin       int32
+	minEv        int32
 	effR         int64
 }
 
@@ -130,8 +146,9 @@ type ufEdge struct {
 	epoch     uint32
 }
 
-// capUnit converts float weights to integer capacities; chosen so relative
-// weights keep about six significant digits.
+// capScale is the integer capacity of the lightest edge: loadEdges scales
+// every float weight by capScale/minW, so relative weights keep about six
+// significant digits.
 const capScale = 1 << 20
 
 // NewUnionFind builds a union-find decoder over g.
@@ -288,13 +305,21 @@ func (u *UnionFind) seedAdjacency(r, v int32) {
 	}
 }
 
-// Decode implements Decoder.
+// Decode implements Decoder. The events are a set: they are processed in
+// ascending order whatever order the caller passes (an unsorted list is
+// sorted into a reusable buffer), so the prediction depends only on which
+// detectors fired.
 func (u *UnionFind) Decode(events []int) (bool, error) {
 	if len(events) == 0 {
 		return false, nil
 	}
 	if len(events)%2 == 1 && u.g.Stats.BoundaryEdges == 0 {
 		return false, fmt.Errorf("union-find: odd event count with no boundary")
+	}
+	if !slices.IsSorted(events) {
+		u.sorted = append(u.sorted[:0], events...)
+		slices.Sort(u.sorted)
+		events = u.sorted
 	}
 	n := u.n
 	u.bumpEpoch()
@@ -312,118 +337,40 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 		u.un[d].seeded = true
 	}
 
-	u.active = u.active[:0]
-	refreshActive := func() {
-		u.activeGen++
-		u.active = u.active[:0]
-		for _, d := range events {
-			// Inline root walk: every event node was ensured at decode
-			// start, so find's lazy-reset check is dead weight here.
-			r := int32(d)
-			for u.un[r].parent != r {
-				u.un[r].parent = u.un[u.un[r].parent].parent
-				r = u.un[r].parent
-			}
-			nd := &u.un[r]
-			if nd.parity && !nd.boundary && nd.activeAt != u.activeGen {
-				// A cluster entering the active set after a round away (or
-				// for the first time) was not growing, so no deferred share
-				// is owed: sync its growth clock, or the idle gap would read
-				// as pending growth.
-				if nd.activeAt != u.activeGen-1 || nd.appliedEpoch != u.ep32 {
-					nd.appliedCum = u.cumDelta
-					nd.appliedEpoch = u.ep32
-				}
-				nd.activeAt = u.activeGen
-				nd.ordAt = int32(len(u.active))
-				u.active = append(u.active, r)
-			}
-		}
+	// Round one's active list is every event, each its own cluster; later
+	// rounds' lists are built incrementally by endRound.
+	u.cumDelta = 0
+	u.touched = u.touched[:0]
+	u.activeGen++
+	u.next = u.next[:0]
+	for _, d := range events {
+		u.enterActive(int32(d))
 	}
-
-	union := func(a, b int32) int32 {
-		// The caller passes the edge's cached scan-time roots: mark both
-		// for a forced walk so their segments' deferred growth (plus this
-		// round's share) is applied before the round closes — exactly what
-		// the eager schedule's unconditional walk did for them.
-		u.un[a].forcedAt = u.activeGen
-		u.un[b].forcedAt = u.activeGen
-		// A node joining a growing cluster contributes its own adjacency
-		// to the cluster's candidate growth edges exactly once.
-		for _, v := range [2]int32{a, b} {
-			u.ensureNode(v)
-			if !u.un[v].seeded {
-				u.un[v].seeded = true
-				r := u.find(v)
-				u.seedAdjacency(r, v)
-				u.un[r].staleR = true // new growth candidates invalidate the cached minimum
-			}
-		}
-		ra, rb := u.find(a), u.find(b)
-		if ra == rb {
-			return ra
-		}
-		if u.un[ra].rank < u.un[rb].rank {
-			ra, rb = rb, ra
-		}
-		if u.un[ra].rank == u.un[rb].rank {
-			u.un[ra].rank++
-		}
-		u.un[rb].parent = ra
-		u.un[ra].parity = u.un[ra].parity != u.un[rb].parity
-		u.un[ra].boundary = u.un[ra].boundary || u.un[rb].boundary
-		if len(u.edgeList[rb]) > len(u.edgeList[ra]) {
-			u.edgeList[ra], u.edgeList[rb] = u.edgeList[rb], u.edgeList[ra]
-		}
-		u.edgeList[ra] = append(u.edgeList[ra], u.edgeList[rb]...)
-		// Keep rb's capacity for later decodes; rb is no longer a root, so
-		// its list is dead until its next epoch reset.
-		u.edgeList[rb] = u.edgeList[rb][:0]
-		// Every cached slack minimum whose cluster can see this merge is now
-		// stale: the merged cluster itself (parity, boundary, and membership
-		// changed) and any neighbor — a shared edge's ends may have changed
-		// or the edge may have become internal. Neighbors further out are
-		// untouched: this cluster's own status is what their ends read, and
-		// it only changes at its own merges.
-		u.un[ra].staleR = true
-		for _, ei := range u.edgeList[ra] {
-			if e := &u.ue[ei]; e.rootEpoch == u.ep32 {
-				// Marking the cached ids is sufficient: a cached root that
-				// has since merged was stale-marked by that earlier union,
-				// and its successor cannot have rescanned since or the cache
-				// would hold the successor. Edges never scanned this decode
-				// back no cached minimum at all.
-				u.un[e.ra].staleR = true
-				u.un[e.rb].staleR = true
-			}
-		}
-		return ra
-	}
+	u.active, u.next = u.next, u.active
 
 	var rounds, scans int64
-	u.cumDelta = 0
 	for iter := 0; ; iter++ {
 		if iter > 4*len(u.g.Edges)+16 {
 			return false, fmt.Errorf("union-find: growth failed to converge")
 		}
-		refreshActive()
 		if len(u.active) == 0 {
 			break
 		}
 		rounds++
 		// Minimum slack per growth unit across all candidate edges. A clean
-		// root — scanned this decode, no merge in its neighborhood since —
-		// reuses its cached segment: every growable edge of such a root grew
-		// in each round since the scan (ends unchanged, so per-unit slack
-		// fell by exactly that round's minDelta), and the cached minimum
-		// shifted by the summed growth. Only stale roots rescan.
+		// root — scanned this decode, not invalidated since — reuses its
+		// cached segment: every growable edge of such a root grew in each
+		// round since the scan and its far side kept its growth status, so
+		// per-unit slack fell by exactly that round's minDelta and the
+		// cached minimum shifted with the growth clock. Only stale roots
+		// rescan.
 		var minDelta int64 = math.MaxInt64
 		for _, r := range u.active {
 			nd := &u.un[r]
-			if nd.scanEpoch == u.ep32 && !nd.staleR {
-				eff := nd.minUnit
+			if nd.scanEpoch == u.ep32 && !nd.staleR && !u.argminRose(r, nd) {
+				eff := nd.minAt
 				if eff != math.MaxInt64 {
-					eff -= u.cumDelta - nd.baseCum
+					eff -= u.cumDelta
 				}
 				nd.effR = eff
 				if eff < minDelta {
@@ -452,6 +399,7 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 			// Track the ends=1 and ends=2 minima separately so the ceiling
 			// division happens once per scan, not once per edge.
 			var min1, min2 int64 = math.MaxInt64, math.MaxInt64
+			var arg2 int32 = -1
 			for _, ei := range u.edgeList[r] {
 				e := &u.ue[ei]
 				c := e.cap
@@ -482,7 +430,7 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 				}
 				if o.parity && !o.boundary {
 					if remain < min2 {
-						min2 = remain // both sides grow
+						min2, arg2 = remain, ei // both sides grow
 					}
 				} else if remain < min1 {
 					min1 = remain
@@ -490,14 +438,19 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 			}
 			u.edgeList[r] = kept
 			u.seg[r] = seg
-			mu := min1
+			// argmin is kept only when a both-grow edge holds the minimum:
+			// only then can a far side stopping raise it (see argminRose).
+			mu, arg := min1, int32(-1)
 			if min2 != math.MaxInt64 {
 				if h := (min2 + 1) / 2; h < mu {
-					mu = h
+					mu, arg = h, arg2
 				}
 			}
-			nd.minUnit = mu
-			nd.baseCum = u.cumDelta
+			nd.minAt = mu
+			if mu != math.MaxInt64 {
+				nd.minAt += u.cumDelta
+			}
+			nd.argmin = arg
 			nd.appliedCum = u.cumDelta
 			nd.appliedEpoch = u.ep32
 			nd.scanEpoch = u.ep32
@@ -521,7 +474,9 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 		// saturation and union order, and with them the golden-pinned
 		// predictions, are reproduced bit for bit. Union-touched clusters
 		// are force-walked (at their position, or after the loop) so the
-		// round closes with their edges fully applied.
+		// round closes with their edges fully applied. Within the round a
+		// walk reads the edges' cached round-start roots, as the eager
+		// schedule did.
 		merged := false
 		walkSeg := func(r, myOrd int32) {
 			nd := &u.un[r]
@@ -566,7 +521,7 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 					if e.v == int32(n) {
 						u.satBound = append(u.satBound, ei)
 					}
-					union(ra, rb)
+					u.union(ra, rb)
 					merged = true
 				} else {
 					e.grown = g
@@ -589,10 +544,199 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 			}
 		}
 		u.cumDelta += minDelta
+		u.endRound()
 	}
 	u.stats.UFGrowthRounds += rounds
 	u.stats.UFEdgeScans += scans
 	return u.peel()
+}
+
+// union merges the clusters of a and b, the saturated edge's cached
+// round-start roots. It marks both for a forced walk so their segments'
+// deferred growth (plus this round's share) is applied before the round
+// closes — exactly what the eager schedule's unconditional walk did for
+// them.
+func (u *UnionFind) union(a, b int32) {
+	u.un[a].forcedAt = u.activeGen
+	u.un[b].forcedAt = u.activeGen
+	// A node joining a growing cluster contributes its own adjacency to the
+	// cluster's candidate growth edges exactly once.
+	for _, v := range [2]int32{a, b} {
+		u.ensureNode(v)
+		if !u.un[v].seeded {
+			u.un[v].seeded = true
+			r := u.find(v)
+			u.seedAdjacency(r, v)
+			u.un[r].staleR = true // new growth candidates invalidate the cached minimum
+		}
+	}
+	ra, rb := u.find(a), u.find(b)
+	if ra == rb {
+		u.touched = append(u.touched, ra)
+		return
+	}
+	if u.un[ra].rank < u.un[rb].rank {
+		ra, rb = rb, ra
+	}
+	A, B := &u.un[ra], &u.un[rb]
+	// A neighbor's per-unit slack on a shared edge depends on the far side
+	// only through whether it grows (parity && !boundary), so only a side
+	// whose status changes can move its neighbors' cached minima. A side
+	// that starts growing lowers every shared edge's slack: its neighbors
+	// all rescan. A side that stops growing can only raise shared slack, so
+	// a neighbor's cached minimum stays exact unless its argmin edge is
+	// shared; argminRose checks that one edge at the neighbor's next scan.
+	// The merged cluster grows only if the parities differ and neither side
+	// touches the boundary; then the even side is the one that starts.
+	if A.parity != B.parity && !A.boundary && !B.boundary {
+		if A.parity {
+			u.invalidate(rb)
+		} else {
+			u.invalidate(ra)
+		}
+	}
+	A.minEv = min(u.eventKey(ra), u.eventKey(rb))
+	if A.rank == B.rank {
+		A.rank++
+	}
+	B.parent = ra
+	A.parity = A.parity != B.parity
+	A.boundary = A.boundary || B.boundary
+	// The merged cluster's membership and candidates changed.
+	A.staleR = true
+	if len(u.edgeList[rb]) > len(u.edgeList[ra]) {
+		u.edgeList[ra], u.edgeList[rb] = u.edgeList[rb], u.edgeList[ra]
+	}
+	u.edgeList[ra] = append(u.edgeList[ra], u.edgeList[rb]...)
+	// Keep rb's capacity for later decodes; rb is no longer a root, so its
+	// list is dead until its next epoch reset.
+	u.edgeList[rb] = u.edgeList[rb][:0]
+	u.touched = append(u.touched, ra)
+}
+
+// invalidate stale-marks every neighbor of root r, which is about to
+// start growing. A clean neighbor has not merged since its scan, so it is
+// the cached id on its side of each shared edge; marking a cached id that
+// has since merged away is harmless, because its successor is a merged
+// root and stale already. Edges never scanned this decode back no cached
+// minimum.
+func (u *UnionFind) invalidate(r int32) {
+	for _, ei := range u.edgeList[r] {
+		if e := &u.ue[ei]; e.rootEpoch == u.ep32 {
+			u.un[e.ra].staleR = true
+			u.un[e.rb].staleR = true
+		}
+	}
+}
+
+// argminRose reports whether clean root r's cached minimum went stale
+// because the far side of its argmin edge stopped growing since r's scan,
+// raising that edge's per-unit slack. (Far sides that started growing
+// were stale-marked by invalidate; other edges whose far side stopped only
+// rose, so the minimum they did not hold is unaffected; a minimum held by
+// an edge whose far side was not growing, argmin -1, can only be moved by
+// a start.) Checking here,
+// once per clean root and round, keeps the union path of sparse shots —
+// where most unions stop a cluster and no clean neighbor is left to read
+// the result — free of per-edge checks. A dead cached root is re-resolved
+// in place: the live roots are what a rescan would cache.
+func (u *UnionFind) argminRose(r int32, nd *ufNode) bool {
+	if nd.argmin < 0 {
+		return false
+	}
+	e := &u.ue[nd.argmin]
+	ra, rb := e.ra, e.rb
+	if u.un[ra].parent != ra || u.un[rb].parent != rb {
+		ra, rb = u.find(e.u), u.find(e.v)
+		e.ra, e.rb = ra, rb
+	}
+	far := &u.un[rb]
+	if ra != r {
+		far = &u.un[ra]
+	}
+	return !far.parity || far.boundary
+}
+
+// eventKey is r's active-order sort key: its cluster's smallest event id,
+// or MaxInt32 for a cluster without events.
+func (u *UnionFind) eventKey(r int32) int32 {
+	switch nd := &u.un[r]; {
+	case nd.rank > 0:
+		return nd.minEv
+	case nd.defect:
+		return r
+	}
+	return math.MaxInt32
+}
+
+// enterActive appends root r to the next active list, syncing its growth
+// clock if it was not growing last round (an idle gap must not read as
+// pending growth).
+func (u *UnionFind) enterActive(r int32) {
+	nd := &u.un[r]
+	if nd.activeAt == u.activeGen {
+		return
+	}
+	if nd.activeAt != u.activeGen-1 || nd.appliedEpoch != u.ep32 {
+		nd.appliedCum = u.cumDelta
+		nd.appliedEpoch = u.ep32
+	}
+	nd.activeAt = u.activeGen
+	nd.ordAt = int32(len(u.next))
+	u.next = append(u.next, r)
+}
+
+// endRound builds the next round's active list without walking the
+// events: clusters change only at unions, so the roots no union touched
+// stay active in their order, and the growing roots the unions produced
+// merge in by smallest event id — the order a walk over the ascending
+// events would collect them in, so ordAt and every miss credit match the
+// eager schedule.
+//
+// No cached edge root needs retargeting here, although clean roots keep
+// edges whose far root died this round. Such a dead root's live
+// successor is a merged root, so it is stale: if it grows it is active
+// and rescans in the next scan phase, re-resolving every cached root on
+// its edges before any walk reads them; if it does not grow, the dead
+// root reads exactly as its successor would: not active, so it earns no
+// miss credit and no forced walk.
+func (u *UnionFind) endRound() {
+	gen := u.activeGen
+	// The growing roots this round's unions produced, sorted by key (an
+	// insertion sort: a round merges a handful of clusters).
+	fresh := u.touched[:0]
+	for _, r := range u.touched {
+		nd := &u.un[r]
+		if nd.parent != r || !nd.parity || nd.boundary {
+			continue
+		}
+		k := u.eventKey(r)
+		i := len(fresh)
+		fresh = append(fresh, r)
+		for ; i > 0 && u.eventKey(fresh[i-1]) > k; i-- {
+			fresh[i] = fresh[i-1]
+		}
+		fresh[i] = r
+	}
+
+	u.activeGen++
+	u.next = u.next[:0]
+	i := 0
+	for _, r := range u.active {
+		if u.un[r].forcedAt == gen {
+			continue // a union touched it: it re-enters through fresh, if at all
+		}
+		k := u.eventKey(r)
+		for ; i < len(fresh) && u.eventKey(fresh[i]) < k; i++ { // enterActive drops repeats
+			u.enterActive(fresh[i])
+		}
+		u.enterActive(r)
+	}
+	for ; i < len(fresh); i++ {
+		u.enterActive(fresh[i])
+	}
+	u.active, u.next = u.next, u.active
+	u.touched = u.touched[:0]
 }
 
 // peel extracts a correction from the grown support and returns its logical

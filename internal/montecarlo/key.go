@@ -25,9 +25,13 @@ import (
 // float64 inputs collide, and no decimal rounding can merge or split
 // identities.
 //
-// The key is versioned ("c1|..."): if a future change alters the result
+// The key is versioned ("c2|..."): if a future change alters the result
 // bytes for a fixed Config (a new noise term, say), the prefix must be
-// bumped so stale ledger entries stop matching.
+// bumped so stale ledger entries stop matching; internal/serve's
+// TestCellKeyPinsRecordBytes fails when it is not. c2: union-find's
+// status-aware cache invalidation rescans fewer candidate edges, so the
+// uf_edge_scans counter every union-find record carries changed (failures,
+// trials and every other counter are bit-identical to c1).
 func (cfg Config) CellKey() string {
 	rounds := cfg.Rounds
 	if rounds == 0 {
@@ -42,7 +46,7 @@ func (cfg Config) CellKey() string {
 	}
 	var b strings.Builder
 	b.Grow(256)
-	b.WriteString("c1|")
+	b.WriteString("c2|")
 	b.WriteString(cfg.Scheme.String())
 	field(&b, "d", strconv.Itoa(cfg.Distance))
 	field(&b, "r", strconv.Itoa(rounds))
