@@ -96,10 +96,11 @@ func thresholdBench(b *testing.B, scheme extract.Scheme, paperTh float64) {
 	rates := montecarlo.DefaultPhysRates(6)
 	trials := benchTrials()
 	ds := benchDistances()
+	s := sched.New(nil, sched.Options{})
 	var pts []montecarlo.SweepPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = montecarlo.ThresholdSweep(scheme, ds, rates, hardware.Default(), trials, 11, montecarlo.UF)
+		pts, err = s.ThresholdSweep(scheme, ds, rates, hardware.Default(), trials, 11, montecarlo.UF, montecarlo.SweepOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -154,10 +155,11 @@ func sensitivityBench(b *testing.B, panel montecarlo.Panel, expectation string) 
 	values := panel.DefaultValues(5)
 	trials := benchTrials()
 	ds := []int{3, 5}
+	s := sched.New(nil, sched.Options{})
 	var pts []montecarlo.SensitivityPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = montecarlo.SensitivitySweep(panel, values, ds, trials, 13, montecarlo.UF)
+		pts, err = s.SensitivitySweep(panel, values, ds, trials, 13, montecarlo.UF, montecarlo.SweepOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -396,7 +398,7 @@ func BenchmarkSweepRow(b *testing.B) {
 	// Untimed warm-up: build every structure and graph topology on both
 	// engines (and fault in the process cold start) before any timing.
 	for _, en := range []*montecarlo.Engine{seqEngine, scheduler.Engine()} {
-		if _, err := en.ThresholdSweep(scheme, ds, rates, hardware.Default(), min(trials, 64), seed, montecarlo.UF, montecarlo.SweepOptions{}); err != nil {
+		if _, err := sequentialRow(en, scheme, ds, rates, min(trials, 64), seed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -423,7 +425,7 @@ func BenchmarkSweepRow(b *testing.B) {
 		// allocator/cache warmth drift on small rows.
 		runSeq := func() ([]montecarlo.SweepPoint, time.Duration) {
 			start := time.Now()
-			pts, err := seqEngine.ThresholdSweep(scheme, ds, rates, hardware.Default(), trials, seed, montecarlo.UF, montecarlo.SweepOptions{})
+			pts, err := sequentialRow(seqEngine, scheme, ds, rates, trials, seed)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -516,6 +518,23 @@ func BenchmarkSweepRow(b *testing.B) {
 			}
 		}
 	})
+}
+
+// sequentialRow runs a Fig. 11 row cell by cell through Engine.Run, each
+// cell forking its own GOMAXPROCS workers — the pre-scheduler sweep path
+// that BenchmarkSweepRow holds the pool against.
+func sequentialRow(en *montecarlo.Engine, scheme extract.Scheme, ds []int, rates []float64, trials int, seed int64) ([]montecarlo.SweepPoint, error) {
+	var pts []montecarlo.SweepPoint
+	for _, d := range ds {
+		for _, p := range rates {
+			res, err := en.Run(montecarlo.ThresholdCellConfig(scheme, d, p, hardware.Default(), trials, seed, montecarlo.UF, montecarlo.SweepOptions{}))
+			if err != nil {
+				return nil, err
+			}
+			pts = append(pts, montecarlo.SweepPoint{Distance: d, Phys: p, Result: res})
+		}
+	}
+	return pts, nil
 }
 
 // BenchmarkSweepRowDecoders is the per-decoder leg of the sweep-row
@@ -745,24 +764,21 @@ func BenchmarkSweepRowDecoders(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepRowSkewed measures the makespan win of the cost-aware,
-// work-stealing scheduler on the workload that motivated it: a skewed grid
-// where one d=13 cell with a deep shot budget dominates a row of smaller
-// cells (d in {3..11}), on an 8-worker pool. Four legs run the identical
-// grid:
+// BenchmarkSweepRowSkewed measures the makespan win of the cost-aware
+// scheduler on the workload that motivated it: a skewed grid where one
+// d=13 cell with a deep shot budget dominates a row of smaller cells (d in
+// {3..11}), on an 8-worker pool. Three legs run the identical grid:
 //
-//	sequential        width-1 pool (no intra-sweep parallelism)
-//	fifo              8 workers, submission-order queue — the pre-cost-model
-//	                  scheduler, the baseline the >= 1.3x target is against
-//	ordered           8 workers, longest-cell-first (cost model only)
-//	ordered+stealing  8 workers, cost order plus the huge cell split into
-//	                  stolen ~1k-shot shards
+//	sequential  width-1 pool (no intra-sweep parallelism)
+//	fifo        8 workers, submission-order queue — the pre-cost-model
+//	            scheduler, the baseline the >= 1.3x target is against
+//	ordered     8 workers, longest-cell-first; workers idle at the tail
+//	            help decode the huge cell's batches
 //
-// The fifo and ordered legs must agree with each other bit for bit, and the
-// stealing leg must be bit-identical across pool widths for its fixed shard
-// plan (the determinism half of the acceptance bar; the montecarlo golden
-// tests pin the unsharded counts). Measurements are written to
-// BENCH_sched.json as the regression baseline.
+// All three legs must agree bit for bit, and the ordered leg must
+// reproduce itself bit for bit at width 2 (the determinism half of the
+// acceptance bar; the montecarlo golden tests pin the counts themselves).
+// Measurements are written to BENCH_sched.json as the regression baseline.
 //
 //	VLQ_SKEW_TRIALS  trials per small cell (default 400; the huge cell runs 16x)
 func BenchmarkSweepRowSkewed(b *testing.B) {
@@ -777,7 +793,6 @@ func BenchmarkSweepRowSkewed(b *testing.B) {
 	scheme := extract.CompactInterleaved
 	smallDs := []int{3, 5, 7, 9, 11}
 	rates := montecarlo.DefaultPhysRates(6)
-	shardShots := montecarlo.MinShardShots
 
 	buildJobs := func() []sched.Job {
 		jobs := sched.ThresholdJobs(scheme, smallDs, rates, hardware.Default(), smallTrials, seed, montecarlo.UF, montecarlo.SweepOptions{})
@@ -809,21 +824,20 @@ func BenchmarkSweepRowSkewed(b *testing.B) {
 
 	// The b.N loop feeds only the benchmark's ns/op; the reported ratios
 	// come from the equal-sample comparison below.
-	stealOpts := sched.Options{Jobs: workers, ShardShots: shardShots}
+	ordOpts := sched.Options{Jobs: workers}
 	for i := 0; i < b.N; i++ {
-		runLeg(stealOpts)
+		runLeg(ordOpts)
 	}
 	b.StopTimer()
 
 	printTableOnce(b, func() {
-		var seqPts, fifoPts, ordPts, stealPts []sched.CellResult
+		var seqPts, fifoPts, ordPts []sched.CellResult
+		// The recorded ratios compare equal sample counts: every leg's
+		// duration is the min of the 3 interleaved runs below, independent
+		// of how many extra ordered runs the b.N loop above performed.
 		seqDur := time.Duration(math.MaxInt64)
 		fifoDur := time.Duration(math.MaxInt64)
 		ordDur := time.Duration(math.MaxInt64)
-		// The recorded ratios compare equal sample counts: every leg's
-		// duration is the min of the 3 interleaved runs below, independent
-		// of how many extra stealing runs the b.N loop above performed.
-		stealDur := time.Duration(math.MaxInt64)
 		for i := 0; i < 3; i++ {
 			var d time.Duration
 			if seqPts, d = runLeg(sched.Options{Jobs: 1}); d < seqDur {
@@ -832,17 +846,13 @@ func BenchmarkSweepRowSkewed(b *testing.B) {
 			if fifoPts, d = runLeg(sched.Options{Jobs: workers, Queue: sched.OrderFIFO}); d < fifoDur {
 				fifoDur = d
 			}
-			if ordPts, d = runLeg(sched.Options{Jobs: workers}); d < ordDur {
+			if ordPts, d = runLeg(ordOpts); d < ordDur {
 				ordDur = d
-			}
-			if stealPts, d = runLeg(stealOpts); d < stealDur {
-				stealDur = d
 			}
 		}
 
-		// Identity checks. The unsharded legs must agree bit for bit at
-		// every width and order; the stealing leg must reproduce itself
-		// bit for bit at a different pool width (fixed shard plan).
+		// Identity checks: every leg agrees bit for bit, and the ordered leg
+		// reproduces itself at a different pool width.
 		for i := range seqPts {
 			s, f, o := seqPts[i].Result, fifoPts[i].Result, ordPts[i].Result
 			if s.Trials != f.Trials || s.Failures != f.Failures || s.Trials != o.Trials || s.Failures != o.Failures {
@@ -850,67 +860,58 @@ func BenchmarkSweepRowSkewed(b *testing.B) {
 					i, s.Failures, s.Trials, f.Failures, f.Trials, o.Failures, o.Trials)
 			}
 		}
-		narrow, err := sched.New(en, sched.Options{Jobs: 2, ShardShots: shardShots}).Run(buildJobs())
+		narrow, err := sched.New(en, sched.Options{Jobs: 2}).Run(buildJobs())
 		if err != nil {
 			b.Fatal(err)
 		}
 		identical := true
-		for i := range stealPts {
-			a, c := stealPts[i].Result, narrow[i].Result
-			if a.Trials != c.Trials || a.Failures != c.Failures {
+		for i := range ordPts {
+			a, c := ordPts[i].Result, narrow[i].Result
+			if a.Counts != c.Counts {
 				identical = false
-				b.Errorf("cell %d: stealing at width %d gave %d/%d failures/trials, width 2 gave %d/%d",
+				b.Errorf("cell %d: ordered at width %d gave %d/%d failures/trials, width 2 gave %d/%d",
 					i, workers, a.Failures, a.Trials, c.Failures, c.Trials)
 			}
 		}
 
-		vsFifo := float64(fifoDur) / float64(stealDur)
-		vsOrdered := float64(ordDur) / float64(stealDur)
-		plan := montecarlo.PlanShards(hugeTrials, shardShots)
+		vsFifo := float64(fifoDur) / float64(ordDur)
 		procs := runtime.GOMAXPROCS(0)
 		fmt.Printf("\nSkewed sweep row — %s, d in %v x %d rates at %d trials + one d=%d cell at %d trials, %d workers (GOMAXPROCS=%d):\n",
 			scheme, smallDs, len(rates), smallTrials, hugeDist, hugeTrials, workers, procs)
-		fmt.Printf("  sequential:        %v\n", seqDur)
-		fmt.Printf("  fifo pool:         %v\n", fifoDur)
-		fmt.Printf("  ordered:           %v  (vs fifo %.2fx)\n", ordDur, float64(fifoDur)/float64(ordDur))
-		fmt.Printf("  ordered+stealing:  %v  (%d shards; vs fifo %.2fx, vs ordered %.2fx; target >= 1.3x vs fifo)\n",
-			stealDur, plan.Shards, vsFifo, vsOrdered)
-		fmt.Printf("  merged results bit-identical across widths: %v\n", identical)
+		fmt.Printf("  sequential:  %v\n", seqDur)
+		fmt.Printf("  fifo pool:   %v\n", fifoDur)
+		fmt.Printf("  ordered:     %v  (vs fifo %.2fx; target >= 1.3x)\n", ordDur, vsFifo)
+		fmt.Printf("  results bit-identical across widths: %v\n", identical)
 		switch {
 		case procs == 1:
 			fmt.Printf("  NOTE: 1 CPU available — the %d-worker pool is fully serialized, so makespan\n", workers)
-			fmt.Println("  ratios here measure overhead, not the stealing win; run on a multicore host for the target.")
+			fmt.Println("  ratios here measure overhead, not the ordering win; run on a multicore host for the target.")
 		case procs < workers:
-			fmt.Printf("  NOTE: %d CPUs < %d workers — the stealing win is real but bounded by the core\n", procs, workers)
+			fmt.Printf("  NOTE: %d CPUs < %d workers — the ordering win is real but bounded by the core\n", procs, workers)
 			fmt.Printf("  count; run on >= %d cores for the full ratio.\n", workers)
 		}
 
 		baseline := struct {
-			Scheme            string  `json:"scheme"`
-			SmallDistances    []int   `json:"small_distances"`
-			Rates             int     `json:"rates"`
-			SmallTrials       int     `json:"small_trials"`
-			HugeDistance      int     `json:"huge_distance"`
-			HugePhysRate      float64 `json:"huge_phys_rate"`
-			HugeTrials        int     `json:"huge_trials"`
-			Workers           int     `json:"workers"`
-			GoMaxProcs        int     `json:"gomaxprocs"`
-			ShardShots        int     `json:"shard_shots"`
-			HugeShards        int     `json:"huge_shards"`
-			SequentialNS      int64   `json:"sequential_ns"`
-			FifoNS            int64   `json:"fifo_ns"`
-			OrderedNS         int64   `json:"ordered_ns"`
-			StealingNS        int64   `json:"stealing_ns"`
-			StealingVsFifo    float64 `json:"stealing_vs_fifo"`
-			StealingVsOrdered float64 `json:"stealing_vs_ordered"`
-			IdenticalAcross   bool    `json:"bit_identical_across_widths"`
+			Scheme          string  `json:"scheme"`
+			SmallDistances  []int   `json:"small_distances"`
+			Rates           int     `json:"rates"`
+			SmallTrials     int     `json:"small_trials"`
+			HugeDistance    int     `json:"huge_distance"`
+			HugePhysRate    float64 `json:"huge_phys_rate"`
+			HugeTrials      int     `json:"huge_trials"`
+			Workers         int     `json:"workers"`
+			GoMaxProcs      int     `json:"gomaxprocs"`
+			SequentialNS    int64   `json:"sequential_ns"`
+			FifoNS          int64   `json:"fifo_ns"`
+			OrderedNS       int64   `json:"ordered_ns"`
+			OrderedVsFifo   float64 `json:"ordered_vs_fifo"`
+			IdenticalAcross bool    `json:"bit_identical_across_widths"`
 		}{
 			Scheme: scheme.String(), SmallDistances: smallDs, Rates: len(rates),
 			SmallTrials: smallTrials, HugeDistance: hugeDist, HugePhysRate: hugePhys, HugeTrials: hugeTrials,
-			Workers: workers, GoMaxProcs: procs, ShardShots: shardShots, HugeShards: plan.Shards,
-			SequentialNS: seqDur.Nanoseconds(), FifoNS: fifoDur.Nanoseconds(),
-			OrderedNS: ordDur.Nanoseconds(), StealingNS: stealDur.Nanoseconds(),
-			StealingVsFifo: vsFifo, StealingVsOrdered: vsOrdered, IdenticalAcross: identical,
+			Workers: workers, GoMaxProcs: procs,
+			SequentialNS: seqDur.Nanoseconds(), FifoNS: fifoDur.Nanoseconds(), OrderedNS: ordDur.Nanoseconds(),
+			OrderedVsFifo: vsFifo, IdenticalAcross: identical,
 		}
 		if buf, err := json.MarshalIndent(baseline, "", "  "); err == nil {
 			if werr := os.WriteFile("BENCH_sched.json", append(buf, '\n'), 0o644); werr != nil {

@@ -2,8 +2,10 @@
 // that vlqworker processes pull sweep shard units from. It serves the
 // fabric wire protocol plus GET /fabric/v1/stats, and accepts sweep
 // submissions on POST /v1/fabric/sweeps with the same SweepRequest body
-// the serving front end takes — results stream back as NDJSON cell lines,
-// bit-identical to a local run of the same request.
+// the serving front end takes — results stream back as NDJSON cell lines.
+// Without shard_shots they are bit-identical to a local run of the same
+// request; a cell split into n shards equals montecarlo.Engine.Run with
+// Workers == n.
 //
 // Example cluster on one machine:
 //

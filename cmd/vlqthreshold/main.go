@@ -40,7 +40,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	dec := flag.String("decoder", "uf", "decoder: uf, blossom, mwpm, or exact")
 	jobs := flag.Int("jobs", 0, "scheduler pool width: sweep cells decoded concurrently (0 = GOMAXPROCS)")
-	shardShots := flag.Int("shard-shots", 0, fmt.Sprintf("split cells into stolen shard units of ~this many trials; cells below twice the size stay whole (0 = off; floor %d)", montecarlo.MinShardShots))
 	pipeline := flag.Bool("decode-pipeline", true, "batch decode pipeline: skip zero-defect shots and dedup repeated syndromes before the matcher (bit-identical results; false = decode every shot)")
 	rare := flag.Bool("rare-event", false, "importance-sampled estimation: draw faults from a boosted proposal and report likelihood-ratio-weighted rates with error bars (for deep sub-threshold points)")
 	boost := flag.Float64("boost", 0, fmt.Sprintf("proposal boost factor for -rare-event: each fault fires boost times as often (0 = default %g; 1 = plain sampling)", montecarlo.DefaultBoost))
@@ -50,9 +49,6 @@ func main() {
 	flag.Parse()
 	if *csv && *jsonOut {
 		fatal(fmt.Errorf("-csv and -json are mutually exclusive"))
-	}
-	if *shardShots < 0 {
-		fatal(fmt.Errorf("-shard-shots must be non-negative, got %d", *shardShots))
 	}
 	if !*rare && (*boost != 0 || *targetRelErr != 0) {
 		fatal(fmt.Errorf("-boost and -target-rel-err require -rare-event"))
@@ -103,8 +99,9 @@ func main() {
 	// One engine for the whole invocation: every (scheme, distance) builds
 	// its circuit, fault structure, and graph topology once, shared across
 	// all rates; one shared worker pool drains each scheme's grid,
-	// longest-cell-first, stealing shards of cells above -shard-shots.
-	opts := sched.Options{Jobs: *jobs, ShardShots: *shardShots}
+	// longest-cell-first, idle workers helping decode the cells still
+	// running.
+	opts := sched.Options{Jobs: *jobs}
 	if *csv || *jsonOut {
 		opts.OnResult = stream
 	}

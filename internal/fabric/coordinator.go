@@ -31,10 +31,12 @@ type Options struct {
 
 // RunOptions tunes one submitted sweep run.
 type RunOptions struct {
-	// ShardShots splits cells into leaseable shard units exactly like
-	// sched.Options.ShardShots; the unit queue is
-	// sched.BuildUnitQueue(jobs, ShardShots, Queue), so a fabric run and
-	// a local work-stealing run execute the identical unit set.
+	// ShardShots splits cells into leaseable shard units of ~this many
+	// trials (montecarlo.PlanShards: 0 keeps every cell whole, positive
+	// values below montecarlo.MinShardShots are raised to that floor); the
+	// unit queue is BuildUnitQueue(jobs, ShardShots, Queue). A cell of n
+	// shards merges to montecarlo.Engine.Run with Workers == n, so an
+	// unsharded run reproduces the local scheduler's bytes.
 	ShardShots int
 	// Queue orders the lease queue (default cost-descending).
 	Queue sched.QueueOrder
@@ -64,10 +66,9 @@ type lease struct {
 	cancelReason string
 }
 
-// cellAcc accumulates one cell's shards — the coordinator-side twin of the
-// local scheduler's cellRun, with the exactly-once guarantee added: a
-// unit's slot is written at most once, so a late duplicate from an expired
-// lease or a resurrected worker cannot double-merge.
+// cellAcc accumulates one cell's shards exactly once: a unit's slot is
+// written at most once, so a late duplicate from an expired lease or a
+// resurrected worker cannot double-merge.
 type cellAcc struct {
 	plan      montecarlo.ShardPlan
 	remaining int
@@ -84,14 +85,14 @@ type Run struct {
 	id   string
 	hub  *Hub
 	jobs []sched.Job
-	q    sched.UnitQueue
+	q    UnitQueue
 	opts RunOptions
 
 	// Guarded by hub.mu.
 	pending   []int    // unit indices awaiting a lease, front first
 	ustate    []uint8  // per unit index
 	ulease    []string // current lease id per unit (while leased)
-	unitIndex map[sched.Unit]int
+	unitIndex map[Unit]int
 	cells     []*cellAcc
 	completed int
 	cancelled bool
@@ -105,9 +106,10 @@ type Run struct {
 
 // Hub is the fabric coordinator: it leases sweep shard units to registered
 // workers, expires leases whose heartbeats stall, reassigns their units,
-// and merges the returned ShardResults exactly once per unit — so the
-// merged CellResults are bit-identical to a local run of the same unit
-// queue at any worker count, under any fault schedule. One Hub serves many
+// and merges the returned ShardResults exactly once per unit — so each
+// merged CellResult is bit-identical to montecarlo.Engine.Run of the cell
+// with Workers == its shard count, at any worker count, under any fault
+// schedule. One Hub serves many
 // runs over its lifetime (the serving front end submits each fabric-mode
 // sweep to the process's hub); leases are drawn from runs in submission
 // order, units within a run in cost order.
@@ -207,14 +209,13 @@ func (h *Hub) Stats() Stats {
 }
 
 // Submit plans the jobs into a unit queue and opens the run for leasing.
-// The plan is the same pure function of (jobs, ShardShots, Queue) the
-// local scheduler executes, which is the root of the cluster⊟local
-// determinism contract.
+// The plan is a pure function of (jobs, ShardShots, Queue), which is the
+// root of the fabric's determinism contract.
 func (h *Hub) Submit(jobs []sched.Job, opts RunOptions) (*Run, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("fabric: empty job list")
 	}
-	q := sched.BuildUnitQueue(jobs, opts.ShardShots, opts.Queue)
+	q := BuildUnitQueue(jobs, opts.ShardShots, opts.Queue)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -229,7 +230,7 @@ func (h *Hub) Submit(jobs []sched.Job, opts RunOptions) (*Run, error) {
 		opts:      opts,
 		ustate:    make([]uint8, len(q.Units)),
 		ulease:    make([]string, len(q.Units)),
-		unitIndex: make(map[sched.Unit]int, len(q.Units)),
+		unitIndex: make(map[Unit]int, len(q.Units)),
 		cells:     make([]*cellAcc, len(jobs)),
 		results:   make([]sched.CellResult, len(jobs)),
 		done:      make(chan struct{}),
@@ -303,8 +304,8 @@ func (h *Hub) expireLocked(now time.Time) {
 }
 
 // Lease grants the next available unit to the worker, settling
-// banked-target units as empty along the way exactly like the local
-// scheduler's steal-aware skip.
+// banked-target units as empty along the way: a cell whose sibling shards
+// banked its early-stop target spawns no more decode work.
 func (h *Hub) Lease(req LeaseRequest) (LeaseResponse, error) {
 	h.mu.Lock()
 	if h.closed {
@@ -410,7 +411,7 @@ func (h *Hub) Result(req ResultRequest) (ResultResponse, error) {
 		h.mu.Unlock()
 		return ResultResponse{Status: StatusDiscarded}, nil
 	}
-	k, ok := r.unitIndex[sched.Unit{Cell: req.Cell, Shard: req.Shard}]
+	k, ok := r.unitIndex[Unit{Cell: req.Cell, Shard: req.Shard}]
 	if !ok {
 		h.stats.ResultsDiscarded++
 		h.mu.Unlock()
@@ -562,8 +563,8 @@ func (h *Hub) recordUnitLocked(r *Run, k int, sr montecarlo.ShardResult, errMsg 
 // always for pending (unleased) units — units are settled as empty shards
 // immediately. With settleAll false (the banked-target path), leased units
 // stay outstanding: their workers abort at the next batch boundary and
-// submit partial tallies, exactly like a local shard observing the shared
-// budget.
+// submit partial tallies, exactly like Engine.Run's workers observing
+// their shared budget.
 func (h *Hub) cancelCellLocked(r *Run, cellIdx int, reason string, settleAll bool) []emission {
 	var emits []emission
 	for k, u := range r.q.Units {
@@ -626,8 +627,8 @@ func (r *Run) Cancel() {
 // Wait blocks until every cell has merged and been delivered to OnResult
 // (or the run is cancelled, or ctx is done — which cancels the run), then
 // returns the per-cell results in submission order and reaps the run from
-// the hub. Completed cells carry exactly the Result a local run of the
-// same unit queue produces.
+// the hub. Completed cells carry exactly the Result Engine.Run gives the
+// cell with Workers == its shard count.
 func (r *Run) Wait(ctx context.Context) ([]sched.CellResult, error) {
 	select {
 	case <-r.done:

@@ -11,16 +11,25 @@ import (
 	"repro/internal/sched"
 )
 
-// runLocal executes the jobs on the local work-stealing scheduler — the
-// reference side of the cluster⊟local contract.
-func runLocal(t *testing.T, jobs []sched.Job, shardShots int) []sched.CellResult {
+// runReference is the reference side of the fabric's determinism
+// contract: each cell through montecarlo.Engine.Run with Workers equal to
+// its shard count under shardShots — RunOn's bytes for an unsharded cell.
+// The Result keeps the job's own Config, as a merged fabric cell does.
+func runReference(t *testing.T, jobs []sched.Job, shardShots int) []sched.CellResult {
 	t.Helper()
-	s := sched.New(nil, sched.Options{Jobs: 4, ShardShots: shardShots})
-	results, err := s.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
+	en := montecarlo.NewEngine()
+	out := make([]sched.CellResult, len(jobs))
+	for i, j := range jobs {
+		cfg := j.Cfg
+		cfg.Workers = montecarlo.PlanShards(cfg.Trials, shardShots).Shards
+		res, err := en.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Config.Workers = j.Cfg.Workers
+		out[i] = sched.CellResult{Index: i, Job: j, Result: res}
 	}
-	return results
+	return out
 }
 
 // runFabric executes the jobs over an in-process fabric: one hub, n
@@ -60,17 +69,18 @@ func diffResults(t *testing.T, label string, got, want []sched.CellResult) {
 			t.Fatalf("%s: cell %d has index %d", label, i, got[i].Index)
 		}
 		if got[i].Result != want[i].Result {
-			t.Errorf("%s: cell %d diverged:\n fabric %+v\n local  %+v",
+			t.Errorf("%s: cell %d diverged:\n fabric    %+v\n reference %+v",
 				label, i, got[i].Result, want[i].Result)
 		}
 	}
 }
 
-// TestClusterMatchesLocalThresholdGrid is the headline contract: a
-// threshold sweep executed over the fabric merges bit-identically to the
-// local scheduler's run of the same jobs — at every worker count, at every
-// lease granularity, including cells that parallelize internally
-// (Workers > 1) and therefore lease as a single unit.
+// TestClusterMatchesLocalThresholdGrid is the headline contract: every
+// cell of a threshold sweep executed over the fabric merges bit-identically
+// to Engine.Run with Workers == its shard count — the local scheduler's
+// RunOn bytes when unsharded — at every worker count and at every lease
+// granularity. The grid includes a Workers: 2 cell, whose Workers field the
+// plan ignores like every other cell's.
 func TestClusterMatchesLocalThresholdGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-worker sweep matrix")
@@ -85,7 +95,7 @@ func TestClusterMatchesLocalThresholdGrid(t *testing.T) {
 	jobs = append(jobs, sched.Job{Cfg: wide, Tag: "wide"})
 
 	for _, shardShots := range []int{0, montecarlo.MinShardShots} {
-		want := runLocal(t, jobs, shardShots)
+		want := runReference(t, jobs, shardShots)
 		for _, workers := range []int{1, 2, 4, 8} {
 			got := runFabric(t, jobs, shardShots, workers)
 			diffResults(t, labelWS(workers, shardShots), got, want)
@@ -124,7 +134,7 @@ func TestClusterMatchesLocalSensitivityGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runLocal(t, jobs, montecarlo.MinShardShots)
+	want := runReference(t, jobs, montecarlo.MinShardShots)
 	for _, workers := range []int{2, 4} {
 		got := runFabric(t, jobs, montecarlo.MinShardShots, workers)
 		diffResults(t, labelWS(workers, montecarlo.MinShardShots), got, want)
@@ -133,8 +143,8 @@ func TestClusterMatchesLocalSensitivityGrid(t *testing.T) {
 
 // TestClusterMatchesLocalRareGrid extends the contract to importance-sampled
 // cells: the weighted tallies are likelihood-ratio float sums, so this leg
-// pins that the fabric's shard-index merge order reproduces the local
-// scheduler's floating-point association byte for byte, at every worker
+// pins that the fabric's shard-index merge order reproduces Engine.Run's
+// worker-order floating-point association byte for byte, at every worker
 // count and lease granularity.
 func TestClusterMatchesLocalRareGrid(t *testing.T) {
 	if testing.Short() {
@@ -145,10 +155,10 @@ func TestClusterMatchesLocalRareGrid(t *testing.T) {
 		hardware.Default(), trials, 41, montecarlo.UF,
 		montecarlo.SweepOptions{RareEvent: true, Boost: 2})
 	for _, shardShots := range []int{0, montecarlo.MinShardShots} {
-		want := runLocal(t, jobs, shardShots)
+		want := runReference(t, jobs, shardShots)
 		for i := range want {
 			if w := want[i].Result.Weighted; w.Shots != trials || w.SumW <= 0 {
-				t.Fatalf("local reference cell %d carries no weighted tally: %+v", i, w)
+				t.Fatalf("reference cell %d carries no weighted tally: %+v", i, w)
 			}
 		}
 		for _, workers := range []int{1, 2, 4} {
@@ -206,7 +216,7 @@ func TestClusterEarlyStopSemantics(t *testing.T) {
 
 // TestHTTPTransportRoundTrip runs a small sweep through the real HTTP
 // handler and transport on a loopback listener — the same wire path
-// cmd/vlqworker uses — and pins it to the local result.
+// cmd/vlqworker uses — and pins it to the reference result.
 func TestHTTPTransportRoundTrip(t *testing.T) {
 	h := NewHub(Options{})
 	defer h.Close()
@@ -214,7 +224,7 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 
 	jobs := sched.ThresholdJobs(extract.Baseline, []int{3}, montecarlo.DefaultPhysRates(6)[3:5],
 		hardware.Default(), 2*montecarlo.MinShardShots, 61, montecarlo.UF, montecarlo.SweepOptions{})
-	want := runLocal(t, jobs, montecarlo.MinShardShots)
+	want := runReference(t, jobs, montecarlo.MinShardShots)
 
 	r, err := h.Submit(jobs, RunOptions{ShardShots: montecarlo.MinShardShots})
 	if err != nil {

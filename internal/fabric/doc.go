@@ -1,17 +1,21 @@
 // Package fabric distributes sweep execution across worker processes
 // without giving up the repo's determinism contract: a cluster run merges
-// to bit-identical CellResults with a local run of the same sweep, at any
-// worker count, under any fault schedule.
+// to bit-identical CellResults at any worker count, under any fault
+// schedule. A cell planned into n shards equals montecarlo.Engine.Run of
+// its Config with Workers == n; an unsharded cell (n == 1) equals the
+// local scheduler's RunOn bytes.
 //
-// The design splits the local scheduler at its natural seam. Planning —
-// sched.BuildUnitQueue over the job specs — is a pure function, so the
-// coordinator (Hub) and a local pool produce the identical ordered set of
-// (cell, shard) units with identical shard plans. Execution is leased:
-// workers pull units, run them through montecarlo.Engine.RunShardOn (shard
-// index = ChaCha8 stream index, so the bytes never depend on which worker
-// runs the shard), and submit ShardResults. Merging is exactly-once: each
-// unit's slot in its cell accumulator is written at most once, keyed by
-// unit identity rather than delivery, so retries, expired-lease races, and
+// Planning — BuildUnitQueue over the job specs — is a pure function:
+// montecarlo.PlanShards fixes each cell's shard plan from its trials and
+// the run's ShardShots, and the cells are queued in sched.DrainOrder, the
+// local pool's cost order. This package is the only place shard plans
+// exist; the local scheduler runs every cell as one unit and relies on
+// idle workers helping instead. Execution is leased: workers pull units,
+// run them through montecarlo.Engine.RunShardOn (shard index = ChaCha8
+// stream index, so the bytes never depend on which worker runs the
+// shard), and submit ShardResults. Merging is exactly-once: each unit's
+// slot in its cell accumulator is written at most once, keyed by unit
+// identity rather than delivery, so retries, expired-lease races, and
 // resurrected workers cannot double-merge. montecarlo.MergeShards is
 // order-independent, which closes the loop: any assignment of units to
 // workers, in any completion order, with any amount of lease churn, merges
@@ -22,8 +26,9 @@
 // Lease) requeues units whose leases lapse. Heartbeats also carry
 // cancellations: ReasonExpired (abort, never submit — a partial tally must
 // not race the reassigned run), ReasonSettled (the cell's TargetFailures
-// budget was banked by siblings; abort and submit the partial, as a local
-// early-stopped shard would), and ReasonCancelled (run cancelled; abort).
+// budget was banked by siblings; abort and submit the partial, as an
+// early-stopped Engine.Run worker would), and ReasonCancelled (run
+// cancelled; abort).
 // A coordinator-side guard additionally rejects short tallies for
 // fixed-trials units, so even a worker that misses its cancellation cannot
 // corrupt a merge.

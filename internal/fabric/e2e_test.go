@@ -21,7 +21,7 @@ import (
 // TestE2EClusterOverTCP is the real-process smoke test: build vlqfabric
 // and vlqworker, boot a coordinator plus two worker processes over TCP
 // loopback, run a pinned-seed sweep through the cluster, require the
-// streamed cells bit-identical to an in-process local run, and shut
+// streamed cells bit-identical to an in-process reference run, and shut
 // everything down with SIGTERM expecting clean zero exits.
 func TestE2EClusterOverTCP(t *testing.T) {
 	if testing.Short() {
@@ -96,26 +96,29 @@ func TestE2EClusterOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The reference: the identical request run locally.
+	// The reference: each cell of the identical request through Engine.Run
+	// with Workers == its shard count.
 	cells, err := serve.BuildCells(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.New(nil, sched.Options{ShardShots: req.ShardShots})
-	local, err := s.Run(cells)
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != len(cells) {
+		t.Fatalf("cluster streamed %d cells, the request has %d", len(got), len(cells))
 	}
-	if len(got) != len(local) {
-		t.Fatalf("cluster streamed %d cells, local run has %d", len(got), len(local))
-	}
-	want := make(map[int]serve.CellRecord, len(local))
-	for _, r := range local {
-		want[r.Index] = serve.ToCellRecord(r)
+	en := montecarlo.NewEngine()
+	want := make(map[int]serve.CellRecord, len(cells))
+	for i, j := range cells {
+		cfg := j.Cfg
+		cfg.Workers = montecarlo.PlanShards(cfg.Trials, req.ShardShots).Shards
+		res, err := en.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = serve.ToCellRecord(sched.CellResult{Index: i, Job: j, Result: res})
 	}
 	for _, rec := range got {
 		if rec != want[rec.Index] {
-			t.Errorf("cell %d diverged over TCP:\n cluster %+v\n local   %+v", rec.Index, rec, want[rec.Index])
+			t.Errorf("cell %d diverged over TCP:\n cluster   %+v\n reference %+v", rec.Index, rec, want[rec.Index])
 		}
 	}
 

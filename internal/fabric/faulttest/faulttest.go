@@ -1,9 +1,9 @@
 // Package faulttest injects worker and transport faults into a fabric
 // cluster on deterministic schedules, to prove the coordinator's
-// exactly-once merge holds the cluster⊟local contract under loss: every
-// schedule — worker kills mid-lease, dropped result responses, stalled
-// heartbeats past the lease deadline, duplicate late deliveries, expiry
-// races — must merge bit-identically to a fault-free local run.
+// exactly-once merge holds the fabric's determinism contract under loss:
+// every schedule — worker kills mid-lease, dropped result responses,
+// stalled heartbeats past the lease deadline, duplicate late deliveries,
+// expiry races — must merge bit-identically to a fault-free run.
 //
 // Faults are keyed by (worker index, protocol op, call ordinal), so a
 // schedule is a pure description: replaying it against the same sweep

@@ -18,7 +18,7 @@ import (
 const ttl = 250 * time.Millisecond
 
 // schedules is the fault matrix: every entry must leave the merged results
-// bit-identical to a fault-free local run. Worker 2 is never killed, so
+// bit-identical to the fault-free reference (runReference). Worker 2 is never killed, so
 // the cluster always retains capacity to finish.
 func schedules() []*Schedule {
 	return []*Schedule{
@@ -57,6 +57,26 @@ func schedules() []*Schedule {
 	}
 }
 
+// runReference is the fault-free reference: each cell through
+// montecarlo.Engine.Run with Workers equal to its shard count under
+// shardShots, keeping the job's own Config as a merged fabric cell does.
+func runReference(t *testing.T, jobs []sched.Job, shardShots int) []sched.CellResult {
+	t.Helper()
+	en := montecarlo.NewEngine()
+	out := make([]sched.CellResult, len(jobs))
+	for i, j := range jobs {
+		cfg := j.Cfg
+		cfg.Workers = montecarlo.PlanShards(cfg.Trials, shardShots).Shards
+		res, err := en.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Config.Workers = j.Cfg.Workers
+		out[i] = sched.CellResult{Index: i, Job: j, Result: res}
+	}
+	return out
+}
+
 // runFaulted executes the jobs over a hub with the schedule's faults
 // injected into each worker's transport.
 func runFaulted(t *testing.T, jobs []sched.Job, shardShots, workers int, sch *Schedule) ([]sched.CellResult, fabric.Stats) {
@@ -82,10 +102,10 @@ func runFaulted(t *testing.T, jobs []sched.Job, shardShots, workers int, sch *Sc
 	return results, h.Stats()
 }
 
-// TestFaultSchedulesBitIdentical is the fault half of the cluster⊟local
-// contract: a threshold grid executed under every fault schedule merges to
-// exactly the local scheduler's bytes — no partial merges, no double
-// merges, no lost units, whatever the lease churn.
+// TestFaultSchedulesBitIdentical is the fault half of the fabric's
+// determinism contract: a threshold grid executed under every fault
+// schedule merges to exactly the reference bytes — no partial merges, no
+// double merges, no lost units, whatever the lease churn.
 func TestFaultSchedulesBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault schedule matrix")
@@ -93,18 +113,14 @@ func TestFaultSchedulesBitIdentical(t *testing.T) {
 	const trials = 2*montecarlo.MinShardShots + 137
 	jobs := sched.ThresholdJobs(extract.Baseline, []int{3, 5}, montecarlo.DefaultPhysRates(6)[2:5],
 		hardware.Default(), trials, 41, montecarlo.UF, montecarlo.SweepOptions{})
-	s := sched.New(nil, sched.Options{Jobs: 4, ShardShots: montecarlo.MinShardShots})
-	want, err := s.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runReference(t, jobs, montecarlo.MinShardShots)
 
 	for _, sch := range schedules() {
 		t.Run(sch.Name, func(t *testing.T) {
 			got, stats := runFaulted(t, jobs, montecarlo.MinShardShots, 3, sch)
 			for i := range want {
 				if got[i].Result != want[i].Result {
-					t.Errorf("cell %d diverged under %s:\n fabric %+v\n local  %+v",
+					t.Errorf("cell %d diverged under %s:\n fabric    %+v\n reference %+v",
 						i, sch.Name, got[i].Result, want[i].Result)
 				}
 			}
@@ -116,8 +132,8 @@ func TestFaultSchedulesBitIdentical(t *testing.T) {
 	}
 }
 
-func collectUnits(jobs []sched.Job) []sched.Unit {
-	return sched.BuildUnitQueue(jobs, montecarlo.MinShardShots, sched.OrderCost).Units
+func collectUnits(jobs []sched.Job) []fabric.Unit {
+	return fabric.BuildUnitQueue(jobs, montecarlo.MinShardShots, sched.OrderCost).Units
 }
 
 // TestFaultScheduleSensitivityGrid runs one representative fault schedule
@@ -131,11 +147,7 @@ func TestFaultScheduleSensitivityGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sched.New(nil, sched.Options{Jobs: 4, ShardShots: montecarlo.MinShardShots})
-	want, err := s.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runReference(t, jobs, montecarlo.MinShardShots)
 	sch := &Schedule{Name: "kill+duplicate", TTL: ttl, Rules: []Rule{
 		{Worker: 0, Op: OpSubmit, Call: 1, Fault: Kill},
 		{Worker: 1, Op: OpSubmit, Call: 1, Fault: DuplicateDeliver},
@@ -143,7 +155,7 @@ func TestFaultScheduleSensitivityGrid(t *testing.T) {
 	got, _ := runFaulted(t, jobs, montecarlo.MinShardShots, 3, sch)
 	for i := range want {
 		if got[i].Result != want[i].Result {
-			t.Errorf("cell %d diverged:\n fabric %+v\n local  %+v", i, got[i].Result, want[i].Result)
+			t.Errorf("cell %d diverged:\n fabric    %+v\n reference %+v", i, got[i].Result, want[i].Result)
 		}
 	}
 }
@@ -153,7 +165,7 @@ func TestFaultScheduleSensitivityGrid(t *testing.T) {
 // or duplicated shard that slipped into the merge twice would shift the
 // sums even when integer failure counts happen to agree. Every schedule in
 // the matrix must leave the weighted tallies bit-identical to the fault-free
-// local run.
+// reference.
 func TestFaultScheduleRareGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault schedule matrix")
@@ -162,14 +174,10 @@ func TestFaultScheduleRareGrid(t *testing.T) {
 	jobs := sched.ThresholdJobs(extract.Baseline, []int{3, 5}, []float64{2e-3, 4e-3},
 		hardware.Default(), trials, 41, montecarlo.UF,
 		montecarlo.SweepOptions{RareEvent: true, Boost: 2})
-	s := sched.New(nil, sched.Options{Jobs: 4, ShardShots: montecarlo.MinShardShots})
-	want, err := s.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runReference(t, jobs, montecarlo.MinShardShots)
 	for i := range want {
 		if w := want[i].Result.Weighted; w.Shots != trials || w.SumW <= 0 {
-			t.Fatalf("local reference cell %d carries no weighted tally: %+v", i, w)
+			t.Fatalf("reference cell %d carries no weighted tally: %+v", i, w)
 		}
 	}
 	for _, sch := range schedules() {
@@ -177,7 +185,7 @@ func TestFaultScheduleRareGrid(t *testing.T) {
 			got, _ := runFaulted(t, jobs, montecarlo.MinShardShots, 3, sch)
 			for i := range want {
 				if got[i].Result != want[i].Result {
-					t.Errorf("cell %d diverged under %s:\n fabric %+v\n local  %+v",
+					t.Errorf("cell %d diverged under %s:\n fabric    %+v\n reference %+v",
 						i, sch.Name, got[i].Result, want[i].Result)
 				}
 			}

@@ -52,7 +52,7 @@ type LeaseResponse struct {
 }
 
 // Lease is one leased unit: a shard of one sweep cell, with everything a
-// worker needs to execute it bit-identically to a local run — the cell
+// worker needs to execute it bit-identically on any worker — the cell
 // spec, the fixed shard plan, and the shard (= ChaCha8 worker stream)
 // index. The lease id is unique per grant, so a re-leased unit gets a
 // fresh id and late traffic for the old one is recognizable.
@@ -72,7 +72,7 @@ type Lease struct {
 	Shards int `json:"shards"`
 	Trials int `json:"trials"`
 	// Cfg is the full cell spec. Workers run it through
-	// montecarlo.Engine.RunShardOn exactly as a local pool worker would.
+	// montecarlo.Engine.RunShardOn; its Workers field plays no part.
 	Cfg montecarlo.Config `json:"cfg"`
 	// DeadlineMillis is the lease deadline on the coordinator's clock
 	// (Unix milliseconds), advisory for the worker's own pacing; the

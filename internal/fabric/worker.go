@@ -198,18 +198,7 @@ func (w *Worker) execute(ctx context.Context, l *Lease, hbInterval time.Duration
 	}()
 
 	plan := montecarlo.ShardPlan{Shards: l.Shards, Trials: l.Trials}
-	var sr montecarlo.ShardResult
-	var runErr error
-	if l.Shards == 1 && l.Cfg.Workers > 1 {
-		// A cell that parallelizes internally is a single unit; running it
-		// through Engine.Run preserves the local scheduler's semantics for
-		// Workers > 1 cells bit for bit.
-		var res montecarlo.Result
-		res, runErr = w.opts.Engine.Run(l.Cfg)
-		sr = montecarlo.ShardResult{Counts: res.Counts, Mechanisms: res.Mechanisms, DetectorCount: res.DetectorCount}
-	} else {
-		sr, runErr = w.opts.Engine.RunShardOn(l.Cfg, plan, l.Shard, &budget, &w.st)
-	}
+	sr, runErr := w.opts.Engine.RunShardOn(l.Cfg, plan, l.Shard, &budget, &w.st)
 	stopHB()
 	wg.Wait()
 	if ctx.Err() != nil && budget.Aborted() {

@@ -54,24 +54,28 @@
 //
 // Entry points:
 //
-//   - Config -> Engine.Run: one point, trials split over parallel workers
+//   - Config -> Engine.Run: one point, trials split over cfg.Workers
+//     parallel workers (0 => GOMAXPROCS), each on its own ChaCha8 stream.
+//     This is the only entry point whose bytes depend on Workers; every
+//     other one runs a fixed stream layout
 //   - Engine.RunOn(cfg, *WorkerState): one point on the calling goroutine
 //     with reusable per-worker scratch — the sweep scheduler's per-cell
-//     entry; bit-identical to Run with Workers == 1, helped or not
+//     entry; bit-identical to Run with Workers == 1, helped or not.
+//     Engine.RunOnBudget is the same under a caller-held ShardBudget whose
+//     Abort stops the point at its next batch (the scheduler's cancel)
 //   - NewCrew / WorkerState.JoinCrew / Crew.Claim / WorkerState.DecodeSlot
 //     / Crew.Finish: the rendezvous through which idle pool workers decode
 //     running cells' batches
-//   - PlanShards / Engine.RunShardOn / MergeShards: the partial-run API —
-//     a fixed decomposition of one point into shard units the scheduler's
-//     idle workers steal. Shard i consumes worker stream i, a shared
-//     ShardBudget coordinates TargetFailures early stop and abort across
-//     shards, and a fully executed plan merges bit-identically to Run
-//     with Workers == Shards. PlanShards never splits below the
-//     MinShardShots floor, protecting pinned small cells
-//   - Engine.ThresholdSweep / Engine.SensitivitySweep: sequential grid
-//     runners; ThresholdCellConfig / SensitivityCellConfig are the
-//     canonical per-cell configurations shared with internal/sched's job
-//     builders, so the pooled and sequential paths cannot drift apart
+//   - PlanShards / Engine.RunShardOn / MergeShards: the partial-run API
+//     the distributed fabric (internal/fabric) leases — a fixed
+//     decomposition of one point into shard units. Shard i consumes worker
+//     stream i, a shared ShardBudget coordinates TargetFailures early stop
+//     and abort across shards, and a fully executed plan merges
+//     bit-identically to Run with Workers == Shards. PlanShards never
+//     splits below the MinShardShots floor, protecting pinned small cells
+//   - ThresholdCellConfig / SensitivityCellConfig: the canonical per-cell
+//     configurations of the Fig. 11 and Fig. 12 grids, which
+//     internal/sched's job builders and sweeps run
 //   - Engine.CacheStats: structure-cache counters (builds, hits,
 //     evictions, entries) — the observability hook behind the serving
 //     front end's /v1/stats

@@ -8,44 +8,6 @@ import (
 	"repro/internal/hardware"
 )
 
-// One structure build must serve every physical rate of a sweep row; only a
-// new distance (or other structural change) may add builds.
-func TestSweepReusesStructures(t *testing.T) {
-	en := NewEngine()
-	rates := []float64{2e-3, 4e-3, 8e-3, 1.6e-2}
-	if _, err := en.ThresholdSweep(extract.Baseline, []int{3}, rates, hardware.Default(), 200, 1, UF, SweepOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := en.StructureBuilds(); got != 1 {
-		t.Errorf("one distance x %d rates built %d structures, want 1", len(rates), got)
-	}
-	if _, err := en.ThresholdSweep(extract.Baseline, []int{3, 5}, rates, hardware.Default(), 200, 1, UF, SweepOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := en.StructureBuilds(); got != 2 {
-		t.Errorf("adding distance 5 should add exactly one build, have %d total", got)
-	}
-}
-
-// Sensitivity panels that only move probabilities or coherence times share
-// one structure per distance; duration-moving panels rebuild per value.
-func TestSensitivityStructureReuse(t *testing.T) {
-	en := NewEngine()
-	if _, err := en.SensitivitySweep(PanelCavityT1, []float64{1e-4, 1e-3, 1e-2}, []int{3}, 100, 1, UF, SweepOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := en.StructureBuilds(); got != 1 {
-		t.Errorf("cavity-T1 panel built %d structures, want 1", got)
-	}
-	en2 := NewEngine()
-	if _, err := en2.SensitivitySweep(PanelLoadStoreDuration, []float64{1e-7, 1e-6}, []int{3}, 100, 1, UF, SweepOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := en2.StructureBuilds(); got != 2 {
-		t.Errorf("load-store-duration panel built %d structures, want 2 (one per value)", got)
-	}
-}
-
 // The batched engine and the scalar reference engine must agree on the
 // logical error rate within combined statistical error.
 func TestEngineMatchesReferenceStatistically(t *testing.T) {

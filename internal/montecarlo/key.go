@@ -12,8 +12,12 @@ import (
 // rare-event parameters, and the decode-pipeline flag (the pipeline never
 // changes predictions, but it does change the per-cell skip/dedup
 // counters a result record carries). Workers is deliberately excluded:
-// results are bit-identical at any pool width, so one key addresses the
-// same bytes no matter how they were computed.
+// RunOn, the scheduler and a single-shard fabric lease all ignore it and
+// are bit-identical at any pool width, so one key addresses the same bytes
+// no matter how they were computed. Only Engine.Run with Workers > 1 (and
+// the fabric's multi-shard plans, which equal it) yields bytes that
+// depend on the worker split; callers storing such results must key the
+// split themselves, as internal/serve keys the shard count.
 //
 // Two configs with equal keys produce bit-identical Results; that
 // equivalence is what makes the key usable as a content address for

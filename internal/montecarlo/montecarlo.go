@@ -665,8 +665,20 @@ func fanOut(cfg Config, model *dem.Model, fn func(w, trials int) (Counts, error)
 // to Run with Workers == 1 and independent of any pool width the caller
 // schedules cells under, helped or not. st may be nil for one-shot use.
 func (en *Engine) RunOn(cfg Config, st *WorkerState) (Result, error) {
+	return en.RunOnBudget(cfg, nil, st)
+}
+
+// RunOnBudget is RunOn under a caller-held budget: an Abort on budget stops
+// the point at its next 64-shot batch boundary, and the Result then counts
+// only the batches folded so far. The sweep scheduler holds one budget per
+// cell, so a cancelled sweep stops its running cells promptly. A nil
+// budget is RunOn.
+func (en *Engine) RunOnBudget(cfg Config, budget *ShardBudget, st *WorkerState) (Result, error) {
 	if st == nil {
 		st = &WorkerState{}
+	}
+	if budget == nil {
+		budget = &ShardBudget{}
 	}
 	if err := cfg.normalize(); err != nil {
 		return Result{}, err
@@ -675,7 +687,7 @@ func (en *Engine) RunOn(cfg Config, st *WorkerState) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	c, err := runCell(model, prop, graph, cfg, 0, cfg.Trials, &ShardBudget{}, st)
+	c, err := runCell(model, prop, graph, cfg, 0, cfg.Trials, budget, st)
 	if err != nil {
 		return Result{}, err
 	}
@@ -771,10 +783,10 @@ type SweepOptions struct {
 }
 
 // ThresholdCellConfig is the canonical configuration of one Fig. 11 grid
-// cell — the single definition shared by the sequential ThresholdSweep and
-// the scheduler's job builder, so the two paths cannot drift apart. The
-// physical rate parameterizes all gate error sources through
-// Params.ScaledGatesTo; coherence times stay at their Table I values.
+// cell, the one definition behind internal/sched's ThresholdJobs and any
+// caller that runs a cell on its own. The physical rate parameterizes all
+// gate error sources through Params.ScaledGatesTo; coherence times stay at
+// their Table I values.
 func ThresholdCellConfig(scheme extract.Scheme, d int, phys float64, base hardware.Params, trials int, seed int64, dec DecoderKind, opts SweepOptions) Config {
 	return Config{
 		Scheme:          scheme,
@@ -790,30 +802,6 @@ func ThresholdCellConfig(scheme extract.Scheme, d int, phys float64, base hardwa
 		Boost:           opts.Boost,
 		TargetRelErr:    opts.TargetRelErr,
 	}
-}
-
-// ThresholdSweep runs the Fig. 11 experiment for one scheme: logical error
-// rate over a grid of physical error rates and code distances, cell by
-// cell (see internal/sched for the pooled path). Each distance's
-// experiment and model structure are built once and reused across the
-// whole physical-rate row.
-func (en *Engine) ThresholdSweep(scheme extract.Scheme, distances []int, physRates []float64, base hardware.Params, trials int, seed int64, dec DecoderKind, opts SweepOptions) ([]SweepPoint, error) {
-	var out []SweepPoint
-	for _, d := range distances {
-		for _, p := range physRates {
-			res, err := en.Run(ThresholdCellConfig(scheme, d, p, base, trials, seed, dec, opts))
-			if err != nil {
-				return nil, fmt.Errorf("sweep %v d=%d p=%g: %w", scheme, d, p, err)
-			}
-			out = append(out, SweepPoint{Distance: d, Phys: p, Result: res})
-		}
-	}
-	return out, nil
-}
-
-// ThresholdSweep runs a Fig. 11 grid on the shared default engine.
-func ThresholdSweep(scheme extract.Scheme, distances []int, physRates []float64, base hardware.Params, trials int, seed int64, dec DecoderKind) ([]SweepPoint, error) {
-	return defaultEngine.ThresholdSweep(scheme, distances, physRates, base, trials, seed, dec, SweepOptions{})
 }
 
 // EstimateThreshold finds the crossing point of the logical-error curves for

@@ -145,20 +145,6 @@ func TestPanelApply(t *testing.T) {
 	}
 }
 
-func TestSensitivitySweepSmoke(t *testing.T) {
-	pts, err := SensitivitySweep(PanelSCSC, []float64{1e-4, 5e-3}, []int{3}, 400, 3, UF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("%d points", len(pts))
-	}
-	// Higher SC-SC error must not give a (significantly) lower logical rate.
-	if pts[1].Result.Rate()+0.02 < pts[0].Result.Rate() {
-		t.Errorf("rate at p=5e-3 (%.4f) below rate at p=1e-4 (%.4f)", pts[1].Result.Rate(), pts[0].Result.Rate())
-	}
-}
-
 func TestCavityCrossoverEstimate(t *testing.T) {
 	params := OperatingPoint()
 	roundDur := params.ResetTime + 2*params.Gate1Time + 4*params.Gate2Time + params.MeasureTime

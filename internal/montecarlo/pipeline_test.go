@@ -111,9 +111,9 @@ func TestPipelineDeterministicAcrossWidthsAndShards(t *testing.T) {
 	}
 }
 
-// A merge where the lowest-indexed shard never ran (the scheduler's
-// steal-aware skip emits an empty ShardResult) must take the model
-// dimensions from the lowest shard that did run.
+// A merge where the lowest-indexed shard never ran (the fabric coordinator
+// settles it as an empty ShardResult once siblings banked the target) must
+// take the model dimensions from the lowest shard that did run.
 func TestMergeShardsSkipsEmptyDims(t *testing.T) {
 	cfg := Config{Trials: 100, Decoder: UF}
 	parts := []ShardResult{

@@ -104,10 +104,13 @@ type SensitivityPoint struct {
 }
 
 // SensitivityCellConfig is the canonical configuration of one Fig. 12
-// panel cell — the single definition shared by the sequential
-// SensitivitySweep and the scheduler's job builder, so the two paths
-// cannot drift apart: Compact-Interleaved at the §VI operating point with
-// the panel's parameter set to value, cavity serialization gaps included.
+// panel cell, the one definition behind internal/sched's SensitivityJobs:
+// Compact-Interleaved (the paper's §VI target, "the most efficient physical
+// qubit mapping and subject to a wide variety of errors") at the §VI
+// operating point with the panel's parameter set to value, cavity
+// serialization gaps included. Panels varying only error probabilities or
+// coherence times share one cached structure per distance; panels varying
+// durations or cavity size rebuild per value (their circuits differ).
 func SensitivityCellConfig(panel Panel, value float64, d int, trials int, seed int64, dec DecoderKind, opts SweepOptions) (Config, error) {
 	params, err := panel.Apply(OperatingPoint(), value)
 	if err != nil {
@@ -128,36 +131,6 @@ func SensitivityCellConfig(panel Panel, value float64, d int, trials int, seed i
 		Boost:           opts.Boost,
 		TargetRelErr:    opts.TargetRelErr,
 	}, nil
-}
-
-// SensitivitySweep runs one panel over the given values and distances on
-// Compact-Interleaved (the paper's §VI target: "the most efficient physical
-// qubit mapping and subject to a wide variety of errors"), cell by cell
-// (see internal/sched for the pooled path). Panels varying only error
-// probabilities or coherence times reuse one cached structure per
-// distance; panels varying durations or cavity size rebuild per value
-// (their circuits genuinely differ).
-func (en *Engine) SensitivitySweep(panel Panel, values []float64, distances []int, trials int, seed int64, dec DecoderKind, opts SweepOptions) ([]SensitivityPoint, error) {
-	var out []SensitivityPoint
-	for _, d := range distances {
-		for _, v := range values {
-			cfg, err := SensitivityCellConfig(panel, v, d, trials, seed, dec, opts)
-			if err != nil {
-				return nil, err
-			}
-			res, err := en.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("sensitivity %v d=%d v=%g: %w", panel, d, v, err)
-			}
-			out = append(out, SensitivityPoint{Panel: panel, Value: v, Distance: d, Result: res})
-		}
-	}
-	return out, nil
-}
-
-// SensitivitySweep runs one Fig. 12 panel on the shared default engine.
-func SensitivitySweep(panel Panel, values []float64, distances []int, trials int, seed int64, dec DecoderKind) ([]SensitivityPoint, error) {
-	return defaultEngine.SensitivitySweep(panel, values, distances, trials, seed, dec, SweepOptions{})
 }
 
 // GateBudgetPerRound is the gate-induced error charged to one data qubit per

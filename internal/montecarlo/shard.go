@@ -64,14 +64,14 @@ func (p ShardPlan) ShardTrials(i int) int {
 	return per
 }
 
-// ShardBudget coordinates the workers executing one sharded point: the
-// shared failure count that TargetFailures early stopping reads, and an
-// abort flag that stops in-flight shards at their next 64-shot batch
-// boundary (the sweep scheduler raises it when the point's cell is
-// cancelled, so sibling shards stop burning cycles on a result that can no
-// longer be delivered). The zero value is ready to use. One ShardBudget
-// must be shared by every shard of a plan and must not be reused across
-// points.
+// ShardBudget coordinates the workers executing one point: the shared
+// failure count that TargetFailures early stopping reads, and an abort
+// flag that stops in-flight runs at their next 64-shot batch boundary
+// (the sweep scheduler raises it on a cancelled cell's RunOnBudget, a
+// fabric worker on a cancelled lease, so neither burns cycles on a result
+// that can no longer be delivered). The zero value is ready to use. One
+// ShardBudget must be shared by every shard of a plan and must not be
+// reused across points.
 type ShardBudget struct {
 	failures atomic.Int64
 	aborted  atomic.Bool
@@ -134,8 +134,8 @@ type ShardResult struct {
 
 // RunShardOn executes one shard of a planned point on the calling
 // goroutine (helped, like RunOn, by st's Crew if it has joined one),
-// reusing st's buffers across calls — the partial-run
-// entry point of the sweep scheduler's work stealing. The shard samples
+// reusing st's buffers across calls — the partial-run entry point the
+// distributed fabric's workers lease units through. The shard samples
 // worker stream `shard` of cfg.Seed (the same derivation Engine.Run gives
 // worker `shard`), takes plan.ShardTrials(shard) shots, and coordinates
 // TargetFailures early stopping and cancellation through budget, which must
@@ -184,10 +184,10 @@ func (en *Engine) RunShardOn(cfg Config, plan ShardPlan, shard int, budget *Shar
 // MergeShards folds the shards of one point into a single Result. The fold
 // is deterministic in its inputs: counts are summed and the model
 // dimensions taken from the lowest shard index that actually ran — a shard
-// skipped whole by the scheduler's steal-aware early stop reports zero
-// Mechanisms and must not blank the merged dimensions — so any execution
-// order, and any pool width, produces the identical Result for identical
-// shard results. Partial merges (early-stopped or aborted shards) are
+// the fabric coordinator settled empty after its siblings banked the
+// early-stop target reports zero Mechanisms and must not blank the merged
+// dimensions — so any execution order, and any worker count, produces the
+// identical Result for identical shard results. Partial merges (early-stopped or aborted shards) are
 // well-formed: Trials reports the shots actually taken.
 func MergeShards(cfg Config, parts []ShardResult) (Result, error) {
 	if err := cfg.normalize(); err != nil {

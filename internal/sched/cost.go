@@ -1,6 +1,35 @@
 package sched
 
-import "repro/internal/montecarlo"
+import (
+	"slices"
+
+	"repro/internal/montecarlo"
+)
+
+// DrainOrder returns the job indices in the order a pool drains them:
+// longest cell first by CellCost under OrderCost (ties in submission
+// order), submission order under OrderFIFO. It is a pure function of the
+// job specs, so the queue is identical at every pool width; the fabric
+// coordinator leases its shard units in this same cell order.
+func DrainOrder(jobs []Job, order QueueOrder) []int {
+	idx := make([]int, len(jobs))
+	for i := range idx {
+		idx[i] = i
+	}
+	if order == OrderCost {
+		slices.SortStableFunc(idx, func(a, b int) int {
+			ca, cb := CellCost(jobs[a].Cfg), CellCost(jobs[b].Cfg)
+			switch {
+			case ca > cb:
+				return -1
+			case ca < cb:
+				return 1
+			}
+			return a - b
+		})
+	}
+	return idx
+}
 
 // CellCost estimates the relative decode cost of one sweep cell for queue
 // ordering: the product of the dem.Structure dimensions its Config implies —
@@ -23,8 +52,7 @@ import "repro/internal/montecarlo"
 // before any structure is built, so the cost model must be derivable from
 // the Config alone. It does not need to be calibrated in absolute terms —
 // only monotone in the true cost across the cells of one queue — and it is
-// a pure function, so the queue order (and therefore the shard-unit layout
-// workers steal from) is identical at every pool width.
+// a pure function, so the queue order is identical at every pool width.
 func CellCost(cfg montecarlo.Config) float64 {
 	d := cfg.Distance
 	if d < 1 {

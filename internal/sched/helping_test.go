@@ -52,59 +52,41 @@ func waitRun(t *testing.T, fn func() []CellResult) []CellResult {
 }
 
 // The helping contract: a cell whose batches idle workers decoded carries
-// exactly the Result it has at width 1 (for an unsharded cell, exactly
-// Engine.RunOn's), in every counter — failures, skips, dedup hits,
+// exactly Engine.RunOn's Result, in every counter — failures, skips, dedup hits,
 // fallbacks, decoder stage stats, the weighted tally — and in where early
 // stop lands. Each case forces helping with a big cell at 8x or more the
 // trials of a small one at width 2, and asserts helping happened.
 func TestHelpingIsBitIdentical(t *testing.T) {
 	cases := []struct {
-		name       string
-		jobs       []Job
-		shardShots int
+		name string
+		jobs []Job
 	}{
-		{"uf", skewedPair(5, 8e-3, 4096, 8, montecarlo.UF, montecarlo.SweepOptions{}), 0},
-		{"blossom", skewedPair(5, 8e-3, 4096, 8, montecarlo.Blossom, montecarlo.SweepOptions{}), 0},
-		{"no-pipeline", skewedPair(5, 8e-3, 4096, 8, montecarlo.UF, montecarlo.SweepOptions{DisablePipeline: true}), 0},
-		{"mwpm", skewedPair(5, 1.2e-2, 512, 8, montecarlo.MWPM, montecarlo.SweepOptions{}), 0},
+		{"uf", skewedPair(5, 8e-3, 4096, 8, montecarlo.UF, montecarlo.SweepOptions{})},
+		{"blossom", skewedPair(5, 8e-3, 4096, 8, montecarlo.Blossom, montecarlo.SweepOptions{})},
+		{"no-pipeline", skewedPair(5, 8e-3, 4096, 8, montecarlo.UF, montecarlo.SweepOptions{DisablePipeline: true})},
+		{"mwpm", skewedPair(5, 1.2e-2, 512, 8, montecarlo.MWPM, montecarlo.SweepOptions{})},
 		// The early stops land at about 70% of the big cell's cap; the small
 		// cell runs its whole budget.
-		{"target-failures", skewedPair(5, 1.2e-2, 8192, 8, montecarlo.UF, montecarlo.SweepOptions{TargetFailures: 750}), 0},
+		{"target-failures", skewedPair(5, 1.2e-2, 8192, 8, montecarlo.UF, montecarlo.SweepOptions{TargetFailures: 750})},
 		{"rare-target-relerr", skewedPair(5, 2e-3, 8192, 8, montecarlo.UF,
-			montecarlo.SweepOptions{RareEvent: true, Boost: 2, TargetRelErr: 0.11}), 0},
-		// Three shards of the big cell plus the small cell: the workers take
-		// a shard each, and whichever is free once the queue drains helps
-		// the other.
-		{"sharded", skewedPair(5, 8e-3, 3*2048, 8, montecarlo.UF, montecarlo.SweepOptions{}), 2048},
+			montecarlo.SweepOptions{RareEvent: true, Boost: 2, TargetRelErr: 0.11})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			en := montecarlo.NewEngine()
 			got := untilHelped(t, func() (*Scheduler, []CellResult) {
-				s := New(en, Options{Jobs: 2, ShardShots: tc.shardShots})
+				s := New(en, Options{Jobs: 2})
 				res, err := s.Run(tc.jobs)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return s, res
 			})
-			// The width-1 reference: Engine.RunOn for unsharded cells, the
-			// serial pool for the sharded case.
 			want := make([]montecarlo.Result, len(tc.jobs))
-			if tc.shardShots > 0 {
-				serial, err := New(en, Options{Jobs: 1, ShardShots: tc.shardShots}).Run(tc.jobs)
-				if err != nil {
+			for i, j := range tc.jobs {
+				var err error
+				if want[i], err = en.RunOn(j.Cfg, nil); err != nil {
 					t.Fatal(err)
-				}
-				for i, r := range serial {
-					want[i] = r.Result
-				}
-			} else {
-				for i, j := range tc.jobs {
-					var err error
-					if want[i], err = en.RunOn(j.Cfg, nil); err != nil {
-						t.Fatal(err)
-					}
 				}
 			}
 			for i, r := range got {
@@ -178,80 +160,64 @@ func TestHelpingErrorBecomesCellErr(t *testing.T) {
 
 // Cancelling a run while a helper holds one of a cell's batches still
 // returns and emits no partial cell. The cancel fires inside a helper's
-// decode. An in-flight unsharded cell runs to completion, bit-identical to
-// RunOn; a sharded cell's running shard aborts, and the cell is dropped.
+// decode, so the helped cell is in flight when it lands: that cell aborts
+// at its next batch and is dropped with the context error, like every
+// cell the cancellation catches unfinished.
 func TestHelpingCancelReturns(t *testing.T) {
-	cases := []struct {
-		name       string
-		jobs       []Job
-		shardShots int
-	}{
-		{"unsharded", skewedPair(5, 8e-3, 4096, 8, montecarlo.UF, montecarlo.SweepOptions{}), 0},
-		// Three shards alone: whichever worker finishes its shard first takes
-		// the third, and the other helps it.
-		{"sharded", skewedPair(5, 8e-3, 3*2048, 8, montecarlo.UF, montecarlo.SweepOptions{})[:1], 2048},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			t.Cleanup(func() { decodeSlot = (*montecarlo.WorkerState).DecodeSlot })
-			en := montecarlo.NewEngine()
-			var mu sync.Mutex
-			var emitted map[int]montecarlo.Result
-			results := untilHelped(t, func() (*Scheduler, []CellResult) {
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				var once sync.Once
-				decodeSlot = func(st *montecarlo.WorkerState, sl *montecarlo.Slot) error {
-					// Hold the slot until the cancellation has reached the
-					// cells, so it lands mid-cell even on the last batch.
-					once.Do(func() {
-						cancel()
-						time.Sleep(20 * time.Millisecond)
-					})
-					return st.DecodeSlot(sl)
-				}
-				emitted = map[int]montecarlo.Result{}
-				s := New(en, Options{Jobs: 2, ShardShots: tc.shardShots, OnResult: func(r CellResult) {
-					mu.Lock()
-					emitted[r.Index] = r.Result
-					mu.Unlock()
-				}})
-				return s, waitRun(t, func() []CellResult {
-					res, _ := s.RunContext(ctx, tc.jobs)
-					return res
+	t.Run("unsharded", func(t *testing.T) {
+		t.Cleanup(func() { decodeSlot = (*montecarlo.WorkerState).DecodeSlot })
+		jobs := skewedPair(5, 8e-3, 4096, 8, montecarlo.UF, montecarlo.SweepOptions{})
+		en := montecarlo.NewEngine()
+		var mu sync.Mutex
+		var emitted map[int]montecarlo.Result
+		results := untilHelped(t, func() (*Scheduler, []CellResult) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var once sync.Once
+			decodeSlot = func(st *montecarlo.WorkerState, sl *montecarlo.Slot) error {
+				// Hold the slot until the cancellation has reached the
+				// cells, so it lands mid-cell even on the last batch.
+				once.Do(func() {
+					cancel()
+					time.Sleep(20 * time.Millisecond)
 				})
+				return st.DecodeSlot(sl)
+			}
+			emitted = map[int]montecarlo.Result{}
+			s := New(en, Options{Jobs: 2, OnResult: func(r CellResult) {
+				mu.Lock()
+				emitted[r.Index] = r.Result
+				mu.Unlock()
+			}})
+			return s, waitRun(t, func() []CellResult {
+				res, _ := s.RunContext(ctx, jobs)
+				return res
 			})
-			for i, r := range results {
-				res, ok := emitted[i]
-				switch {
-				case r.Err == nil:
-					if !ok || res.Trials != tc.jobs[i].Cfg.Trials {
-						t.Errorf("cell %d completed but emitted=%v with %d trials", i, ok, res.Trials)
-					}
-				case errors.Is(r.Err, context.Canceled):
-					if ok {
-						t.Errorf("cell %d was cancelled but emitted", i)
-					}
-				default:
-					t.Errorf("cell %d: unexpected error %v", i, r.Err)
-				}
-			}
-			big := results[0]
-			if tc.shardShots > 0 {
-				if !errors.Is(big.Err, context.Canceled) {
-					t.Errorf("helped sharded cell err = %v, want context.Canceled", big.Err)
-				}
-				return
-			}
-			direct, err := en.RunOn(tc.jobs[0].Cfg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if big.Err != nil || big.Result.Counts != direct.Counts {
-				t.Errorf("in-flight unsharded cell: err %v, counts %+v, RunOn %+v", big.Err, big.Result.Counts, direct.Counts)
-			}
 		})
-	}
+		for i, r := range results {
+			res, ok := emitted[i]
+			switch {
+			case r.Err == nil:
+				if !ok || res.Trials != jobs[i].Cfg.Trials {
+					t.Errorf("cell %d completed but emitted=%v with %d trials", i, ok, res.Trials)
+				}
+			case errors.Is(r.Err, context.Canceled):
+				if ok {
+					t.Errorf("cell %d was cancelled but emitted", i)
+				}
+				if r.Result.Trials != 0 {
+					t.Errorf("cell %d was cancelled but kept %d trials", i, r.Result.Trials)
+				}
+			default:
+				t.Errorf("cell %d: unexpected error %v", i, r.Err)
+			}
+		}
+		// The small cell finishes first and its worker helps the big one,
+		// so the big cell is the one in flight when the cancel lands.
+		if big := results[0]; !errors.Is(big.Err, context.Canceled) {
+			t.Errorf("helped in-flight cell err = %v (%d trials), want context.Canceled", big.Err, big.Result.Trials)
+		}
+	})
 }
 
 // BenchmarkSkewedPairHelping runs two cells at a 1:4 cost ratio on a 2-wide

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -15,106 +14,49 @@ func rareOpts(boost, targetRelErr float64) montecarlo.SweepOptions {
 	return montecarlo.SweepOptions{RareEvent: true, Boost: boost, TargetRelErr: targetRelErr}
 }
 
-// Weighted sweeps must carry the full determinism contract: bit-identical
-// weighted tallies across pool widths {1,2,4,8} × shard thresholds ×
-// Run/Stream, with the sharded merge equal to the engine's multi-worker run
-// of the same plan.
-func TestRareSweepDeterministicAcrossWidthsAndShards(t *testing.T) {
+// Weighted sweeps must carry the full determinism contract: every weighted
+// tally equals Engine.RunOn's bit for bit across pool widths {1,2,4,8} ×
+// Run/Stream.
+func TestRareSweepDeterministicAcrossWidths(t *testing.T) {
 	if testing.Short() {
-		t.Skip("width x threshold matrix; run by the dedicated race-scheduler CI job")
+		t.Skip("width matrix; run by the dedicated race-scheduler CI job")
 	}
-	const trials = 4200
 	mk := func() []Job {
 		return ThresholdJobs(extract.Baseline, []int{3, 5}, []float64{2e-3, 4e-3},
-			hardware.Default(), trials, 21, montecarlo.UF, rareOpts(2, 0))
+			hardware.Default(), 4200, 21, montecarlo.UF, rareOpts(2, 0))
 	}
-	for _, shardShots := range []int{0, montecarlo.MinShardShots, 2 * montecarlo.MinShardShots} {
-		plan := montecarlo.PlanShards(trials, shardShots)
-		name := fmt.Sprintf("shard=%d(plan %d)", shardShots, plan.Shards)
-		var ref []CellResult
-		for _, width := range []int{1, 2, 4, 8} {
-			en := montecarlo.NewEngine()
-			s := New(en, Options{Jobs: width, ShardShots: shardShots})
-			results, err := s.Run(mk())
-			if err != nil {
-				t.Fatalf("%s width %d: %v", name, width, err)
-			}
-			var streamed []CellResult
-			for r := range s.Stream(mk()) {
-				if r.Err != nil {
-					t.Fatalf("%s width %d: stream cell %d: %v", name, width, r.Index, r.Err)
-				}
-				streamed = append(streamed, r)
-			}
-			slices.SortFunc(streamed, func(a, b CellResult) int { return a.Index - b.Index })
-			for i := range results {
-				a, b := results[i].Result, streamed[i].Result
-				if a.Weighted != b.Weighted || a.Failures != b.Failures {
-					t.Errorf("%s width %d cell %d: Run and Stream weighted tallies diverged:\n%+v\n%+v",
-						name, width, i, a.Weighted, b.Weighted)
-				}
-			}
-			if ref == nil {
-				ref = results
-				if plan.Shards > 1 {
-					cfg := results[0].Job.Cfg
-					cfg.Workers = plan.Shards
-					want, err := en.Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := results[0].Result
-					if got.Weighted != want.Weighted {
-						t.Errorf("%s: sharded merge diverged from Run(Workers=%d):\n%+v\n%+v",
-							name, plan.Shards, got.Weighted, want.Weighted)
-					}
-				}
-				continue
-			}
-			for i := range results {
-				a, b := results[i].Result, ref[i].Result
-				if a.Weighted != b.Weighted || a.Failures != b.Failures {
-					t.Errorf("%s width %d cell %d: weighted tally diverged from width-1 reference:\n%+v\n%+v",
-						name, width, i, a.Weighted, b.Weighted)
-				}
-			}
+	en := montecarlo.NewEngine()
+	jobs := mk()
+	want := make([]montecarlo.Result, len(jobs))
+	for i, j := range jobs {
+		var err error
+		if want[i], err = en.RunOn(j.Cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		if w := want[i].Weighted; w.Shots != j.Cfg.Trials || w.SumW <= 0 {
+			t.Fatalf("reference cell %d carries no weighted tally: %+v", i, w)
 		}
 	}
-}
-
-// A weighted cell whose pooled estimate converges must settle its remaining
-// shard units without touching the engine — the rel-err sibling of the
-// TargetFailures steal-aware skip.
-func TestStealAwareTargetRelErrSkipsShards(t *testing.T) {
-	const trials = 4 * montecarlo.MinShardShots
-	cfg := montecarlo.ThresholdCellConfig(extract.Baseline, 3, 1.6e-2, hardware.Default(),
-		trials, 21, montecarlo.UF, rareOpts(1.5, 0.3))
-	en := montecarlo.NewEngine()
-	s := New(en, Options{Jobs: 1, ShardShots: montecarlo.MinShardShots})
-	results, err := s.Run([]Job{{Cfg: cfg}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := results[0].Result
-	if res.Weighted.Estimate() <= 0 {
-		t.Fatalf("no estimate at d=3 p=1.6e-2 over %d trials", res.Trials)
-	}
-	if re := res.RelErr(); !(re <= 0.3) {
-		t.Errorf("converged cell reports relative error %g, target 0.3", re)
-	}
-	if res.Trials <= 0 || res.Trials > montecarlo.MinShardShots {
-		t.Errorf("first shard took %d trials; rel-err stop should cap it at the %d-trial shard",
-			res.Trials, montecarlo.MinShardShots)
-	}
-	if res.Mechanisms == 0 || res.DetectorCount == 0 {
-		t.Errorf("merged cell lost its model dimensions: %d mechs, %d detectors",
-			res.Mechanisms, res.DetectorCount)
-	}
-	stats := en.CacheStats()
-	if got := stats.Builds + stats.Hits; got != 1 {
-		t.Errorf("engine saw %d structure accesses (%d builds + %d hits), want 1: "+
-			"converged shard units must be skipped without an engine prepare",
-			got, stats.Builds, stats.Hits)
+	for _, width := range []int{1, 2, 4, 8} {
+		s := New(montecarlo.NewEngine(), Options{Jobs: width})
+		results, err := s.Run(mk())
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		var streamed []CellResult
+		for r := range s.Stream(mk()) {
+			if r.Err != nil {
+				t.Fatalf("width %d: stream cell %d: %v", width, r.Index, r.Err)
+			}
+			streamed = append(streamed, r)
+		}
+		slices.SortFunc(streamed, func(a, b CellResult) int { return a.Index - b.Index })
+		for i := range results {
+			if results[i].Result != want[i] || streamed[i].Result != want[i] {
+				t.Errorf("width %d cell %d: weighted tally diverged from RunOn:\n Run    %+v\n Stream %+v\n RunOn  %+v",
+					width, i, results[i].Result.Weighted, streamed[i].Result.Weighted, want[i].Weighted)
+			}
+		}
 	}
 }
 

@@ -3,8 +3,6 @@ package sched
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -20,27 +18,42 @@ func thresholdGrid(trials int) []Job {
 		hardware.Default(), trials, 21, montecarlo.UF, montecarlo.SweepOptions{})
 }
 
-// Same seed => identical per-cell stats regardless of the pool width (and
-// therefore of cell completion order): every cell runs as worker 0 of its
-// own point, whichever workers decode its batches, so the stream it
-// consumes is fixed by its Config alone.
+// Every cell is Engine.RunOn's, bit for bit, at every pool width (and
+// therefore in every cell completion order): each cell runs as worker 0 of
+// its own point, whichever workers decode its batches, so the stream it
+// consumes is fixed by its Config alone. The grid mixes threshold and
+// sensitivity cells and includes a Workers: 4 job, whose Workers field the
+// pool ignores.
 func TestSchedulerDeterministicAcrossPoolWidths(t *testing.T) {
-	var ref []CellResult
-	for _, width := range []int{1, 2, 7} {
-		s := New(montecarlo.NewEngine(), Options{Jobs: width})
-		results, err := s.Run(thresholdGrid(400))
+	mk := func() []Job {
+		jobs := thresholdGrid(400)
+		sens, err := SensitivityJobs(montecarlo.PanelCavityT1, []float64{1e-4, 1e-2}, []int{3},
+			400, 7, montecarlo.UF, montecarlo.SweepOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide := montecarlo.ThresholdCellConfig(extract.Baseline, 5, 8e-3, hardware.Default(),
+			2000, 23, montecarlo.UF, montecarlo.SweepOptions{})
+		wide.Workers = 4
+		return append(append(jobs, sens...), Job{Cfg: wide, Tag: "wide"})
+	}
+	en := montecarlo.NewEngine()
+	jobs := mk()
+	want := make([]montecarlo.Result, len(jobs))
+	for i, j := range jobs {
+		var err error
+		if want[i], err = en.RunOn(j.Cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, width := range []int{1, 2, 7, 8} {
+		results, err := New(montecarlo.NewEngine(), Options{Jobs: width}).Run(mk())
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
-		if ref == nil {
-			ref = results
-			continue
-		}
-		for i := range results {
-			a, b := results[i].Result, ref[i].Result
-			if a.Failures != b.Failures || a.Trials != b.Trials {
-				t.Errorf("width %d cell %d: %d/%d failures/trials, want %d/%d (width 1)",
-					width, i, a.Failures, a.Trials, b.Failures, b.Trials)
+		for i, r := range results {
+			if r.Result != want[i] {
+				t.Errorf("width %d cell %d (%v):\n %+v\nRunOn:\n %+v", width, i, r.Job.Tag, r.Result, want[i])
 			}
 		}
 	}
@@ -145,43 +158,42 @@ func TestSchedulerCellErrorDoesNotAbortSweep(t *testing.T) {
 	}
 }
 
-// The scheduler's grid helpers must agree with the sequential sweep paths
-// cell for cell: same coordinates in the same order, and statistically
-// consistent rates at equal trial counts.
+// The scheduler's grid sweep must agree with running its cells one by one:
+// same coordinates in grid order, and each point exactly RunOn's result
+// for the cell's canonical Config.
 func TestThresholdSweepMatchesSequential(t *testing.T) {
 	ds := []int{3}
 	ps := []float64{6e-3, 1.2e-2}
 	const trials = 3000
 	en := montecarlo.NewEngine()
-	seq, err := en.ThresholdSweep(extract.Baseline, ds, ps, hardware.Default(), trials, 5, montecarlo.UF, montecarlo.SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sch, err := New(en, Options{Jobs: 2}).ThresholdSweep(extract.Baseline, ds, ps, hardware.Default(), trials, 5, montecarlo.UF, montecarlo.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) != len(sch) {
-		t.Fatalf("%d sequential points vs %d scheduled", len(seq), len(sch))
+	if len(sch) != len(ds)*len(ps) {
+		t.Fatalf("%d scheduled points, want %d", len(sch), len(ds)*len(ps))
 	}
-	for i := range seq {
-		a, b := seq[i], sch[i]
-		if a.Distance != b.Distance || a.Phys != b.Phys {
-			t.Fatalf("point %d: grid (%d, %g) vs (%d, %g)", i, a.Distance, a.Phys, b.Distance, b.Phys)
-		}
-		if a.Result.Trials != b.Result.Trials {
-			t.Errorf("point %d: %d vs %d trials", i, a.Result.Trials, b.Result.Trials)
-		}
-		diff := math.Abs(a.Result.Rate() - b.Result.Rate())
-		if sigma := a.Result.StdErr() + b.Result.StdErr(); diff > 3*sigma {
-			t.Errorf("point %d: sequential %.4f vs scheduled %.4f beyond 3 sigma (%.4f)",
-				i, a.Result.Rate(), b.Result.Rate(), 3*sigma)
+	i := 0
+	for _, d := range ds {
+		for _, p := range ps {
+			want, err := en.RunOn(montecarlo.ThresholdCellConfig(extract.Baseline, d, p, hardware.Default(), trials, 5, montecarlo.UF, montecarlo.SweepOptions{}), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := sch[i]
+			if got.Distance != d || got.Phys != p {
+				t.Fatalf("point %d: grid (%d, %g), want (%d, %g)", i, got.Distance, got.Phys, d, p)
+			}
+			if got.Result != want {
+				t.Errorf("point %d: scheduled\n %+v\nsequential RunOn\n %+v", i, got.Result, want)
+			}
+			i++
 		}
 	}
 }
 
-// SensitivityJobs must mirror the sequential panel sweep's grid and run
-// through the scheduler.
+// SensitivityJobs must expand a panel in grid order and run through the
+// scheduler.
 func TestSensitivitySweepGrid(t *testing.T) {
 	pts, err := New(nil, Options{Jobs: 2}).SensitivitySweep(
 		montecarlo.PanelCavityT1, []float64{1e-4, 1e-2}, []int{3}, 200, 1, montecarlo.UF, montecarlo.SweepOptions{})
@@ -287,93 +299,6 @@ func TestStreamContextCancelClosesChannel(t *testing.T) {
 	}
 }
 
-// The tentpole determinism property: for every shard threshold — each
-// fixing one shard plan per cell — Run and Stream results are bit-identical
-// across pool widths {1, 2, 4, 8}, on both grid types. Sharding changes
-// WHICH deterministic result a big cell produces (the merge of its plan's
-// worker streams instead of the single stream), so results are only
-// compared within a threshold, never across thresholds.
-func TestSchedulerDeterministicAcrossWidthsAndShardThresholds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full width x threshold sweep matrix; run by the dedicated race-scheduler CI job")
-	}
-	const trials = 4200 // 4 shards at the floor threshold, 2 at twice it
-	grids := []struct {
-		name string
-		mk   func(t *testing.T) []Job
-	}{
-		{"threshold", func(t *testing.T) []Job {
-			return ThresholdJobs(extract.Baseline, []int{3, 5}, []float64{4e-3, 1.6e-2},
-				hardware.Default(), trials, 21, montecarlo.UF, montecarlo.SweepOptions{})
-		}},
-		{"sensitivity", func(t *testing.T) []Job {
-			jobs, err := SensitivityJobs(montecarlo.PanelCavityT1, []float64{1e-4, 1e-2}, []int{3},
-				trials, 7, montecarlo.UF, montecarlo.SweepOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return jobs
-		}},
-	}
-	for _, grid := range grids {
-		for _, shardShots := range []int{0, montecarlo.MinShardShots, 2 * montecarlo.MinShardShots} {
-			plan := montecarlo.PlanShards(trials, shardShots)
-			name := fmt.Sprintf("%s/shard=%d(plan %d)", grid.name, shardShots, plan.Shards)
-			var ref []CellResult
-			for _, width := range []int{1, 2, 4, 8} {
-				en := montecarlo.NewEngine()
-				s := New(en, Options{Jobs: width, ShardShots: shardShots})
-				results, err := s.Run(grid.mk(t))
-				if err != nil {
-					t.Fatalf("%s width %d: %v", name, width, err)
-				}
-				var streamed []CellResult
-				for r := range s.Stream(grid.mk(t)) {
-					if r.Err != nil {
-						t.Fatalf("%s width %d: stream cell %d: %v", name, width, r.Index, r.Err)
-					}
-					streamed = append(streamed, r)
-				}
-				slices.SortFunc(streamed, func(a, b CellResult) int { return a.Index - b.Index })
-				for i := range results {
-					a, b := results[i].Result, streamed[i].Result
-					if a.Failures != b.Failures || a.Trials != b.Trials {
-						t.Errorf("%s width %d cell %d: Run %d/%d vs Stream %d/%d failures/trials",
-							name, width, i, a.Failures, a.Trials, b.Failures, b.Trials)
-					}
-				}
-				if ref == nil {
-					ref = results
-					// The sharded merge must equal the engine's multi-worker
-					// run of the same plan — pinning that the scheduler's
-					// stolen shards consume exactly worker streams 0..n-1.
-					if plan.Shards > 1 {
-						cfg := results[0].Job.Cfg
-						cfg.Workers = plan.Shards
-						want, err := en.Run(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got := results[0].Result
-						if got.Failures != want.Failures || got.Trials != want.Trials {
-							t.Errorf("%s: sharded cell 0 merged %d/%d failures/trials, Run(Workers=%d) %d/%d",
-								name, got.Failures, got.Trials, plan.Shards, want.Failures, want.Trials)
-						}
-					}
-					continue
-				}
-				for i := range results {
-					a, b := results[i].Result, ref[i].Result
-					if a.Failures != b.Failures || a.Trials != b.Trials {
-						t.Errorf("%s width %d cell %d: %d/%d failures/trials, want %d/%d (width 1)",
-							name, width, i, a.Failures, a.Trials, b.Failures, b.Trials)
-					}
-				}
-			}
-		}
-	}
-}
-
 // The queue order is a wall-clock knob only: OrderFIFO and the default
 // OrderCost produce bit-identical per-cell results.
 func TestQueueOrderDoesNotChangeResults(t *testing.T) {
@@ -437,41 +362,5 @@ func TestSchedulersShareEngineConcurrently(t *testing.T) {
 	}
 	if en.StructureBuilds() != 2 {
 		t.Errorf("concurrent sweeps built %d structures, want 2 (one per distance)", en.StructureBuilds())
-	}
-}
-
-// Steal-aware TargetFailures sizing: once a sharded cell's shards bank the
-// failure target, the remaining shard units must settle without touching
-// the engine at all. With a serial pool the first shard banks the target
-// (high noise, target 1), so exactly one engine prepare happens for a
-// four-shard plan — observable as one cache access — and the merged cell
-// still carries the model dimensions from the shard that ran.
-func TestStealAwareTargetFailuresSkipsShards(t *testing.T) {
-	const trials = 4 * montecarlo.MinShardShots
-	cfg := montecarlo.ThresholdCellConfig(extract.Baseline, 3, 1.6e-2, hardware.Default(),
-		trials, 21, montecarlo.UF, montecarlo.SweepOptions{TargetFailures: 1})
-	en := montecarlo.NewEngine()
-	s := New(en, Options{Jobs: 1, ShardShots: montecarlo.MinShardShots})
-	results, err := s.Run([]Job{{Cfg: cfg}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := results[0].Result
-	if res.Failures < 1 {
-		t.Fatalf("no failures banked at d=3 p=1.6e-2 over %d trials", res.Trials)
-	}
-	if res.Trials <= 0 || res.Trials > montecarlo.MinShardShots {
-		t.Errorf("first shard took %d trials; early stop should cap it at the %d-trial shard",
-			res.Trials, montecarlo.MinShardShots)
-	}
-	if res.Mechanisms == 0 || res.DetectorCount == 0 {
-		t.Errorf("merged cell lost its model dimensions: %d mechs, %d detectors",
-			res.Mechanisms, res.DetectorCount)
-	}
-	stats := en.CacheStats()
-	if got := stats.Builds + stats.Hits; got != 1 {
-		t.Errorf("engine saw %d structure accesses (%d builds + %d hits), want 1: "+
-			"satisfied shard units must be skipped without an engine prepare",
-			got, stats.Builds, stats.Hits)
 	}
 }

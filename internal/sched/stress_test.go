@@ -13,8 +13,8 @@ import (
 )
 
 // skewedJobs builds the stress grid: many tiny cells plus one huge cell
-// whose trial budget dwarfs them, the shape where cost ordering and shard
-// stealing matter. hugeTrials above Options.ShardShots shards the big cell.
+// whose trial budget dwarfs them, the shape where cost ordering and idle
+// workers helping the last running cell matter.
 func skewedJobs(tiny, hugeTrials int, opts montecarlo.SweepOptions) []Job {
 	jobs := ThresholdJobs(extract.Baseline, []int{3}, montecarlo.DefaultPhysRates(8),
 		hardware.Default(), tiny, 31, montecarlo.UF, opts)
@@ -31,9 +31,9 @@ func skewedJobs(tiny, hugeTrials int, opts montecarlo.SweepOptions) []Job {
 }
 
 // The skewed-grid stress leg of the -race CI job: 40 tiny cells plus one
-// huge sharded cell, stealing active at width 8, twice — covering the
-// shard merge path under real contention and pinning run-to-run
-// determinism of the merged counts.
+// huge cell at width 8, twice — the tiny cells' workers go idle early and
+// help decode the huge cell under real contention — pinning run-to-run
+// determinism of every cell's counts.
 func TestStressSkewedGridStealing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress grid; run by the dedicated race-scheduler CI job")
@@ -41,14 +41,14 @@ func TestStressSkewedGridStealing(t *testing.T) {
 	const hugeTrials = 60_000
 	var ref []CellResult
 	for rep := 0; rep < 2; rep++ {
-		s := New(montecarlo.NewEngine(), Options{Jobs: 8, ShardShots: montecarlo.MinShardShots})
+		s := New(montecarlo.NewEngine(), Options{Jobs: 8})
 		results, err := s.Run(skewedJobs(200, hugeTrials, montecarlo.SweepOptions{}))
 		if err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
 		huge := results[len(results)-1]
 		if huge.Result.Trials != hugeTrials {
-			t.Fatalf("rep %d: huge cell merged %d trials, want %d (partial merge escaped)",
+			t.Fatalf("rep %d: huge cell ran %d trials, want %d (partial cell escaped)",
 				rep, huge.Result.Trials, hugeTrials)
 		}
 		if ref == nil {
@@ -57,7 +57,7 @@ func TestStressSkewedGridStealing(t *testing.T) {
 		}
 		for i := range results {
 			a, b := results[i].Result, ref[i].Result
-			if a.Failures != b.Failures || a.Trials != b.Trials {
+			if a != b {
 				t.Errorf("cell %d: rep1 %d/%d vs rep0 %d/%d failures/trials",
 					i, a.Failures, a.Trials, b.Failures, b.Trials)
 			}
@@ -65,17 +65,15 @@ func TestStressSkewedGridStealing(t *testing.T) {
 	}
 }
 
-// The shared early-stop atomic under contention: every cell carries a
-// failure target, the huge cell's shards bank failures into one budget
-// concurrently, and the merged cell must respect both the target and the
-// trial cap. Counts are timing-dependent here (as with Engine.Run's
-// workers), so the assertions are the contract bounds, not exact values.
+// Early stop under contention: every cell carries a failure target, idle
+// workers decode the huge cell's batches while its owner folds them, and
+// the cell must respect both the target and the trial cap.
 func TestStressSharedEarlyStopAcrossShards(t *testing.T) {
 	const (
 		hugeTrials = 200_000
 		target     = 40
 	)
-	s := New(montecarlo.NewEngine(), Options{Jobs: 8, ShardShots: montecarlo.MinShardShots})
+	s := New(montecarlo.NewEngine(), Options{Jobs: 8})
 	results, err := s.Run(skewedJobs(150, hugeTrials, montecarlo.SweepOptions{TargetFailures: target}))
 	if err != nil {
 		t.Fatal(err)
@@ -95,10 +93,10 @@ func TestStressSharedEarlyStopAcrossShards(t *testing.T) {
 	}
 }
 
-// Cancelling a sweep with a sharded cell in flight aborts the sibling
-// shards and never emits a partial merge: every emitted cell is complete,
-// every skipped cell carries the context error, and the pool returns long
-// before the huge cell's full budget could have run.
+// Cancelling a sweep with a huge cell in flight aborts it at its next
+// batch and never emits a partial cell: every emitted cell is complete,
+// every skipped or aborted cell carries the context error, and the pool
+// returns long before the huge cell's full budget could have run.
 func TestCancelAbortsInFlightShards(t *testing.T) {
 	const hugeTrials = 5_000_000 // far more work than the test allows time for
 	huge := montecarlo.ThresholdCellConfig(extract.Baseline, 5, 8e-3, hardware.Default(),
@@ -110,7 +108,7 @@ func TestCancelAbortsInFlightShards(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var mu sync.Mutex
 	emitted := map[int]montecarlo.Result{}
-	s := New(montecarlo.NewEngine(), Options{Jobs: 4, ShardShots: montecarlo.MinShardShots,
+	s := New(montecarlo.NewEngine(), Options{Jobs: 4,
 		OnResult: func(r CellResult) {
 			mu.Lock()
 			emitted[r.Index] = r.Result
@@ -122,14 +120,14 @@ func TestCancelAbortsInFlightShards(t *testing.T) {
 		results, _ := s.RunContext(ctx, jobs)
 		done <- results
 	}()
-	time.Sleep(30 * time.Millisecond) // let shards get in flight
+	time.Sleep(30 * time.Millisecond) // let the huge cell get in flight
 	cancel()
 
 	var results []CellResult
 	select {
 	case results = <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("pool did not return after cancellation; in-flight shards were not aborted")
+		t.Fatal("pool did not return after cancellation; the in-flight cell was not aborted")
 	}
 
 	for i, r := range results {

@@ -77,13 +77,15 @@ type SweepRequest struct {
 	Decoder string `json:"decoder,omitempty"`
 	// Jobs is this sweep's scheduler pool width (0 = the server default).
 	Jobs int `json:"jobs,omitempty"`
-	// ShardShots, when positive, splits cells into shard units of ~this
-	// many trials that idle pool workers steal; cells below twice the size
-	// stay whole, and values below montecarlo.MinShardShots are raised to
-	// that floor (see sched.Options).
-	// A sharded cell still streams as one CellRecord, merged
-	// deterministically from its fixed shard plan; cancelling the job
-	// aborts its in-flight shards.
+	// ShardShots, fabric mode only, splits cells into shard units of ~this
+	// many trials that the coordinator leases to separate workers; cells
+	// below twice the size stay whole, and values below
+	// montecarlo.MinShardShots are raised to that floor (see
+	// montecarlo.PlanShards). A sharded cell still streams as one
+	// CellRecord, merged deterministically from its fixed shard plan, and
+	// equals a Workers == shards run of the cell rather than the unsharded
+	// one, so the shard count is part of the cell's ledger key. Local mode
+	// rejects a positive value.
 	ShardShots int `json:"shard_shots,omitempty"`
 	// DecodePipeline toggles the batch decode pipeline (zero-defect skip +
 	// per-batch syndrome dedup). Omitted or true keeps it on — the default,
@@ -358,21 +360,25 @@ func BuildCells(req SweepRequest) ([]sched.Job, error) {
 // ToCellRecord converts one scheduler result to its wire form.
 func ToCellRecord(r sched.CellResult) CellRecord { return cellRecord(r) }
 
-// cellKey is the canonical identity of one scheduler job: the
-// montecarlo-level key (every Config field that moves the result bytes)
-// prefixed by the cell's sweep-grid coordinates. The prefix matters
-// because CellRecord carries the coordinates from the Tag, not the
-// Config: a threshold cell and a sensitivity cell that happened to expand
-// to the same Config would still stream different Scheme/Panel/PhysRate/
-// Value columns, so they must not share a ledger entry.
-func cellKey(j sched.Job) string {
+// cellKey is the canonical identity of one scheduler job run under
+// shardShots: the montecarlo-level key (every Config field that moves the
+// result bytes) prefixed by the cell's sweep-grid coordinates and its
+// shard count. The coordinates matter because CellRecord carries them
+// from the Tag, not the Config: a threshold cell and a sensitivity cell
+// that happened to expand to the same Config would still stream different
+// Scheme/Panel/PhysRate/Value columns, so they must not share a ledger
+// entry. The shard count matters because a cell of n shards (fabric
+// mode) equals Engine.Run with Workers == n, whose bytes differ from the
+// unsharded cell's; it is 1 for every unsharded cell.
+func cellKey(j sched.Job, shardShots int) string {
+	sh := montecarlo.PlanShards(j.Cfg.Trials, shardShots).Shards
 	switch tag := j.Tag.(type) {
 	case sched.ThresholdCell:
-		return fmt.Sprintf("t|%s|%d|%x|%s", tag.Scheme, tag.Distance, tag.Phys, j.Cfg.CellKey())
+		return fmt.Sprintf("t|%s|%d|%x|sh=%d|%s", tag.Scheme, tag.Distance, tag.Phys, sh, j.Cfg.CellKey())
 	case sched.SensitivityCell:
-		return fmt.Sprintf("s|%s|%d|%x|%s", tag.Panel, tag.Distance, tag.Value, j.Cfg.CellKey())
+		return fmt.Sprintf("s|%s|%d|%x|sh=%d|%s", tag.Panel, tag.Distance, tag.Value, sh, j.Cfg.CellKey())
 	default:
-		return "u|" + j.Cfg.CellKey()
+		return fmt.Sprintf("u|sh=%d|%s", sh, j.Cfg.CellKey())
 	}
 }
 

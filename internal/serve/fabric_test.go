@@ -2,19 +2,20 @@ package serve
 
 import (
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
 )
 
-// TestFabricModeMatchesLocal submits the same pinned-seed row twice — once
-// in local mode, once in fabric mode against a 3-worker in-process cluster
-// — and requires identical cell records, plus fabric counters in /v1/stats.
-func TestFabricModeMatchesLocal(t *testing.T) {
+// newFabricServer returns a test server whose fabric hub has the given
+// number of in-process workers.
+func newFabricServer(t *testing.T, workers int) *httptest.Server {
+	t.Helper()
 	hub := fabric.NewHub(fabric.Options{})
 	t.Cleanup(hub.Close)
-	cluster := fabric.StartCluster(3, func(int) fabric.Transport { return fabric.Local{Hub: hub} },
+	cluster := fabric.StartCluster(workers, func(int) fabric.Transport { return fabric.Local{Hub: hub} },
 		func(int) fabric.WorkerOptions {
 			return fabric.WorkerOptions{PollInterval: 2 * time.Millisecond}
 		})
@@ -24,6 +25,14 @@ func TestFabricModeMatchesLocal(t *testing.T) {
 		}
 	})
 	_, ts := newTestServer(t, Config{Fabric: hub})
+	return ts
+}
+
+// TestFabricModeMatchesLocal submits the same pinned-seed row twice — once
+// in local mode, once in fabric mode against a 3-worker in-process cluster
+// — and requires identical cell records, plus fabric counters in /v1/stats.
+func TestFabricModeMatchesLocal(t *testing.T) {
+	ts := newFabricServer(t, 3)
 
 	resp := postSweep(t, ts, "/v1/sweeps", rowBody)
 	if resp.StatusCode != http.StatusOK {
@@ -90,5 +99,44 @@ func TestFabricModeRejectedWithoutHub(t *testing.T) {
 	}
 	if st := getStats(t, ts); st.Fabric != nil {
 		t.Error("/v1/stats grew a fabric section without a hub")
+	}
+}
+
+// A cell the fabric splits into shards equals Engine.Run with Workers ==
+// shards, not the unsharded cell, so the ledger keys it by its shard
+// count. A local request for the same cell must miss that entry and
+// return exactly the bytes of a no_cache run, while a repeat of the
+// sharded request is still served from the ledger.
+func TestShardedFabricCellMissesLocalLedger(t *testing.T) {
+	ts := newFabricServer(t, 2)
+	const cell = `"scheme":"baseline","distances":[3],"rates":[0.008],"trials":4096,"seed":7`
+	const sharded = `"mode":"fabric","shard_shots":1024,`
+	run := func(fields string) CellRecord {
+		t.Helper()
+		resp := postSweep(t, ts, "/v1/sweeps", "{"+fields+"}")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit {%s}: HTTP %d", fields, resp.StatusCode)
+		}
+		cells, st := readStream(t, resp)
+		if st.State != StateDone || len(cells) != 1 {
+			t.Fatalf("submit {%s}: job ended %q with %d cells: %s", fields, st.State, len(cells), st.Error)
+		}
+		return cells[0]
+	}
+
+	first := run(sharded + cell)
+	local := run(cell)
+	if local.Source == sourceLedger {
+		t.Errorf("local request was served the sharded fabric cell from the ledger: %+v", local)
+	}
+	if fresh := run(`"no_cache":true,` + cell); local != fresh {
+		t.Errorf("local cell differs from a no_cache run:\n local    %+v\n no_cache %+v", local, fresh)
+	}
+	again := run(sharded + cell)
+	if again.Source != sourceLedger {
+		t.Errorf("repeat of the sharded request has source %q, want %q", again.Source, sourceLedger)
+	}
+	if again.Source = first.Source; again != first {
+		t.Errorf("ledger replay of the sharded cell differs:\n replay %+v\n first  %+v", again, first)
 	}
 }

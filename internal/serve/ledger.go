@@ -1,9 +1,9 @@
 package serve
 
 // The durable result ledger: a content-addressed store of finished sweep
-// cells keyed by their canonical spec (see cellKey / montecarlo.CellKey).
-// Results are deterministic by construction — equal keys mean bit-equal
-// cells at any pool width, shard plan, or fabric worker count — so the
+// cells keyed by their canonical spec and shard count (see cellKey /
+// montecarlo.CellKey). Results are deterministic by construction — equal
+// keys mean bit-equal cells at any pool width or fabric worker count — so the
 // ledger can answer a resubmitted cell without touching the engine, and a
 // file-backed ledger replays every finished cell across process restarts.
 //

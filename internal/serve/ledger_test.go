@@ -296,22 +296,22 @@ func TestLedgerLineFormat(t *testing.T) {
 		want string
 	}{
 		{"plain", cell(plain, 2000, 37, 1500, 60, decoder.DecoderStats{UFGrowthRounds: 900, UFEdgeScans: 4000, UFPeelNodes: 1200}, montecarlo.WeightedResult{}),
-			`{"key":"t|compact-interleaved|5|0x1.0624dd2f1a9fcp-08|c2|compact-interleaved|d=5|r=5|b=Z|n=2000|s=4039606|dec=uf|cgi=0|tf=0|rare=0|boost=0x0p+00|tre=0x0p+00|nopipe=0` +
+			`{"key":"t|compact-interleaved|5|0x1.0624dd2f1a9fcp-08|sh=1|c2|compact-interleaved|d=5|r=5|b=Z|n=2000|s=4039606|dec=uf|cgi=0|tf=0|rare=0|boost=0x0p+00|tre=0x0p+00|nopipe=0` +
 				`|hw=0x1.a36e2eb1c432dp-14,0x1.0624dd2f1a9fcp-10,0x1.ad7f29abcaf48p-23,0x1.ad7f29abcaf48p-25,0x1.ad7f29abcaf48p-23,0x1.421f5f40d8376p-23,0x1.421f5f40d8376p-22,0x1.ad7f29abcaf48p-23,0x1.0624dd2f1a9fcp-08,0x1.a36e2eb1c432dp-12,0x1.0624dd2f1a9fcp-08,0x1.0624dd2f1a9fcp-08,0x1.0624dd2f1a9fcp-08,0x1.0624dd2f1a9fcp-08,10"` +
 				`,"cell":{"index":0,"decoder":"uf","scheme":"compact-interleaved","distance":5,"phys_rate":0.004` +
 				`,"logical_rate":0.0185,"stderr":0.003013117156700018,"trials":2000,"failures":37,"skipped":1500,"dedup_hits":60,"decoder_stats":{"uf_growth_rounds":900,"uf_edge_scans":4000,"uf_peel_nodes":1200}}}`},
 		{"rare", cell(rare, 32768, 70, 20000, 900, decoder.DecoderStats{UFGrowthRounds: 5000}, weighted),
-			`{"key":"t|baseline|9|0x1.0624dd2f1a9fcp-10|c2|baseline|d=9|r=9|b=Z|n=32768|s=1075513|dec=uf|cgi=0|tf=0|rare=1|boost=0x1.8p+00|tre=0x0p+00|nopipe=0` +
+			`{"key":"t|baseline|9|0x1.0624dd2f1a9fcp-10|sh=1|c2|baseline|d=9|r=9|b=Z|n=32768|s=1075513|dec=uf|cgi=0|tf=0|rare=1|boost=0x1.8p+00|tre=0x0p+00|nopipe=0` +
 				`|hw=0x1.a36e2eb1c432dp-14,0x1.0624dd2f1a9fcp-10,0x1.ad7f29abcaf48p-23,0x1.ad7f29abcaf48p-25,0x1.ad7f29abcaf48p-23,0x1.421f5f40d8376p-23,0x1.421f5f40d8376p-22,0x1.ad7f29abcaf48p-23,0x1.0624dd2f1a9fcp-10,0x1.a36e2eb1c432dp-14,0x1.0624dd2f1a9fcp-10,0x1.0624dd2f1a9fcp-10,0x1.0624dd2f1a9fcp-10,0x1.0624dd2f1a9fcp-10,10"` +
 				`,"cell":{"index":0,"decoder":"uf","scheme":"baseline","distance":9,"phys_rate":0.001` +
 				`,"logical_rate":0.0002815043434088903,"stderr":0.000054321925628167854,"rel_err":0.19297011538207154,"ess":11496.927463537455,"trials":32768,"failures":70,"skipped":20000,"dedup_hits":900,"decoder_stats":{"uf_growth_rounds":5000}}}`},
 		{"rare no failures", cell(rare, 32768, 0, 20000, 900, decoder.DecoderStats{UFGrowthRounds: 5000}, noFail),
-			`{"key":"t|baseline|9|0x1.0624dd2f1a9fcp-10|c2|baseline|d=9|r=9|b=Z|n=32768|s=1075513|dec=uf|cgi=0|tf=0|rare=1|boost=0x1.8p+00|tre=0x0p+00|nopipe=0` +
+			`{"key":"t|baseline|9|0x1.0624dd2f1a9fcp-10|sh=1|c2|baseline|d=9|r=9|b=Z|n=32768|s=1075513|dec=uf|cgi=0|tf=0|rare=1|boost=0x1.8p+00|tre=0x0p+00|nopipe=0` +
 				`|hw=0x1.a36e2eb1c432dp-14,0x1.0624dd2f1a9fcp-10,0x1.ad7f29abcaf48p-23,0x1.ad7f29abcaf48p-25,0x1.ad7f29abcaf48p-23,0x1.421f5f40d8376p-23,0x1.421f5f40d8376p-22,0x1.ad7f29abcaf48p-23,0x1.0624dd2f1a9fcp-10,0x1.a36e2eb1c432dp-14,0x1.0624dd2f1a9fcp-10,0x1.0624dd2f1a9fcp-10,0x1.0624dd2f1a9fcp-10,0x1.0624dd2f1a9fcp-10,10"` +
 				`,"cell":{"index":0,"decoder":"uf","scheme":"baseline","distance":9,"phys_rate":0.001` +
 				`,"logical_rate":0,"stderr":0,"rel_err":-1,"ess":11496.927463537455,"trials":32768,"failures":0,"skipped":20000,"dedup_hits":900,"decoder_stats":{"uf_growth_rounds":5000}}}`},
 	} {
-		line, err := json.Marshal(ledgerEntry{Key: cellKey(tc.r.Job), Cell: canonicalRecord(cellRecord(tc.r))})
+		line, err := json.Marshal(ledgerEntry{Key: cellKey(tc.r.Job, 0), Cell: canonicalRecord(cellRecord(tc.r))})
 		if err != nil {
 			t.Fatal(err)
 		}

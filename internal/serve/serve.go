@@ -28,19 +28,19 @@
 //	                               returns 202 + JobStatus immediately
 //	GET    /v1/sweeps/{id}         JobStatus snapshot
 //	GET    /v1/sweeps/{id}/results replay finished cells and follow live
-//	DELETE /v1/sweeps/{id}         cancel (observed at the next cell boundary)
+//	DELETE /v1/sweeps/{id}         cancel (running cells stop at their next batch)
 //	GET    /v1/stats               engine cache, decode pipeline, ledger,
 //	                               and job registry counters
 //	GET    /metrics                Prometheus text exposition
 //	GET    /healthz                liveness
 //
 // A synchronous POST ties the job to the request: if the client
-// disconnects mid-stream, the job's context is cancelled and the pool
-// stops at the next cell boundary. Async jobs detach from their request
-// and are cancelled only by DELETE or server shutdown; observers on
-// /results can come and go freely. A request's shard_shots field turns on
-// intra-cell sharding (sched work stealing); cancellation aborts the
-// in-flight shards of a sharded cell, which never emits a partial record.
+// disconnects mid-stream, the job's context is cancelled, the pool starts
+// no more cells, and running cells abort at their next batch without
+// emitting a partial record. Async jobs detach from their request and are
+// cancelled only by DELETE or server shutdown; observers on /results can
+// come and go freely. A request's shard_shots field splits fabric-mode
+// cells into leased shard units; local mode rejects it.
 //
 // Backpressure is explicit: at most Config.MaxConcurrentJobs sweeps run at
 // once, at most Config.QueueDepth wait behind them, and submissions beyond
@@ -324,6 +324,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown mode %q (want %q or %q)", mode, "local", "fabric")
 		return
 	}
+	if mode == "local" && req.ShardShots > 0 {
+		s.met.submissions.Inc(typ, mode, "invalid")
+		writeError(w, http.StatusBadRequest, "shard_shots requires mode fabric")
+		return
+	}
 	width := req.Jobs
 	if width == 0 {
 		width = s.cfg.DefaultPoolWidth
@@ -420,7 +425,7 @@ func (s *Server) runCells(jb *job) error {
 	n := len(jb.cells)
 	keys := make([]string, n)
 	for i := range jb.cells {
-		keys[i] = cellKey(jb.cells[i])
+		keys[i] = cellKey(jb.cells[i], jb.shardShots)
 	}
 	resolved := make([]bool, n)
 
@@ -495,9 +500,10 @@ func (s *Server) runCells(jb *job) error {
 				emit(i, rec, sourceEngine)
 			}
 			if jb.mode == "fabric" {
-				// Fabric mode leases the same unit queue to the coordinator's
-				// workers; the merged cells stream back through the identical
-				// callback, bit-identical to the local path.
+				// Fabric mode leases the cells, split per shard_shots, to the
+				// coordinator's workers; the merged cells stream back through
+				// the identical callback. Unsharded, they are bit-identical to
+				// the local path.
 				var run *fabric.Run
 				run, runErr = s.cfg.Fabric.Submit(sub, fabric.RunOptions{
 					ShardShots: jb.shardShots,
@@ -508,14 +514,13 @@ func (s *Server) runCells(jb *job) error {
 				}
 			} else {
 				scheduler := sched.New(s.en, sched.Options{
-					Jobs:       jb.poolWidth,
-					ShardShots: jb.shardShots,
-					OnResult:   onResult,
+					Jobs:     jb.poolWidth,
+					OnResult: onResult,
 				})
-				// Cancellation granularity: sched observes jb.ctx at unit
-				// boundaries — a DELETE or an owning client's disconnect skips
-				// unstarted cells and aborts the in-flight shards of a sharded
-				// cell, which is then dropped without a partial CellRecord.
+				// Cancellation granularity: a DELETE or an owning client's
+				// disconnect skips unstarted cells and aborts in-flight ones at
+				// their next batch, which are dropped without a partial
+				// CellRecord.
 				_, runErr = scheduler.RunContext(jb.ctx, sub)
 			}
 			// Cells this job led but never finished (cancel, failure) must

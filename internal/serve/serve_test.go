@@ -365,20 +365,19 @@ func TestAsyncSubmitResultsReplayAndCancel(t *testing.T) {
 	waitForState(t, ts, st.ID, StateCancelled)
 }
 
-// hugeShardedBody expands to two cells (d=3 and d=5) whose trial budgets
-// are each far more work than any test allows time for; shard_shots
-// splits both so cancellation mid-cell exercises the in-flight shard
-// abort path, and no cell can complete before the cancel lands (which is
+// hugeBody expands to two cells (d=3 and d=5) whose trial budgets are each
+// far more work than any test allows time for, so cancellation lands
+// mid-cell, and no cell can complete before the cancel lands (which is
 // what makes the Completed == 0 assertions safe).
-const hugeShardedBody = `{"scheme":"baseline","distances":[3,5],"rates":[0.008],"trials":5000000,"shard_shots":1024,"jobs":2,"seed":3}`
+const hugeBody = `{"scheme":"baseline","distances":[3,5],"rates":[0.008],"trials":5000000,"jobs":2,"seed":3}`
 
-// DELETE on a job whose sharded cell is in flight aborts the remaining
-// shards: the job settles on cancelled well before the cells' full trial
-// budget could run, and the skipped cells emit no partial CellRecords.
+// DELETE on a job whose cells are in flight aborts them at their next
+// batch: the job settles on cancelled well before the cells' full trial
+// budget could run, and the aborted cells emit no partial CellRecords.
 func TestDeleteAbortsInFlightShardedCell(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	resp := postSweep(t, ts, "/v1/sweeps?async=1", hugeShardedBody)
+	resp := postSweep(t, ts, "/v1/sweeps?async=1", hugeBody)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("async submit: HTTP %d", resp.StatusCode)
 	}
@@ -388,7 +387,7 @@ func TestDeleteAbortsInFlightShardedCell(t *testing.T) {
 	}
 	resp.Body.Close()
 	waitForState(t, ts, st.ID, StateRunning)
-	time.Sleep(50 * time.Millisecond) // let shards get in flight
+	time.Sleep(50 * time.Millisecond) // let the cells get in flight
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sweeps/"+st.ID, nil)
 	dresp, err := http.DefaultClient.Do(req)
@@ -399,7 +398,7 @@ func TestDeleteAbortsInFlightShardedCell(t *testing.T) {
 
 	final := waitForState(t, ts, st.ID, StateCancelled)
 	if final.Completed != 0 {
-		t.Errorf("cancelled sharded job streamed %d cell records, want 0 (no partial merges)", final.Completed)
+		t.Errorf("cancelled job streamed %d cell records, want 0 (no partial cells)", final.Completed)
 	}
 
 	// Replay must end with the cancelled status and no cell lines.
@@ -414,22 +413,22 @@ func TestDeleteAbortsInFlightShardedCell(t *testing.T) {
 }
 
 // A synchronous submitter's disconnect does the same through the request
-// context: in-flight shards abort and the job records no partial cells.
+// context: in-flight cells abort and the job records no partial cells.
 func TestClientDisconnectAbortsInFlightShardedCell(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	resp := postSweep(t, ts, "/v1/sweeps", hugeShardedBody)
+	resp := postSweep(t, ts, "/v1/sweeps", hugeBody)
 	id := resp.Header.Get("X-Sweep-Job")
 	if id == "" {
 		t.Fatal("no X-Sweep-Job header on streaming response")
 	}
 	waitForState(t, ts, id, StateRunning)
-	time.Sleep(50 * time.Millisecond) // let shards get in flight
+	time.Sleep(50 * time.Millisecond) // let the cells get in flight
 	resp.Body.Close()                 // disconnect mid-stream
 
 	final := waitForState(t, ts, id, StateCancelled)
 	if final.Completed != 0 {
-		t.Errorf("disconnected sharded job streamed %d cell records, want 0 (no partial merges)", final.Completed)
+		t.Errorf("disconnected job streamed %d cell records, want 0 (no partial cells)", final.Completed)
 	}
 }
 
@@ -535,6 +534,7 @@ func TestMalformedRequests(t *testing.T) {
 		{"negative target", `{"target_failures":-1}`},
 		{"even distance", `{"distances":[4]}`},
 		{"negative shard_shots", `{"shard_shots":-1}`},
+		{"shard_shots in local mode", `{"shard_shots":1024}`},
 		{"rate out of range", `{"rates":[1.5]}`},
 		{"sensitivity without panel", `{"type":"sensitivity"}`},
 		{"unknown panel", `{"type":"sensitivity","panel":"gate-fidelity"}`},

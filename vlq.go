@@ -265,20 +265,12 @@ type (
 	// a MonteCarloEngine, streaming per-cell results as they finish while
 	// keeping results deterministic regardless of pool width.
 	SweepScheduler = sched.Scheduler
-	// SweepSchedulerOptions tunes the pool width, queue order, shard
-	// stealing threshold, and result streaming.
+	// SweepSchedulerOptions tunes the pool width, queue order, and result
+	// streaming.
 	SweepSchedulerOptions = sched.Options
 	// SweepQueueOrder selects the job-queue order (cost-descending by
 	// default, FIFO as the benchmark baseline).
 	SweepQueueOrder = sched.QueueOrder
-	// ShardPlan is the fixed decomposition of one point's trials into
-	// stealable shard units.
-	ShardPlan = montecarlo.ShardPlan
-	// ShardResult is one shard's mergeable tally.
-	ShardResult = montecarlo.ShardResult
-	// ShardBudget coordinates early stop and abort across one point's
-	// shards.
-	ShardBudget = montecarlo.ShardBudget
 	// SweepJob is one schedulable sweep cell (a Monte-Carlo config plus an
 	// opaque tag).
 	SweepJob = sched.Job
@@ -299,10 +291,6 @@ const (
 	SweepOrderFIFO = sched.OrderFIFO
 )
 
-// MinShardShots is the shot floor below which sweep-cell sharding never
-// engages (see montecarlo.MinShardShots).
-const MinShardShots = montecarlo.MinShardShots
-
 // NewSweepScheduler returns a scheduler over the engine (a fresh engine if
 // nil).
 func NewSweepScheduler(en *MonteCarloEngine, opts SweepSchedulerOptions) *SweepScheduler {
@@ -312,16 +300,6 @@ func NewSweepScheduler(en *MonteCarloEngine, opts SweepSchedulerOptions) *SweepS
 // SweepCellCost estimates a cell's relative decode cost (detectors x
 // rounds x trials) — the scheduler's longest-first ordering key.
 func SweepCellCost(cfg MonteCarloConfig) float64 { return sched.CellCost(cfg) }
-
-// PlanShards returns the fixed shard plan for a trial budget under a shard
-// size (0 disables; positive values are floored at MinShardShots).
-func PlanShards(trials, shardShots int) ShardPlan { return montecarlo.PlanShards(trials, shardShots) }
-
-// MergeShards folds the shards of one point into a single Result,
-// deterministically in its inputs.
-func MergeShards(cfg MonteCarloConfig, parts []ShardResult) (MonteCarloResult, error) {
-	return montecarlo.MergeShards(cfg, parts)
-}
 
 // ThresholdSweepJobs builds a Fig. 11 grid as scheduler jobs.
 func ThresholdSweepJobs(scheme Scheme, distances []int, physRates []float64, base HardwareParams, trials int, seed int64, dec DecoderKind, opts SweepOptions) []SweepJob {
@@ -428,9 +406,13 @@ var SensitivityPanels = montecarlo.Panels
 // RunMonteCarlo measures one logical error rate.
 func RunMonteCarlo(cfg MonteCarloConfig) (MonteCarloResult, error) { return montecarlo.Run(cfg) }
 
+// sweeps runs ThresholdSweep and SensitivitySweep. Its cells run as
+// Engine.RunOn does, so the points do not depend on GOMAXPROCS.
+var sweeps = sched.New(nil, sched.Options{})
+
 // ThresholdSweep runs a Fig. 11 grid for one scheme.
 func ThresholdSweep(scheme Scheme, distances []int, physRates []float64, base HardwareParams, trials int, seed int64, dec DecoderKind) ([]SweepPoint, error) {
-	return montecarlo.ThresholdSweep(scheme, distances, physRates, base, trials, seed, dec)
+	return sweeps.ThresholdSweep(scheme, distances, physRates, base, trials, seed, dec, SweepOptions{})
 }
 
 // EstimateThreshold interpolates the crossing point of a sweep.
@@ -441,7 +423,7 @@ func DefaultPhysRates(n int) []float64 { return montecarlo.DefaultPhysRates(n) }
 
 // SensitivitySweep runs one Fig. 12 panel on Compact-Interleaved.
 func SensitivitySweep(panel SensitivityPanel, values []float64, distances []int, trials int, seed int64, dec DecoderKind) ([]SensitivityPoint, error) {
-	return montecarlo.SensitivitySweep(panel, values, distances, trials, seed, dec)
+	return sweeps.SensitivitySweep(panel, values, distances, trials, seed, dec, SweepOptions{})
 }
 
 // OperatingPoint returns the §VI baseline parameters (all gate errors 2e-3).

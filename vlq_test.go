@@ -1,6 +1,7 @@
 package vlq
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -92,5 +93,27 @@ func TestPublicMachineAndMagic(t *testing.T) {
 	}
 	if !rep.AllOK {
 		t.Error("transversal CNOT tomography failed through facade")
+	}
+}
+
+// The public sweeps run every cell as one RunOn stream, so their points
+// depend on the seed alone, not on how many CPUs the process may use.
+func TestThresholdSweepIndependentOfGOMAXPROCS(t *testing.T) {
+	run := func(procs int) []SweepPoint {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		pts, err := ThresholdSweep(Baseline, []int{3}, []float64{8e-3}, DefaultHardware(), 4096, 7, DecodeUnionFind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+	one, two := run(1), run(2)
+	if len(one) != len(two) {
+		t.Fatalf("%d points at GOMAXPROCS=1, %d at 2", len(one), len(two))
+	}
+	for i := range one {
+		if one[i].Result != two[i].Result {
+			t.Errorf("point %d: GOMAXPROCS=1 gave\n %+v\nGOMAXPROCS=2 gave\n %+v", i, one[i].Result, two[i].Result)
+		}
 	}
 }
