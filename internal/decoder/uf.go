@@ -3,6 +3,7 @@ package decoder
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/dem"
@@ -42,37 +43,67 @@ type UnionFind struct {
 	next      []int32 // the next round's active list, built at round end
 	touched   []int32 // roots a union produced this round (may repeat)
 	queue     []int32
+	satBuf    []int32 // one node's saturated edges during peel
 	satBound  []int32 // saturated boundary edges of this decode
 	events    []int   // current shot, ascending
 	sorted    []int   // reusable buffer for unsorted caller input
 	// Per-root growable-edge cache: seg[r] is root r's growable edge ids as
 	// of r's last slack scan, minAt[r] the growth clock at which the
 	// smallest per-unit slack found then reaches zero, argmin[r] the edge
-	// holding it, and scanEpoch/staleR its validity. A clean root (scanned
-	// this decode, not invalidated since) need not rescan: every growable
-	// edge's per-unit slack has fallen by exactly the summed growth since
-	// the scan, so the cached minimum just shifts with the clock — the skip
-	// that replaces the per-round growEdges rebuild. A merge changes a
+	// holding it, and scanEpoch its validity (0 once stale). A clean root
+	// (scanned this decode, not invalidated since) need not rescan: every
+	// growable edge's per-unit slack has fallen by exactly the summed growth
+	// since the scan, so the cached minimum just shifts with the clock — the
+	// skip that replaces the per-round growEdges rebuild. A merge changes a
 	// neighbor's slack only through a shared edge whose far side changed
-	// growth status, so validity tracks status changes (see union). The
-	// ids are enough, though a clean root's far ends may have merged since
-	// its scan: the edge records' ra/rb name a root each end's cluster had
-	// when the edge was last resolved, and by the time a walk reads them
-	// they are live wherever it matters (see endRound) — storing bare int32
-	// ids keeps the per-scan write traffic to four bytes per edge instead
-	// of a padded record.
+	// growth status, so validity tracks status changes (see union). The ids
+	// are enough, though a clean root's far ends may have merged since its
+	// scan: the edge records' ra/rb name a root each end's cluster had when
+	// the edge was last resolved, and by the time a walk reads them they are
+	// live wherever it matters (see endRound).
+	//
+	// seg[r] is a view of the candidate list the scan compacted in place, so
+	// a scan writes each kept id once. Later appends to a root's list land
+	// past the view, and a list that union hands to a dead root is not
+	// written again this decode, so the view holds until r rescans.
 	seg      [][]int32
 	cumDelta int64 // summed minDelta growth this decode
+	// slot[ei] is edge ei's position in its endpoints' adjacency lists,
+	// capped at satWide: saturation sets that bit of each endpoint's
+	// satMask, so peel expands only a node's saturated slots, in adjacency
+	// order. The boundary side's slot is unused (peel reaches the
+	// boundary's edges through satBound).
+	slot []ufSlot
+	// act[v] is the last activeGen in which root v was collected into the
+	// active list. It sits apart from ufNode so the walks' and scans' "is
+	// the far side growing" check reads a small dense array, not the far
+	// node's record.
+	act []uint32
+	// deadAt[v] is the epoch of the last decode in which root v merged into
+	// another cluster: the dense form of "parent != v" for cached-root
+	// liveness checks.
+	deadAt []uint32
 
 	stats DecoderStats
 }
 
-// ufNode packs every per-node field the growth loops and find touch into
-// one 72-byte record, laid out hot-first: the fields a neighbor scan reads
-// about the edge's other side (appliedCum, parent, ordAt, appliedEpoch,
-// activeAt, parity, boundary) sit in the first 26 bytes, so the "what is
-// the other cluster doing" lookup — formerly five parallel-array misses —
-// is one cache line.
+// ufSlot is an edge's adjacency slot at each endpoint (see UnionFind.slot).
+type ufSlot struct{ u, v uint8 }
+
+// satWide is the last satMask bit. It stands for every adjacency slot from
+// satWide on, so a node of any degree peels exactly: slots below it expand
+// by bit, and a set satWide bit makes peel check the remaining slots' edges
+// one by one. Decoding graphs from circuit noise stay below it (degree 12
+// at d=11).
+const satWide = 15
+
+// ufNode packs the per-node fields the growth loops and find touch into
+// one 72-byte record, laid out hot-first: the fields a walk or scan reads
+// about an active far side (appliedCum, ordAt) and find's parent/epoch pair
+// sit in the first 32 bytes. The checks made on every far side — is it
+// growing, has it merged away — read the dense stamp arrays act and
+// deadAt instead, so a far node outside every cluster costs no record
+// load at all.
 //
 // Deferred growth application: a round's grow pass walks only the
 // clusters that can saturate an edge this round (effective slack ==
@@ -95,23 +126,23 @@ type UnionFind struct {
 // minimum (see UnionFind.seg and argminRose).
 //
 // epoch/scanEpoch/appliedEpoch are the low 32 bits of the decoder epoch
-// (bumpEpoch clears them on wrap); activeAt/forcedAt/walkedAt compare
-// against activeGen, which Decode rewinds long before it can wrap.
+// (bumpEpoch clears them on wrap); forcedAt/walkedAt compare against
+// activeGen, which Decode rewinds long before it can wrap. satMask holds
+// the node's saturated adjacency slots for peel (see UnionFind.slot).
 type ufNode struct {
 	appliedCum   int64
 	parent       int32
 	ordAt        int32
 	appliedEpoch uint32
-	activeAt     uint32 // last activeGen this root was collected in
-	parity       bool   // defect parity per root
-	boundary     bool   // root touches the virtual boundary
-	staleR       bool
+	parity       bool // defect parity per root
+	boundary     bool // root touches the virtual boundary
 	defect       bool
 	seeded       bool // node's adjacency already added to its cluster
 	visited      bool
 	rank         int8
+	satMask      uint16
 	epoch        uint32 // lazy-reset stamp for the whole record
-	scanEpoch    uint32
+	scanEpoch    uint32 // epoch of the last slack scan; 0 marks the cache stale
 	forcedAt     uint32
 	walkedAt     uint32
 	minAt        int64
@@ -156,8 +187,11 @@ func NewUnionFind(g *dem.Graph) *UnionFind {
 	n := g.NumNodes
 	u := &UnionFind{g: g, n: n}
 	u.ue = make([]ufEdge, len(g.Edges))
-	u.loadEdges(g)
+	u.slot = make([]ufSlot, len(g.Edges))
+	u.load(g)
 	u.un = make([]ufNode, n+1)
+	u.act = make([]uint32, n+1)
+	u.deadAt = make([]uint32, n+1)
 	u.edgeList = make([][]int32, n+1)
 	u.seg = make([][]int32, n+1)
 	u.bfsEdge = make([]int32, n+1)
@@ -165,8 +199,10 @@ func NewUnionFind(g *dem.Graph) *UnionFind {
 	return u
 }
 
-// loadEdges recomputes the integer capacities and flat endpoints from g.
-func (u *UnionFind) loadEdges(g *dem.Graph) {
+// load rebuilds every table the decoder hoists from g: the integer
+// capacities, the flat endpoints and the adjacency slots. NewUnionFind and
+// Rebind both come through here, so a rebind cannot keep a stale table.
+func (u *UnionFind) load(g *dem.Graph) {
 	minW := math.Inf(1)
 	for i := range g.Edges {
 		if w := g.Edges[i].W; w > 0 && w < minW {
@@ -189,6 +225,16 @@ func (u *UnionFind) loadEdges(g *dem.Graph) {
 		}
 		u.ue[i].v = v
 	}
+	for v, adj := range g.Adj {
+		for k, ei := range adj {
+			sl := uint8(min(k, satWide))
+			if g.Edges[ei].U == int32(v) {
+				u.slot[ei].u = sl
+			} else {
+				u.slot[ei].v = sl
+			}
+		}
+	}
 }
 
 // bumpEpoch starts a new decode (or rebind) generation. Edge stamps hold
@@ -207,16 +253,17 @@ func (u *UnionFind) bumpEpoch() {
 			u.un[i].scanEpoch = 0
 			u.un[i].appliedEpoch = 0
 		}
+		clear(u.deadAt)
 		u.epoch++
 	}
 	u.ep32 = uint32(u.epoch)
-	// activeGen stamps (activeAt/forcedAt/walkedAt) are compared within a
+	// activeGen stamps (act, forcedAt, walkedAt) are compared within a
 	// decode only; rewind the generation counter between decodes long
 	// before it can wrap. A single decode advances it by at most a few per
 	// round, bounded by the convergence guard — nowhere near 2^30.
 	if u.activeGen >= 1<<30 {
+		clear(u.act)
 		for i := range u.un {
-			u.un[i].activeAt = 0
 			u.un[i].forcedAt = 0
 			u.un[i].walkedAt = 0
 		}
@@ -235,7 +282,7 @@ func (u *UnionFind) Rebind(g *dem.Graph) bool {
 		return false
 	}
 	u.g = g
-	u.loadEdges(g)
+	u.load(g)
 	// Invalidate the cross-decode edge-root cache: the stamps reference the
 	// previous graph's decodes, and epoch monotonicity is all that guards
 	// them.
@@ -257,18 +304,25 @@ func (u *UnionFind) DecodeBatch(b *Batch, out []bool) error {
 
 // ensureNode lazily resets node v to its default state for this decode.
 func (u *UnionFind) ensureNode(v int32) {
-	if u.un[v].epoch == u.ep32 {
-		return
+	if u.un[v].epoch != u.ep32 {
+		u.resetNode(v)
 	}
-	u.un[v].epoch = u.ep32
-	u.un[v].parent = v
-	u.un[v].rank = 0
-	u.un[v].parity = false
-	u.un[v].boundary = v == int32(u.n)
-	u.un[v].defect = false
-	u.un[v].seeded = v == int32(u.n) // the virtual boundary has no adjacency
-	u.edgeList[v] = u.edgeList[v][:0]
-	u.un[v].visited = false
+}
+
+// resetNode puts node v in its default state for this decode: its own
+// singleton root, no defect, no saturated adjacency. Its candidate list is
+// reset where it is first filled (seedAdjacency), not here.
+func (u *UnionFind) resetNode(v int32) {
+	nd := &u.un[v]
+	nd.epoch = u.ep32
+	nd.parent = v
+	nd.rank = 0
+	nd.parity = false
+	nd.boundary = v == int32(u.n)
+	nd.defect = false
+	nd.seeded = v == int32(u.n) // the virtual boundary has no adjacency
+	nd.visited = false
+	nd.satMask = 0
 }
 
 // ensureEdge lazily resets edge ei's growth state for this decode.
@@ -281,8 +335,29 @@ func (u *UnionFind) ensureEdge(ei int32) {
 	e.grown = 0
 }
 
+// find returns v's cluster root. The common case — v is a root already
+// live this decode — inlines; a first touch (reset) or path halving runs
+// out of line.
 func (u *UnionFind) find(v int32) int32 {
-	u.ensureNode(v)
+	if nd := &u.un[v]; nd.parent != v || nd.epoch != u.ep32 {
+		v = findSlow(u, v)
+	}
+	return v
+}
+
+// dead reports whether node v merged into another cluster this decode, so
+// a cached root v no longer is one. A node this decode has not touched is
+// its own root, whatever its stale record says.
+func (u *UnionFind) dead(v int32) bool {
+	return u.deadAt[v] == u.ep32
+}
+
+//go:noinline
+func findSlow(u *UnionFind, v int32) int32 {
+	if u.un[v].epoch != u.ep32 {
+		u.resetNode(v)
+		return v
+	}
 	for u.un[v].parent != v {
 		u.un[v].parent = u.un[u.un[v].parent].parent
 		v = u.un[v].parent
@@ -290,19 +365,18 @@ func (u *UnionFind) find(v int32) int32 {
 	return v
 }
 
-// endpoints returns the decoding-graph endpoints of edge ei with the
-// boundary mapped to virtual node n.
-func (u *UnionFind) endpoints(ei int32) (int32, int32) {
-	return u.ue[ei].u, u.ue[ei].v
-}
-
-// seedAdjacency adds node v's incident edges to root r's candidate list,
-// resetting each edge's growth state on first sight this decode.
-func (u *UnionFind) seedAdjacency(r, v int32) {
+// seedAdjacency makes node v's incident edges its candidate list, resetting
+// each edge's growth state on first sight this decode. Only a singleton root
+// is ever seeded (a node is seeded before it first merges), so its list —
+// stale from an earlier decode until now — is replaced, not extended.
+func (u *UnionFind) seedAdjacency(v int32) {
+	list := u.edgeList[v][:0]
 	for _, ei := range u.g.Adj[v] {
 		u.ensureEdge(ei)
-		u.edgeList[r] = append(u.edgeList[r], ei)
+		list = append(list, ei)
 	}
+	u.edgeList[v] = list
+	u.un[v].seeded = true
 }
 
 // Decode implements Decoder. The events are a set: they are processed in
@@ -326,17 +400,7 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 	u.events = events
 	u.satBound = u.satBound[:0]
 	u.ensureNode(int32(n))
-	for _, d := range events {
-		u.ensureNode(int32(d))
-		u.un[d].defect = true
-		u.un[d].parity = true
-	}
-	// Seed candidate edge lists from defect clusters.
-	for _, d := range events {
-		u.seedAdjacency(int32(d), int32(d))
-		u.un[d].seeded = true
-	}
-
+	u.edgeList[n] = u.edgeList[n][:0] // the boundary is never seeded but can root a union
 	// Round one's active list is every event, each its own cluster; later
 	// rounds' lists are built incrementally by endRound.
 	u.cumDelta = 0
@@ -344,11 +408,21 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 	u.activeGen++
 	u.next = u.next[:0]
 	for _, d := range events {
+		u.ensureNode(int32(d))
+		u.un[d].defect = true
+		u.un[d].parity = true
 		u.enterActive(int32(d))
 	}
 	u.active, u.next = u.next, u.active
+	// Seed each event's candidate edges and scan them for round one: the
+	// round's scan phase then finds every event clean.
+	var scans int64
+	for _, d := range events {
+		u.firstScan(int32(d))
+		scans += int64(len(u.g.Adj[d]))
+	}
 
-	var rounds, scans int64
+	var rounds int64
 	for iter := 0; ; iter++ {
 		if iter > 4*len(u.g.Edges)+16 {
 			return false, fmt.Errorf("union-find: growth failed to converge")
@@ -367,7 +441,7 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 		var minDelta int64 = math.MaxInt64
 		for _, r := range u.active {
 			nd := &u.un[r]
-			if nd.scanEpoch == u.ep32 && !nd.staleR && !u.argminRose(r, nd) {
+			if nd.scanEpoch == u.ep32 && !u.argminRose(r, nd) {
 				eff := nd.minAt
 				if eff != math.MaxInt64 {
 					eff -= u.cumDelta
@@ -395,7 +469,6 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 			}
 			scans += int64(len(u.edgeList[r]))
 			kept := u.edgeList[r][:0]
-			seg := u.seg[r][:0]
 			// Track the ends=1 and ends=2 minima separately so the ceiling
 			// division happens once per scan, not once per edge.
 			var min1, min2 int64 = math.MaxInt64, math.MaxInt64
@@ -407,28 +480,31 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 					continue // saturated
 				}
 				ra, rb := e.ra, e.rb
-				if e.rootEpoch != u.ep32 || u.un[ra].parent != ra || u.un[rb].parent != rb {
+				if e.rootEpoch != u.ep32 {
 					ra, rb = u.find(e.u), u.find(e.v)
 					e.ra, e.rb, e.rootEpoch = ra, rb, u.ep32
+				} else if u.dead(ra) || u.dead(rb) {
+					// A cached root of this decode still lies in its
+					// endpoint's cluster, nearer the root.
+					ra, rb = u.find(ra), u.find(rb)
+					e.ra, e.rb = ra, rb
 				}
 				if ra == rb {
 					continue // internal edge
 				}
 				kept = append(kept, ei)
-				seg = append(seg, ei)
 				other := rb
 				if ra != r {
 					other = ra
 				}
 				remain := c - e.grown
-				// The other side's contribution may still be deferred;
+				// In the scan phase the live roots that grow are exactly
+				// the active ones (endRound collects every one of them).
+				// A growing side's contribution may still be deferred;
 				// credit it from the growth clock so remain reflects the
 				// fully-applied value.
-				o := &u.un[other]
-				if o.activeAt == u.activeGen && o.appliedEpoch == u.ep32 {
-					remain -= u.cumDelta - o.appliedCum
-				}
-				if o.parity && !o.boundary {
+				if u.act[other] == u.activeGen {
+					remain -= u.cumDelta - u.un[other].appliedCum
 					if remain < min2 {
 						min2, arg2 = remain, ei // both sides grow
 					}
@@ -437,26 +513,8 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 				}
 			}
 			u.edgeList[r] = kept
-			u.seg[r] = seg
-			// argmin is kept only when a both-grow edge holds the minimum:
-			// only then can a far side stopping raise it (see argminRose).
-			mu, arg := min1, int32(-1)
-			if min2 != math.MaxInt64 {
-				if h := (min2 + 1) / 2; h < mu {
-					mu, arg = h, arg2
-				}
-			}
-			nd.minAt = mu
-			if mu != math.MaxInt64 {
-				nd.minAt += u.cumDelta
-			}
-			nd.argmin = arg
-			nd.appliedCum = u.cumDelta
-			nd.appliedEpoch = u.ep32
-			nd.scanEpoch = u.ep32
-			nd.staleR = false
-			nd.effR = mu
-			if mu < minDelta {
+			u.seg[r] = kept
+			if mu := u.settleScan(nd, min1, min2, arg2); mu < minDelta {
 				minDelta = mu
 			}
 		}
@@ -483,17 +541,31 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 			nd.walkedAt = u.activeGen
 			add := u.cumDelta + minDelta - nd.appliedCum
 			nd.appliedCum = u.cumDelta + minDelta
+			// Every segment edge's cached roots are r and the far side's
+			// root as of r's scan; self is r's cluster root now.
+			self := r
+			if merged {
+				self = u.find(r)
+			}
 			for _, ei := range u.seg[r] {
 				e := &u.ue[ei]
 				if e.grown == e.cap {
 					continue // saturated
 				}
 				ra, rb := e.ra, e.rb
-				if merged && (u.un[ra].parent != ra || u.un[rb].parent != rb) {
+				other := rb
+				if ra != r {
+					other = ra
+				}
+				if merged {
 					// Only a segment whose cached root died can have become
 					// internal; two live distinct roots still are the
 					// endpoints' roots.
-					if u.find(e.u) == u.find(e.v) {
+					far := other
+					if u.dead(far) {
+						far = u.find(far)
+					}
+					if far == self {
 						continue
 					}
 				}
@@ -504,14 +576,9 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 				// edge from that side by now either way; if it walked, the
 				// negative deficit cancels the credit).
 				var miss int64
-				other := rb
-				if ra != r {
-					other = ra
-				}
-				if o := &u.un[other]; o.activeAt == u.activeGen {
-					if o.appliedEpoch == u.ep32 {
-						miss = u.cumDelta - o.appliedCum
-					}
+				if u.act[other] == u.activeGen {
+					o := &u.un[other]
+					miss = u.cumDelta - o.appliedCum
 					if o.ordAt < myOrd {
 						miss += minDelta
 					}
@@ -522,7 +589,9 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 						u.satBound = append(u.satBound, ei)
 					}
 					u.union(ra, rb)
+					u.markSat(ei)
 					merged = true
+					self = u.find(r)
 				} else {
 					e.grown = g
 				}
@@ -551,6 +620,70 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 	return u.peel()
 }
 
+// settleScan caches a finished slack scan's minimum per-unit slack in root
+// nd — min1 over edges whose far side does not grow, min2 over those whose
+// far side does (held by arg2) — and returns it. argmin is kept only when a
+// both-grow edge holds the minimum: only then can a far side stopping raise
+// it (see argminRose).
+func (u *UnionFind) settleScan(nd *ufNode, min1, min2 int64, arg2 int32) int64 {
+	mu, arg := min1, int32(-1)
+	if min2 != math.MaxInt64 {
+		if h := (min2 + 1) / 2; h < mu {
+			mu, arg = h, arg2
+		}
+	}
+	nd.minAt = mu
+	if mu != math.MaxInt64 {
+		nd.minAt += u.cumDelta
+	}
+	nd.argmin = arg
+	nd.appliedCum = u.cumDelta
+	nd.appliedEpoch = u.ep32
+	nd.scanEpoch = u.ep32
+	nd.effR = mu
+	return mu
+}
+
+// firstScan seeds event d's adjacency as its candidate list and does its
+// round-one slack scan in the same pass. Before any growth every node is
+// its own root and every seeded edge is empty, so the scan needs neither
+// find nor a far node's record: an edge's far side grows exactly when it
+// is another event, which act already marks active, and the cached roots
+// are the endpoints themselves. A far node that no growth reaches is never
+// reset this decode, and nothing reads its stale record as state: growth
+// status comes from act, liveness from deadAt, and find, union and peel
+// reach a node only after resetting it.
+func (u *UnionFind) firstScan(d int32) {
+	list := u.edgeList[d][:0]
+	var min1, min2 int64 = math.MaxInt64, math.MaxInt64
+	var arg2 int32 = -1
+	for _, ei := range u.g.Adj[d] {
+		e := &u.ue[ei]
+		e.epoch, e.grown = u.ep32, 0
+		e.ra, e.rb, e.rootEpoch = e.u, e.v, u.ep32
+		far := e.u
+		if far == d {
+			far = e.v
+		}
+		if far == d {
+			continue // a self-loop is internal
+		}
+		list = append(list, ei)
+		if u.act[far] == u.activeGen {
+			if e.cap < min2 {
+				min2, arg2 = e.cap, ei // both sides grow
+			}
+		} else if e.cap < min1 {
+			min1 = e.cap
+		}
+	}
+	u.edgeList[d] = list
+	u.seg[d] = list
+	nd := &u.un[d]
+	nd.seeded = true
+	u.settleScan(nd, min1, min2, arg2)
+}
+
 // union merges the clusters of a and b, the saturated edge's cached
 // round-start roots. It marks both for a forced walk so their segments'
 // deferred growth (plus this round's share) is applied before the round
@@ -560,14 +693,13 @@ func (u *UnionFind) union(a, b int32) {
 	u.un[a].forcedAt = u.activeGen
 	u.un[b].forcedAt = u.activeGen
 	// A node joining a growing cluster contributes its own adjacency to the
-	// cluster's candidate growth edges exactly once.
+	// cluster's candidate growth edges exactly once. An unseeded node never
+	// merged, so it is its own root.
 	for _, v := range [2]int32{a, b} {
 		u.ensureNode(v)
 		if !u.un[v].seeded {
-			u.un[v].seeded = true
-			r := u.find(v)
-			u.seedAdjacency(r, v)
-			u.un[r].staleR = true // new growth candidates invalidate the cached minimum
+			u.seedAdjacency(v)
+			u.un[v].scanEpoch = 0 // new growth candidates invalidate the cached minimum
 		}
 	}
 	ra, rb := u.find(a), u.find(b)
@@ -600,10 +732,11 @@ func (u *UnionFind) union(a, b int32) {
 		A.rank++
 	}
 	B.parent = ra
+	u.deadAt[rb] = u.ep32
 	A.parity = A.parity != B.parity
 	A.boundary = A.boundary || B.boundary
 	// The merged cluster's membership and candidates changed.
-	A.staleR = true
+	A.scanEpoch = 0
 	if len(u.edgeList[rb]) > len(u.edgeList[ra]) {
 		u.edgeList[ra], u.edgeList[rb] = u.edgeList[rb], u.edgeList[ra]
 	}
@@ -612,6 +745,17 @@ func (u *UnionFind) union(a, b int32) {
 	// list is dead until its next epoch reset.
 	u.edgeList[rb] = u.edgeList[rb][:0]
 	u.touched = append(u.touched, ra)
+}
+
+// markSat records saturated edge ei in its endpoints' satMask. Union has
+// just ensured the edge's cached roots, and an endpoint that is not its
+// cached root went through find this decode, so both records are live.
+func (u *UnionFind) markSat(ei int32) {
+	e, sl := &u.ue[ei], u.slot[ei]
+	u.un[e.u].satMask |= 1 << sl.u
+	if e.v != int32(u.n) {
+		u.un[e.v].satMask |= 1 << sl.v
+	}
 }
 
 // invalidate stale-marks every neighbor of root r, which is about to
@@ -623,8 +767,8 @@ func (u *UnionFind) union(a, b int32) {
 func (u *UnionFind) invalidate(r int32) {
 	for _, ei := range u.edgeList[r] {
 		if e := &u.ue[ei]; e.rootEpoch == u.ep32 {
-			u.un[e.ra].staleR = true
-			u.un[e.rb].staleR = true
+			u.un[e.ra].scanEpoch = 0
+			u.un[e.rb].scanEpoch = 0
 		}
 	}
 }
@@ -646,15 +790,15 @@ func (u *UnionFind) argminRose(r int32, nd *ufNode) bool {
 	}
 	e := &u.ue[nd.argmin]
 	ra, rb := e.ra, e.rb
-	if u.un[ra].parent != ra || u.un[rb].parent != rb {
-		ra, rb = u.find(e.u), u.find(e.v)
+	if u.dead(ra) || u.dead(rb) {
+		ra, rb = u.find(ra), u.find(rb)
 		e.ra, e.rb = ra, rb
 	}
-	far := &u.un[rb]
+	far := rb
 	if ra != r {
-		far = &u.un[ra]
+		far = ra
 	}
-	return !far.parity || far.boundary
+	return u.act[far] != u.activeGen // growing live roots are the active ones
 }
 
 // eventKey is r's active-order sort key: its cluster's smallest event id,
@@ -673,15 +817,15 @@ func (u *UnionFind) eventKey(r int32) int32 {
 // clock if it was not growing last round (an idle gap must not read as
 // pending growth).
 func (u *UnionFind) enterActive(r int32) {
-	nd := &u.un[r]
-	if nd.activeAt == u.activeGen {
+	if u.act[r] == u.activeGen {
 		return
 	}
-	if nd.activeAt != u.activeGen-1 || nd.appliedEpoch != u.ep32 {
+	nd := &u.un[r]
+	if u.act[r] != u.activeGen-1 || nd.appliedEpoch != u.ep32 {
 		nd.appliedCum = u.cumDelta
 		nd.appliedEpoch = u.ep32
 	}
-	nd.activeAt = u.activeGen
+	u.act[r] = u.activeGen
 	nd.ordAt = int32(len(u.next))
 	u.next = append(u.next, r)
 }
@@ -739,6 +883,31 @@ func (u *UnionFind) endRound() {
 	u.touched = u.touched[:0]
 }
 
+// satEdges appends real node v's saturated incident edges to buf, in
+// adjacency order: the grown support as peel walks it. The satMask bits
+// name the slots below satWide; a set satWide bit stands for every later
+// slot, whose edges are checked one by one.
+func (u *UnionFind) satEdges(v int32, buf []int32) []int32 {
+	nd := &u.un[v]
+	if nd.epoch != u.ep32 {
+		return buf // untouched this decode: nothing saturated
+	}
+	adj := u.g.Adj[v]
+	for m := nd.satMask; m != 0; m &= m - 1 {
+		k := bits.TrailingZeros16(m)
+		if k == satWide {
+			for _, ei := range adj[satWide:] {
+				if e := &u.ue[ei]; e.epoch == u.ep32 && e.grown == e.cap {
+					buf = append(buf, ei)
+				}
+			}
+			break
+		}
+		buf = append(buf, adj[k])
+	}
+	return buf
+}
+
 // peel extracts a correction from the grown support and returns its logical
 // mask. Every node it can reach was touched by growth (saturated edges only
 // connect ensured nodes), so the epoch-stamped state is always valid here.
@@ -770,17 +939,14 @@ func (u *UnionFind) peel() (bool, error) {
 			}
 			return
 		}
-		for _, ei := range u.g.Adj[v] {
-			e := &u.ue[ei]
-			if e.epoch != u.ep32 || e.grown != e.cap {
-				continue
-			}
-			w := e.u
+		u.satBuf = u.satEdges(v, u.satBuf[:0])
+		for _, ei := range u.satBuf {
+			w := u.ue[ei].u
 			if w == v {
-				w = e.v
+				w = u.ue[ei].v
 			}
 			if !u.un[w].visited {
-				push(w, v, int32(ei))
+				push(w, v, ei)
 			}
 		}
 	}

@@ -11,12 +11,14 @@ import (
 
 // BenchmarkUnionFindDecode times union-find on pre-sampled non-empty
 // circuit-level shots, one shot per op. The sparse legs sit in the regime
-// of the serve-mix (d=3, p=1e-3) and rare-deep (d=11, p=1.5e-3) benchmark
-// workloads, where shots carry a handful of events; the dense legs are the
-// tail of the Fig. 11 row (Compact-Interleaved d=9 and d=11 near and above
-// threshold), where a shot carries 100+ events and grows for dozens of
-// rounds. Besides ns/shot it reports the growth-loop work counters per
-// shot: edge_scans/shot (candidate-edge slack scans) and rounds/shot.
+// of the serve-mix (d=3, p=1e-3) and rare-deep (d=9 and d=11, p=1.5e-3)
+// benchmark workloads, where shots carry a handful of events; the dense
+// legs are the tail of the Fig. 11 row (Compact-Interleaved d=9 and d=11
+// near and above threshold), where a shot carries 100+ events and grows
+// for dozens of rounds. Besides ns/shot it reports the growth-loop work
+// counters per shot: edge_scans/shot (candidate-edge slack scans) and
+// rounds/shot. Run it at -benchtime 256x or more so the counters average
+// a leg's whole shot set rather than its first shot.
 func BenchmarkUnionFindDecode(b *testing.B) {
 	legs := []struct {
 		name   string
@@ -25,6 +27,7 @@ func BenchmarkUnionFindDecode(b *testing.B) {
 		p      float64
 	}{
 		{"sparse/baseline-d3-p1e-3", extract.Baseline, 3, 1e-3},
+		{"sparse/baseline-d9-p1.5e-3", extract.Baseline, 9, 1.5e-3},
 		{"sparse/baseline-d11-p1.5e-3", extract.Baseline, 11, 1.5e-3},
 		{"dense/compact-d9-p1.26e-2", extract.CompactInterleaved, 9, 1.26e-2},
 		{"dense/compact-d11-p2e-2", extract.CompactInterleaved, 11, 2e-2},

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"math/rand/v2"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/dem"
@@ -96,6 +97,7 @@ func digestShots(t *testing.T, uf *UnionFind, m *dem.Model, seed uint64, c *ufDi
 	rng := rand.New(rand.NewChaCha8(key))
 	h := fnv.New64a()
 	var rec [17]byte
+	var support []int32
 	for shot := 0; shot < c.Shots; shot++ {
 		if shot%dem.BatchShots == 0 {
 			bs.Sample(rng)
@@ -116,12 +118,15 @@ func digestShots(t *testing.T, uf *UnionFind, m *dem.Model, seed uint64, c *ufDi
 		h.Write(rec[:])
 		// The grown support: every edge saturated by this decode, in id
 		// order. It moves with the union order long before a prediction
-		// does.
-		for ei := range uf.ue {
-			if e := &uf.ue[ei]; e.epoch == uf.ep32 && e.grown == e.cap {
-				binary.LittleEndian.PutUint32(rec[:4], uint32(ei))
-				h.Write(rec[:4])
-			}
+		// does. It is read node by node through satEdges, as peel reads it.
+		support = support[:0]
+		for v := range int32(uf.n) {
+			support = uf.satEdges(v, support)
+		}
+		slices.Sort(support)
+		for _, ei := range slices.Compact(support) {
+			binary.LittleEndian.PutUint32(rec[:4], uint32(ei))
+			h.Write(rec[:4])
 		}
 		if pred != flip {
 			c.Failures++
