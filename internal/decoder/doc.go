@@ -8,7 +8,12 @@
 //   - UnionFind (KindUF): the weighted-growth union-find decoder
 //     (Delfosse–Nickerson, arXiv:1709.06218) with peeling. Near-linear time
 //     and within a small constant of matching accuracy; the conservative
-//     workhorse and the fallback target.
+//     workhorse and the fallback target. Its per-decode state is
+//     epoch-stamped and reset lazily, round one's slack scan runs while
+//     the events' edges are seeded, far-side checks read dense stamp
+//     arrays, and peel expands only the saturated adjacency slots, so a
+//     sparse shot costs only the nodes and edges its growth reaches
+//     (ARCHITECTURE.md, "The decoder hot path").
 //
 //   - Blossom (KindBlossom): sparse-blossom-style exact minimum-weight
 //     matching — the production matcher. Regions grow from detection

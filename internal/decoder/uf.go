@@ -177,7 +177,7 @@ type ufEdge struct {
 	epoch     uint32
 }
 
-// capScale is the integer capacity of the lightest edge: loadEdges scales
+// capScale is the integer capacity of the lightest edge: load scales
 // every float weight by capScale/minW, so relative weights keep about six
 // significant digits.
 const capScale = 1 << 20
