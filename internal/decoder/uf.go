@@ -161,8 +161,8 @@ type ufNode struct {
 //     round) keeps every non-saturating write strictly below cap, so no
 //     separate flag is needed.
 //   - ra/rb + rootEpoch: the cross-round root cache — valid while both
-//     cached nodes are still cluster roots (a merged root stops being
-//     its own parent), turning per-round re-resolution into two loads.
+//     cached nodes are still cluster roots (union stamps a merged root in
+//     deadAt), turning per-round re-resolution into two dense loads.
 //   - u/v: the endpoints, with the boundary mapped to virtual node n.
 //   - epoch: the lazy-reset stamp for grown.
 //
@@ -335,25 +335,9 @@ func (u *UnionFind) ensureEdge(ei int32) {
 	e.grown = 0
 }
 
-// find returns v's cluster root. The common case — v is a root already
-// live this decode — inlines; a first touch (reset) or path halving runs
-// out of line.
+// find returns v's cluster root, resetting v first if this decode has not
+// touched it (a reset node is its own root).
 func (u *UnionFind) find(v int32) int32 {
-	if nd := &u.un[v]; nd.parent != v || nd.epoch != u.ep32 {
-		v = findSlow(u, v)
-	}
-	return v
-}
-
-// dead reports whether node v merged into another cluster this decode, so
-// a cached root v no longer is one. A node this decode has not touched is
-// its own root, whatever its stale record says.
-func (u *UnionFind) dead(v int32) bool {
-	return u.deadAt[v] == u.ep32
-}
-
-//go:noinline
-func findSlow(u *UnionFind, v int32) int32 {
 	if u.un[v].epoch != u.ep32 {
 		u.resetNode(v)
 		return v
@@ -363,6 +347,13 @@ func findSlow(u *UnionFind, v int32) int32 {
 		v = u.un[v].parent
 	}
 	return v
+}
+
+// dead reports whether node v merged into another cluster this decode, so
+// a cached root v no longer is one. A node this decode has not touched is
+// its own root, whatever its stale record says.
+func (u *UnionFind) dead(v int32) bool {
+	return u.deadAt[v] == u.ep32
 }
 
 // seedAdjacency makes node v's incident edges its candidate list, resetting
