@@ -118,13 +118,9 @@ func digestShots(t *testing.T, uf *UnionFind, m *dem.Model, seed uint64, c *ufDi
 		h.Write(rec[:])
 		// The grown support: every edge saturated by this decode, in id
 		// order. It moves with the union order long before a prediction
-		// does. It is read node by node through satEdges, as peel reads it.
-		support = support[:0]
-		for v := range int32(uf.n) {
-			support = uf.satEdges(v, support)
-		}
-		slices.Sort(support)
-		for _, ei := range slices.Compact(support) {
+		// does.
+		support = grownSupport(uf, support[:0])
+		for _, ei := range support {
 			binary.LittleEndian.PutUint32(rec[:4], uint32(ei))
 			h.Write(rec[:4])
 		}
@@ -133,6 +129,16 @@ func digestShots(t *testing.T, uf *UnionFind, m *dem.Model, seed uint64, c *ufDi
 		}
 	}
 	c.Digest = fmt.Sprintf("%016x", h.Sum64())
+}
+
+// grownSupport appends the edges the last decode saturated to buf, in id
+// order. It reads them node by node through satEdges, as peel does.
+func grownSupport(uf *UnionFind, buf []int32) []int32 {
+	for v := range int32(uf.n) {
+		buf = uf.satEdges(v, buf)
+	}
+	slices.Sort(buf)
+	return slices.Compact(buf)
 }
 
 // TestUnionFindMatchesDigest pins union-find's per-shot behaviour —

@@ -48,12 +48,7 @@ func decodeOutcome(t *testing.T, uf *UnionFind, events []int) ufOutcome {
 		t.Fatalf("events %v: %v", events, err)
 	}
 	d := uf.DecoderStats().Sub(before)
-	var support []int32
-	for v := range int32(uf.n) {
-		support = uf.satEdges(v, support)
-	}
-	slices.Sort(support)
-	return ufOutcome{pred, d.UFGrowthRounds, d.UFEdgeScans, d.UFPeelNodes, slices.Compact(support)}
+	return ufOutcome{pred, d.UFGrowthRounds, d.UFEdgeScans, d.UFPeelNodes, grownSupport(uf, nil)}
 }
 
 func sameOutcome(a, b ufOutcome) bool {
