@@ -319,8 +319,7 @@ func BenchmarkClaim_TransmonSavings(b *testing.B) {
 
 func BenchmarkAblation_DecoderComparison(b *testing.B) {
 	trials := benchTrials()
-	var ufRate, mwRate float64
-	var fallbacks int
+	var ufRate, blRate float64
 	for i := 0; i < b.N; i++ {
 		uf, err := montecarlo.Run(montecarlo.Config{
 			Scheme: extract.Baseline, Distance: 5, Basis: extract.BasisZ,
@@ -330,20 +329,20 @@ func BenchmarkAblation_DecoderComparison(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mw, err := montecarlo.Run(montecarlo.Config{
+		bl, err := montecarlo.Run(montecarlo.Config{
 			Scheme: extract.Baseline, Distance: 5, Basis: extract.BasisZ,
 			Params: hardware.Default().ScaledGatesTo(4e-3), Trials: trials, Seed: 17,
-			Decoder: montecarlo.MWPM,
+			Decoder: montecarlo.Blossom,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ufRate, mwRate, fallbacks = uf.Rate(), mw.Rate(), mw.Fallbacks
+		ufRate, blRate = uf.Rate(), bl.Rate()
 	}
 	printTableOnce(b, func() {
 		fmt.Printf("\nAblation — decoder quality (baseline d=5, p=4e-3, %d trials):\n", trials)
 		fmt.Printf("  union-find:  %.5f logical error rate\n", ufRate)
-		fmt.Printf("  exact MWPM:  %.5f logical error rate (%d oversized-cluster fallbacks)\n", mwRate, fallbacks)
+		fmt.Printf("  blossom:     %.5f logical error rate (exact minimum-weight matching)\n", blRate)
 	})
 }
 

@@ -32,12 +32,11 @@ func main() {
 	distances := flag.String("distances", "3,5", "comma-separated code distances")
 	values := flag.String("values", "", "comma-separated parameter values (default: paper's range)")
 	nvalues := flag.Int("nvalues", 5, "number of grid values when -values is empty")
-	trials := flag.Int("trials", 3000, "Monte-Carlo trials per point (a cap when -target-failures is set)")
+	trials := flag.Int("trials", 3000, "Monte-Carlo trials per point (a cap when -target-failures is set; 0 = the HTTP service's default of 2000)")
 	target := flag.Int("target-failures", 0, "end each point once this many failures accumulate (0 = fixed trial count)")
 	seed := flag.Int64("seed", 1, "random seed")
-	dec := flag.String("decoder", "uf", "decoder: uf, blossom, mwpm, or exact")
+	dec := flag.String("decoder", "uf", "decoder: uf or blossom")
 	jobs := flag.Int("jobs", 0, "scheduler pool width: sweep cells decoded concurrently (0 = GOMAXPROCS)")
-	pipeline := flag.Bool("decode-pipeline", true, "batch decode pipeline: skip zero-defect shots and dedup repeated syndromes before the matcher (bit-identical results; false = decode every shot)")
 	rare := flag.Bool("rare-event", false, "importance-sampled estimation: draw faults from a boosted proposal and report likelihood-ratio-weighted rates with error bars (for deep sub-threshold points)")
 	boost := flag.Float64("boost", 0, fmt.Sprintf("proposal boost factor for -rare-event: each fault fires boost times as often (0 = default %g; 1 = plain sampling)", montecarlo.DefaultBoost))
 	targetRelErr := flag.Float64("target-rel-err", 0, "end each -rare-event point once its relative standard error drops below this (0 = fixed trial count)")
@@ -47,22 +46,39 @@ func main() {
 	if *csv && *jsonOut {
 		fatal(fmt.Errorf("-csv and -json are mutually exclusive"))
 	}
-	if !*rare && (*boost != 0 || *targetRelErr != 0) {
-		fatal(fmt.Errorf("-boost and -target-rel-err require -rare-event"))
-	}
-	if *rare && *target != 0 {
-		fatal(fmt.Errorf("-target-failures does not apply to -rare-event runs; use -target-rel-err"))
-	}
 
-	var panels []montecarlo.Panel
-	if *panel == "all" {
-		panels = montecarlo.Panels
-	} else {
+	panels := montecarlo.Panels
+	if *panel != "all" {
 		panels = []montecarlo.Panel{montecarlo.Panel(*panel)}
 	}
 	ds, err := parseInts(*distances)
 	if err != nil {
 		fatal(err)
+	}
+	var custom []float64
+	if *values != "" {
+		if custom, err = parseFloats(*values); err != nil {
+			fatal(err)
+		}
+	}
+	// serve.BuildCells validates and expands every panel before any cell
+	// runs — the check POST /v1/sweeps makes, so the CLI rejects exactly
+	// what the service rejects.
+	vals := make([][]float64, len(panels))
+	grids := make([][]sched.Job, len(panels))
+	for i, pn := range panels {
+		vals[i] = custom
+		if vals[i] == nil {
+			vals[i] = pn.DefaultValues(*nvalues)
+		}
+		grids[i], err = serve.BuildCells(serve.SweepRequest{
+			Type: "sensitivity", Panel: string(pn), Distances: ds, Values: vals[i],
+			Trials: *trials, Seed: *seed, Decoder: *dec,
+			TargetFailures: *target, RareEvent: *rare, Boost: *boost, TargetRelErr: *targetRelErr,
+		})
+		if err != nil {
+			fatal(err)
+		}
 	}
 
 	if *csv {
@@ -92,36 +108,26 @@ func main() {
 		opts.OnResult = stream
 	}
 	scheduler := sched.New(montecarlo.NewEngine(), opts)
-	for _, pn := range panels {
-		vals := pn.DefaultValues(*nvalues)
-		if *values != "" {
-			if vals, err = parseFloats(*values); err != nil {
-				fatal(err)
-			}
-		}
-		pts, err := scheduler.SensitivitySweep(pn, vals, ds, *trials, *seed,
-			montecarlo.DecoderKind(*dec), montecarlo.SweepOptions{
-				TargetFailures: *target, DisablePipeline: !*pipeline,
-				RareEvent: *rare, Boost: *boost, TargetRelErr: *targetRelErr,
-			})
+	for i, cells := range grids {
+		results, err := scheduler.Run(cells)
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("sensitivity %s: %w", panels[i], err))
 		}
 		if *csv || *jsonOut {
 			continue // rows already streamed
 		}
-		fmt.Printf("\n== Fig. 12 panel: %s (compact-interleaved at p=2e-3, trials/point=%d) ==\n", pn, *trials)
+		fmt.Printf("\n== Fig. 12 panel: %s (compact-interleaved at p=2e-3, trials/point=%d) ==\n", panels[i], *trials)
 		fmt.Printf("%-12s", "value \\ d")
 		for _, d := range ds {
 			fmt.Printf("  d=%-9d", d)
 		}
 		fmt.Println()
-		for _, v := range vals {
+		for _, v := range vals[i] {
 			fmt.Printf("%-12.3g", v)
 			for _, d := range ds {
-				for _, pt := range pts {
-					if pt.Distance == d && pt.Value == v {
-						fmt.Printf("  %-11.5f", pt.Result.Rate())
+				for _, r := range results {
+					if cell := r.Job.Tag.(sched.SensitivityCell); cell.Distance == d && cell.Value == v {
+						fmt.Printf("  %-11.5f", r.Result.Rate())
 					}
 				}
 			}

@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"repro/internal/extract"
-	"repro/internal/hardware"
 	"repro/internal/montecarlo"
 	"repro/internal/sched"
 	"repro/internal/serve"
@@ -35,12 +34,11 @@ func main() {
 	distances := flag.String("distances", "3,5,7", "comma-separated code distances")
 	rates := flag.String("rates", "", "comma-separated physical error rates (default: log grid)")
 	nrates := flag.Int("nrates", 6, "number of grid rates when -rates is empty")
-	trials := flag.Int("trials", 4000, "Monte-Carlo trials per point (a cap when -target-failures is set)")
+	trials := flag.Int("trials", 4000, "Monte-Carlo trials per point (a cap when -target-failures is set; 0 = the HTTP service's default of 2000)")
 	target := flag.Int("target-failures", 0, "end each point once this many failures accumulate (0 = fixed trial count)")
 	seed := flag.Int64("seed", 1, "random seed")
-	dec := flag.String("decoder", "uf", "decoder: uf, blossom, mwpm, or exact")
+	dec := flag.String("decoder", "uf", "decoder: uf or blossom")
 	jobs := flag.Int("jobs", 0, "scheduler pool width: sweep cells decoded concurrently (0 = GOMAXPROCS)")
-	pipeline := flag.Bool("decode-pipeline", true, "batch decode pipeline: skip zero-defect shots and dedup repeated syndromes before the matcher (bit-identical results; false = decode every shot)")
 	rare := flag.Bool("rare-event", false, "importance-sampled estimation: draw faults from a boosted proposal and report likelihood-ratio-weighted rates with error bars (for deep sub-threshold points)")
 	boost := flag.Float64("boost", 0, fmt.Sprintf("proposal boost factor for -rare-event: each fault fires boost times as often (0 = default %g; 1 = plain sampling)", montecarlo.DefaultBoost))
 	targetRelErr := flag.Float64("target-rel-err", 0, "end each -rare-event point once its relative standard error drops below this (0 = fixed trial count)")
@@ -50,22 +48,13 @@ func main() {
 	if *csv && *jsonOut {
 		fatal(fmt.Errorf("-csv and -json are mutually exclusive"))
 	}
-	if !*rare && (*boost != 0 || *targetRelErr != 0) {
-		fatal(fmt.Errorf("-boost and -target-rel-err require -rare-event"))
-	}
-	if *rare && *target != 0 {
-		fatal(fmt.Errorf("-target-failures does not apply to -rare-event runs; use -target-rel-err"))
-	}
 
-	var schemes []extract.Scheme
+	names := []string{*scheme}
 	if *scheme == "all" {
-		schemes = extract.Schemes
-	} else {
-		s, err := schemeByName(*scheme)
-		if err != nil {
-			fatal(err)
+		names = names[:0]
+		for _, s := range extract.Schemes {
+			names = append(names, s.String())
 		}
-		schemes = []extract.Scheme{s}
 	}
 	ds, err := parseInts(*distances)
 	if err != nil {
@@ -76,6 +65,19 @@ func main() {
 		ps = montecarlo.DefaultPhysRates(*nrates)
 	} else if ps, err = parseFloats(*rates); err != nil {
 		fatal(err)
+	}
+	// serve.BuildCells validates and expands every scheme's grid before any
+	// cell runs — the check POST /v1/sweeps makes, so the CLI rejects
+	// exactly what the service rejects.
+	grids := make([][]sched.Job, len(names))
+	for i, name := range names {
+		grids[i], err = serve.BuildCells(serve.SweepRequest{
+			Scheme: name, Distances: ds, Rates: ps, Trials: *trials, Seed: *seed, Decoder: *dec,
+			TargetFailures: *target, RareEvent: *rare, Boost: *boost, TargetRelErr: *targetRelErr,
+		})
+		if err != nil {
+			fatal(err)
+		}
 	}
 
 	if *csv {
@@ -106,19 +108,16 @@ func main() {
 		opts.OnResult = stream
 	}
 	scheduler := sched.New(montecarlo.NewEngine(), opts)
-	for _, sch := range schemes {
-		pts, err := scheduler.ThresholdSweep(sch, ds, ps, hardware.Default(), *trials, *seed,
-			montecarlo.DecoderKind(*dec), montecarlo.SweepOptions{
-				TargetFailures: *target, DisablePipeline: !*pipeline,
-				RareEvent: *rare, Boost: *boost, TargetRelErr: *targetRelErr,
-			})
+	for i, cells := range grids {
+		results, err := scheduler.Run(cells)
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("sweep %s: %w", names[i], err))
 		}
 		if *csv || *jsonOut {
 			continue // rows already streamed
 		}
-		fmt.Printf("\n== %s (trials/point=%d, decoder=%s) ==\n", sch, *trials, *dec)
+		pts := sched.ThresholdPoints(results)
+		fmt.Printf("\n== %s (trials/point=%d, decoder=%s) ==\n", names[i], *trials, *dec)
 		fmt.Printf("%-8s", "p \\ d")
 		for _, d := range ds {
 			fmt.Printf("  d=%-9d", d)
@@ -141,15 +140,6 @@ func main() {
 			fmt.Println("no threshold crossing bracketed by this grid")
 		}
 	}
-}
-
-func schemeByName(name string) (extract.Scheme, error) {
-	for _, s := range extract.Schemes {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown scheme %q", name)
 }
 
 func parseInts(s string) ([]int, error) {

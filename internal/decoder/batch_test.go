@@ -45,7 +45,7 @@ func fillBatch(t testing.TB, m *dem.Model, b *Batch, seed byte) {
 // DecodeBatch must agree shot for shot with Decode.
 func TestDecodeBatchMatchesScalarDecode(t *testing.T) {
 	m, g := batchFixture(t, 6e-3)
-	for _, dec := range []BatchDecoder{NewUnionFind(g), NewMWPMFallback(g), NewBlossom(g), NewExactFallback(g)} {
+	for _, dec := range []BatchDecoder{NewUnionFind(g), NewBlossom(g)} {
 		var b Batch
 		out := make([]bool, dem.BatchShots)
 		for trial := byte(0); trial < 20; trial++ {
@@ -70,7 +70,7 @@ func TestDecodeBatchMatchesScalarDecode(t *testing.T) {
 // bar for the Monte-Carlo hot loop.
 func TestDecodeBatchZeroAllocs(t *testing.T) {
 	m, g := batchFixture(t, 6e-3)
-	for _, dec := range []BatchDecoder{NewUnionFind(g), NewMWPMFallback(g), NewBlossom(g)} {
+	for _, dec := range []BatchDecoder{NewUnionFind(g), NewBlossom(g)} {
 		var b Batch
 		out := make([]bool, dem.BatchShots)
 		// Warm up buffers on a spread of batches.
@@ -101,29 +101,5 @@ func TestUnionFindRecordSizes(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(ufEdge{}); n > 40 {
 		t.Errorf("ufEdge is %d bytes, budget 40", n)
-	}
-}
-
-// The fallback wrapper must produce MWPM answers when matching succeeds and
-// count union-find fallbacks when it does not.
-func TestMWPMFallbackCounts(t *testing.T) {
-	_, g := batchFixture(t, 6e-3)
-	mw := NewMWPM(g)
-	mw.MaxComponent = 0 // force every nonempty shot to fall back
-	f := NewFallback(mw, g)
-	pred, err := f.Decode([]int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	uf := NewUnionFind(g)
-	want, err := uf.Decode([]int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred != want {
-		t.Error("forced fallback must match union-find")
-	}
-	if f.Fallbacks != 1 {
-		t.Errorf("Fallbacks = %d, want 1", f.Fallbacks)
 	}
 }

@@ -8,8 +8,7 @@ import (
 )
 
 // Blossom is the sparse-blossom-style exact minimum-weight matching decoder:
-// the production matcher that replaces the MWPM-with-fallback pair on the
-// hot path. It produces strictly-minimum-weight corrections (the same
+// the production matcher. It produces strictly-minimum-weight corrections (the same
 // matching weight as Exact) at a per-shot cost governed by the grown
 // regions, not the graph:
 //
@@ -874,4 +873,13 @@ func (h *bHeap) pop() bItem {
 		i = m
 	}
 	return top
+}
+
+// grown returns s resized to n elements, reusing its backing array when the
+// capacity allows (contents are overwritten by the caller).
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

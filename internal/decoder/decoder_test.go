@@ -2,7 +2,6 @@ package decoder
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -32,7 +31,7 @@ func lineGraph(n int, p float64) *dem.Graph {
 }
 
 func decoders(g *dem.Graph) []Decoder {
-	return []Decoder{NewUnionFind(g), NewExact(g), NewMWPM(g)}
+	return []Decoder{NewUnionFind(g), NewExact(g)}
 }
 
 func TestEmptyEvents(t *testing.T) {
@@ -172,7 +171,7 @@ func TestDoubleMechanismRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 0))
 	uf := NewUnionFind(g)
 	ex := NewExact(g)
-	bl := NewMWPM(g)
+	bl := NewBlossom(g)
 
 	parity := make([]bool, m.NumDets)
 	ufFail, exFail, blFail, total := 0, 0, 0, 0
@@ -219,44 +218,10 @@ func TestDoubleMechanismRoundTrip(t *testing.T) {
 		t.Errorf("exact decoder misdecoded %d/%d double faults at d=5", exFail, total)
 	}
 	if float64(blFail)/float64(total) > 0.025 {
-		t.Errorf("mwpm decoder misdecoded %d/%d double faults at d=5", blFail, total)
+		t.Errorf("blossom decoder misdecoded %d/%d double faults at d=5", blFail, total)
 	}
 	if float64(ufFail)/float64(total) > 0.06 {
 		t.Errorf("union-find misdecoded %d/%d double faults at d=5", ufFail, total)
-	}
-}
-
-// The component-decomposed MWPM must find exactly the same optimal matching
-// weight as the whole-problem DP (observable predictions may differ only on
-// exact weight ties, so the weight is the tie-safe comparison).
-func TestMWPMAgreesWithExact(t *testing.T) {
-	m, g := circuitGraph(t, extract.Baseline, 3, 5e-3)
-	ex := NewExact(g)
-	mw := NewMWPM(g)
-	s := m.NewSampler()
-	rng := rand.New(rand.NewPCG(53, 0))
-	checked := 0
-	for trial := 0; trial < 2000; trial++ {
-		events, _ := s.Sample(rng)
-		if len(events) == 0 || len(events) > 12 {
-			continue
-		}
-		ev := append([]int(nil), events...)
-		_, wa, err := ex.DecodeWithWeight(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, wb, err := mw.DecodeWithWeight(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(wa-wb) > 1e-9*(1+math.Abs(wa)) {
-			t.Errorf("trial %d (events %v): exact weight %g vs mwpm weight %g", trial, ev, wa, wb)
-		}
-		checked++
-	}
-	if checked < 100 {
-		t.Fatalf("only %d syndromes checked", checked)
 	}
 }
 

@@ -1,19 +1,19 @@
 // Package decoder implements syndrome decoders over the weighted decoding
-// graphs produced by internal/dem. The selectable strategies share one
-// vocabulary, decoder.Kind ("uf" | "blossom" | "mwpm" | "exact"), threaded
-// through the Monte-Carlo engine, the sweep scheduler, the serving front
-// end, and the sweep CLIs; decoder.New builds the production BatchDecoder
-// for a kind:
+// graphs produced by internal/dem. The two selectable strategies share one
+// vocabulary, decoder.Kind ("uf" | "blossom"), threaded through the
+// Monte-Carlo engine, the sweep scheduler, the serving front end, and the
+// sweep CLIs; montecarlo.WorkerState builds and rebinds the decoder for a
+// kind:
 //
 //   - UnionFind (KindUF): the weighted-growth union-find decoder
 //     (Delfosse–Nickerson, arXiv:1709.06218) with peeling. Near-linear time
 //     and within a small constant of matching accuracy; the conservative
-//     workhorse and the fallback target. Its per-decode state is
-//     epoch-stamped and reset lazily, round one's slack scan runs while
-//     the events' edges are seeded, far-side checks read dense stamp
-//     arrays, and peel expands only the saturated adjacency slots, so a
-//     sparse shot costs only the nodes and edges its growth reaches
-//     (ARCHITECTURE.md, "The decoder hot path").
+//     workhorse. Its per-decode state is epoch-stamped and reset lazily,
+//     round one's slack scan runs while the events' edges are seeded,
+//     far-side checks read dense stamp arrays, and peel expands only the
+//     saturated adjacency slots, so a sparse shot costs only the nodes
+//     and edges its growth reaches (ARCHITECTURE.md, "The decoder hot
+//     path").
 //
 //   - Blossom (KindBlossom): sparse-blossom-style exact minimum-weight
 //     matching — the production matcher. Regions grow from detection
@@ -25,16 +25,12 @@
 //     shot ends in a strictly-minimum-weight correction, at less than
 //     union-find cost on warm engines (BENCH_decoder.json).
 //
-//   - MWPM (KindMWPM): component-decomposed exact matching over full
-//     per-event Dijkstra distances. NewMWPMFallback wraps it with a
-//     transparent union-find fallback on oversized event clusters.
-//     Retained as an exact implementation independent of Blossom; slower.
-//
-//   - Exact (KindExact): exact minimum-weight perfect matching over the
-//     detection events (Dijkstra pairwise distances + bitmask dynamic
-//     programming). Exponential in the event count, so NewExactFallback
-//     gates it to small instances; ground truth for the conformance and
-//     fuzz suites.
+// Exact is the test oracle, not a Kind: exact minimum-weight perfect
+// matching over the detection events (Dijkstra pairwise distances +
+// bitmask dynamic programming), coded independently of Blossom.
+// Exponential in the event count, so it refuses more than MaxEvents
+// events; the conformance and fuzz suites check Blossom's matching weight
+// against it shot by shot.
 //
 // All decoders answer one question per shot: given the set of fired
 // detectors, did the error most likely flip the logical observable?
@@ -61,7 +57,8 @@
 // through montecarlo.Counts and the serving front end's /v1/stats. The
 // Monte-Carlo engine routes batches through the pipeline in exactly one
 // place, the step that turns a sampled batch into a failure mask, and
-// montecarlo.Config.DisablePipeline bypasses it there.
+// montecarlo.Config.DisablePipeline bypasses it there — a switch for the
+// conformance tests and benchmarks, exposed on no user surface.
 //
 // The matchers themselves are instrumented: DecoderStats counts the
 // stage-level work behind the hot-path profiles — union-find growth
@@ -84,7 +81,7 @@
 //   - Pipeline / NewPipeline: the zero-defect-skip + syndrome-dedup
 //     batch front end over any BatchDecoder (see ARCHITECTURE.md,
 //     "The batch decode pipeline")
-//   - ParseKind / New: flag- and request-level selection of a strategy
+//   - ParseKind / Kinds: flag- and request-level selection of a strategy
 //   - DecoderStats / StatsSource: the stage-counter surface; Add/Sub
 //     bracket intervals and merge shards
 //   - UnionFind.Rebind / Blossom.Rebind / Pipeline.Rebind: rebind

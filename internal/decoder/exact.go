@@ -10,8 +10,8 @@ import (
 // Exact is the plain exact minimum-weight perfect matching decoder: Dijkstra
 // pairwise distances plus one bitmask dynamic program over the whole event
 // set. Cost is O(2^k) in the event count k, so Decode fails for
-// k > MaxEvents. MWPM lifts this ceiling via safe decomposition; Exact
-// remains as the independently-coded ground truth for tests.
+// k > MaxEvents. It is the independently-coded ground truth the tests
+// check Blossom and union-find against, not an engine decoder.
 type Exact struct {
 	g *dem.Graph
 	// MaxEvents bounds the DP size (default 16).
@@ -75,8 +75,8 @@ func (x *Exact) DecodeWithWeight(events []int) (bool, float64, error) {
 }
 
 // matchAll runs the bitmask DP over all k events. Deliberately independent
-// of MWPM's component matcher so the two implementations cross-check each
-// other in tests.
+// of Blossom's matcher so the two implementations cross-check each other
+// in tests.
 func matchAll(k int, pd [][]float64, pm [][]bool, bd []float64, bm []bool) (bool, float64) {
 	size := 1 << k
 	cost := make([]float64, size)
@@ -118,6 +118,45 @@ func matchAll(k int, pd [][]float64, pm [][]bool, bd []float64, bm []bool) (bool
 		s &^= (1 << i) | (1 << j)
 	}
 	return obs, cost[size-1]
+}
+
+// dijkstra fills dist and mask with shortest weighted distances from src;
+// node g.NumNodes is the boundary.
+func dijkstra(g *dem.Graph, src int, dist []float64, mask []bool, h *distHeap) {
+	n := g.NumNodes
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		mask[i] = false
+	}
+	dist[src] = 0
+	*h = (*h)[:0]
+	h.push(heapItem{0, int32(src)})
+	for len(*h) > 0 {
+		it := h.pop()
+		v := it.node
+		if it.d > dist[v] {
+			continue
+		}
+		if v == int32(n) {
+			continue
+		}
+		for _, ei := range g.Adj[v] {
+			e := &g.Edges[ei]
+			w := e.V
+			if w == dem.BoundaryNode {
+				w = int32(n)
+			}
+			if w == v {
+				w = e.U
+			}
+			nd := it.d + e.W
+			if nd < dist[w] {
+				dist[w] = nd
+				mask[w] = mask[v] != e.Obs
+				h.push(heapItem{nd, w})
+			}
+		}
+	}
 }
 
 func lowestBit(s int) int {

@@ -1,38 +1,26 @@
 package decoder
 
-import (
-	"fmt"
-
-	"repro/internal/dem"
-)
+import "fmt"
 
 // Kind names a selectable decoding strategy — the single vocabulary shared
 // by the Monte-Carlo engine, the sweep scheduler, the serving front end,
-// and the sweep CLIs. Rough guidance on when each wins:
+// and the sweep CLIs:
 //
 //   - KindUF: weighted-growth union-find — near-linear per shot, slightly
 //     sub-optimal corrections. The conservative workhorse.
 //   - KindBlossom: sparse-blossom exact matching — strictly minimum-weight
 //     corrections at union-find-like cost (faster on warm engines at
 //     d >= 7). The production matcher.
-//   - KindMWPM: component-decomposed exact matching with a union-find
-//     fallback on oversized event clusters. Retained as an independent
-//     exact implementation; slower than blossom (full Dijkstra per event).
-//   - KindExact: the whole-problem O(2^k) dynamic program with a
-//     union-find fallback past its event ceiling. Ground truth for tests;
-//     not meant for production sweeps.
 type Kind string
 
 // The selectable decoder kinds.
 const (
 	KindUF      Kind = "uf"
 	KindBlossom Kind = "blossom"
-	KindMWPM    Kind = "mwpm"
-	KindExact   Kind = "exact"
 )
 
 // Kinds lists every selectable kind.
-var Kinds = []Kind{KindUF, KindBlossom, KindMWPM, KindExact}
+var Kinds = []Kind{KindUF, KindBlossom}
 
 // ParseKind validates a decoder name from a flag or request field.
 func ParseKind(s string) (Kind, error) {
@@ -43,21 +31,4 @@ func ParseKind(s string) (Kind, error) {
 		}
 	}
 	return "", fmt.Errorf("decoder: unknown kind %q (want one of %v)", s, Kinds)
-}
-
-// New builds the kind's production BatchDecoder over g: union-find and
-// blossom stand alone, the matching kinds are wrapped with the union-find
-// fallback that covers their size ceilings.
-func New(k Kind, g *dem.Graph) (BatchDecoder, error) {
-	switch k {
-	case KindUF:
-		return NewUnionFind(g), nil
-	case KindBlossom:
-		return NewBlossom(g), nil
-	case KindMWPM:
-		return NewMWPMFallback(g), nil
-	case KindExact:
-		return NewExactFallback(g), nil
-	}
-	return nil, fmt.Errorf("decoder: unknown kind %q (want one of %v)", k, Kinds)
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dem"
 	"repro/internal/extract"
 )
 
@@ -26,7 +27,7 @@ func pipelineBatch(b *Batch, sample func() []int, rng *rand.Rand, n int) {
 }
 
 // The tentpole contract: pipeline on vs off is bit-identical per shot, for
-// every decoder kind, on both a sampled circuit-level batch stream and the
+// both production decoders, on both a sampled circuit-level batch stream and the
 // synthetic cyclic graph.
 func TestPipelineMatchesInnerPerShot(t *testing.T) {
 	m, g := circuitGraph(t, extract.CompactInterleaved, 3, 4e-3)
@@ -36,16 +37,13 @@ func TestPipelineMatchesInnerPerShot(t *testing.T) {
 		ev, _ := s.Sample(rng)
 		return ev
 	}
-	for _, kind := range Kinds {
-		direct, err := New(kind, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inner, err := New(kind, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipe := NewPipeline(inner)
+	for _, build := range []func(*dem.Graph) BatchDecoder{
+		func(g *dem.Graph) BatchDecoder { return NewUnionFind(g) },
+		func(g *dem.Graph) BatchDecoder { return NewBlossom(g) },
+	} {
+		direct := build(g)
+		kind := direct.Name()
+		pipe := NewPipeline(build(g))
 		var b Batch
 		want := make([]bool, 64)
 		got := make([]bool, 64)

@@ -16,7 +16,7 @@ import (
 func TestEventOrderInvariance(t *testing.T) {
 	_, g := circuitGraph(t, extract.Baseline, 3, 5e-3)
 	uf := NewUnionFind(g)
-	mw := NewMWPM(g)
+	bl := NewBlossom(g)
 	rng := rand.New(rand.NewPCG(97, 0))
 
 	f := func(seed int64) bool {
@@ -40,8 +40,8 @@ func TestEventOrderInvariance(t *testing.T) {
 		if err1 != nil || err2 != nil || ra != rb {
 			return false
 		}
-		ma, err3 := mw.Decode(a)
-		mb, err4 := mw.Decode(b)
+		ma, err3 := bl.Decode(a)
+		mb, err4 := bl.Decode(b)
 		return err3 == nil && err4 == nil && ma == mb
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -152,15 +152,15 @@ func TestBlossomWarmStartMatchesColdStart(t *testing.T) {
 	}
 }
 
-// Larger clustered syndromes: MWPM component decomposition must handle event
-// sets well past the plain DP ceiling when they form separated clusters.
-func TestMWPMLargeSeparatedClusters(t *testing.T) {
+// Larger clustered syndromes: Blossom's component split must match each
+// well-separated cluster on its own.
+func TestBlossomLargeSeparatedClusters(t *testing.T) {
 	g := lineGraph(60, 1e-3)
-	mw := NewMWPM(g)
+	bl := NewBlossom(g)
 	// Three well-separated adjacent pairs plus a far singleton: 7 events,
 	// each cluster tiny.
 	events := []int{5, 6, 25, 26, 45, 46, 58}
-	obs, err := mw.Decode(events)
+	obs, err := bl.Decode(events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestMWPMLargeSeparatedClusters(t *testing.T) {
 		t.Error("expected the right-boundary match to flip the observable")
 	}
 	// A version with the singleton near the left boundary must not flip.
-	obs, err = mw.Decode([]int{1, 25, 26, 45, 46, 5, 6})
+	obs, err = bl.Decode([]int{1, 25, 26, 45, 46, 5, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,15 +201,15 @@ func TestWeightSensitivity(t *testing.T) {
 		return g
 	}
 	// Likely middle edge: events {1,2} match directly, no flip.
-	mw := NewMWPM(cheap(0.3))
-	obs, err := mw.Decode([]int{1, 2})
+	bl := NewBlossom(cheap(0.3))
+	obs, err := bl.Decode([]int{1, 2})
 	if err != nil || obs {
 		t.Fatalf("likely middle edge: got (%v,%v)", obs, err)
 	}
 	// Very unlikely middle edge: cheaper to exit both boundaries; the right
 	// exit carries the logical mask.
-	mw = NewMWPM(cheap(1e-9))
-	obs, err = mw.Decode([]int{1, 2})
+	bl = NewBlossom(cheap(1e-9))
+	obs, err = bl.Decode([]int{1, 2})
 	if err != nil || !obs {
 		t.Fatalf("unlikely middle edge: got (%v,%v), want boundary rerouting with flip", obs, err)
 	}

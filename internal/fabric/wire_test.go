@@ -19,7 +19,7 @@ func TestResultRequestWireFormat(t *testing.T) {
 		Result: montecarlo.ShardResult{
 			Shard: 3,
 			Counts: montecarlo.Counts{
-				Trials: 1024, Failures: 7, Fallbacks: 1, Skipped: 900, DedupHits: 40,
+				Trials: 1024, Failures: 7, Skipped: 900, DedupHits: 40,
 				Stats: decoder.DecoderStats{
 					UFGrowthRounds: 11, UFEdgeScans: 12, UFPeelNodes: 13,
 					BlossomRounds: 14, BlossomLandmarkQs: 15, BlossomRematchedCmp: 16,
@@ -34,7 +34,7 @@ func TestResultRequestWireFormat(t *testing.T) {
 		},
 	}
 	const want = `{"worker":"w1","lease":"l7","run":"r2","cell":4,"shard":3,` +
-		`"result":{"Shard":3,"Trials":1024,"Failures":7,"Fallbacks":1,"Skipped":900,"DedupHits":40,` +
+		`"result":{"Shard":3,"Trials":1024,"Failures":7,"Skipped":900,"DedupHits":40,` +
 		`"Stats":{"uf_growth_rounds":11,"uf_edge_scans":12,"uf_peel_nodes":13,` +
 		`"blossom_rounds":14,"blossom_landmark_queries":15,"blossom_rematched_components":16,` +
 		`"wmatch_tree_iters":17,"wmatch_dual_adjusts":18},` +

@@ -41,9 +41,9 @@ func TestBothBasesRun(t *testing.T) {
 	}
 }
 
-// MWPM trials on small distances should outperform (or at least match)
+// Exact matching on small distances should outperform (or at least match)
 // union-find — the decoder-quality direction must be right.
-func TestMWPMBeatsUFOnAverage(t *testing.T) {
+func TestBlossomBeatsUFOnAverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")
 	}
@@ -60,16 +60,16 @@ func TestMWPMBeatsUFOnAverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Decoder = MWPM
-	mw, err := Run(cfg)
+	cfg.Decoder = Blossom
+	bl, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Allow statistical slack, but MWPM must not be significantly worse.
-	if mw.Rate() > uf.Rate()*1.1+0.01 {
-		t.Errorf("MWPM rate %.4f worse than UF %.4f", mw.Rate(), uf.Rate())
+	// Allow statistical slack, but Blossom must not be significantly worse.
+	if bl.Rate() > uf.Rate()*1.1+0.01 {
+		t.Errorf("Blossom rate %.4f worse than UF %.4f", bl.Rate(), uf.Rate())
 	}
-	t.Logf("UF %.4f vs MWPM %.4f (fallbacks %d)", uf.Rate(), mw.Rate(), mw.Fallbacks)
+	t.Logf("UF %.4f vs Blossom %.4f", uf.Rate(), bl.Rate())
 }
 
 // Gap charging must hurt: the same configuration with cavity-residency idle

@@ -150,24 +150,3 @@ func TestRunOnMatchesSingleWorkerRun(t *testing.T) {
 		}
 	}
 }
-
-// RunOn under MWPM must count fallbacks and agree with Run(Workers=1).
-func TestRunOnMWPM(t *testing.T) {
-	en := NewEngine()
-	cfg := pointCfg(3, 3)
-	cfg.Decoder = MWPM
-	got, err := en.RunOn(cfg, &WorkerState{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := cfg
-	ref.Workers = 1
-	want, err := en.Run(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Failures != want.Failures || got.Fallbacks != want.Fallbacks {
-		t.Errorf("RunOn %d failures/%d fallbacks vs Run %d/%d",
-			got.Failures, got.Fallbacks, want.Failures, want.Fallbacks)
-	}
-}

@@ -94,11 +94,10 @@ type Slot struct {
 	shots   dem.ShotSet
 	w       [dem.BatchShots]float64 // likelihood-ratio weights (rare-event mode)
 
-	dedup     int
-	fallbacks int
-	stats     decoder.DecoderStats
-	err       error
-	done      bool // decoded; guarded by the crew's mu once the slot is lent
+	dedup int
+	stats decoder.DecoderStats
+	err   error
+	done  bool // decoded; guarded by the crew's mu once the slot is lent
 }
 
 // lane is one running cell's side of the crew: its sampled, unfolded
@@ -264,19 +263,16 @@ func (l *lane) drain() {
 // DecodeSlot decodes a slot claimed from a crew on st, binding st's
 // decoder and pipeline to the slot's graph (rebinding only when the graph
 // or decoder kind changed since st's last decode). It records the slot's
-// failure mask and its DedupHits, Fallbacks and decoder Stats deltas.
+// failure mask and its DedupHits and decoder Stats deltas.
 func (st *WorkerState) DecodeSlot(s *Slot) error {
 	l := s.lane
-	dec, fb := st.bind(l.kind, l.graph)
+	dec := st.bind(l.kind, l.graph)
 	src, _ := dec.(decoder.StatsSource)
 	var base decoder.DecoderStats
 	if src != nil {
 		base = src.DecoderStats()
 	}
-	var fb0, dedup0 int64
-	if fb != nil {
-		fb0 = fb.Fallbacks
-	}
+	var dedup0 int64
 	var pipe *decoder.Pipeline
 	if l.pipe {
 		pipe = st.pipeline(dec)
@@ -295,12 +291,9 @@ func (st *WorkerState) DecodeSlot(s *Slot) error {
 			s.failw |= 1 << sh
 		}
 	}
-	s.dedup, s.fallbacks, s.stats = 0, 0, decoder.DecoderStats{}
+	s.dedup, s.stats = 0, decoder.DecoderStats{}
 	if pipe != nil {
 		s.dedup = int(pipe.Stats().DedupHits - dedup0)
-	}
-	if fb != nil {
-		s.fallbacks = int(fb.Fallbacks - fb0)
 	}
 	if src != nil {
 		s.stats = src.DecoderStats().Sub(base)
@@ -310,10 +303,10 @@ func (st *WorkerState) DecodeSlot(s *Slot) error {
 
 // bind returns st's decoder bound to graph, reusing the current binding
 // when neither the graph nor the kind changed.
-func (st *WorkerState) bind(kind DecoderKind, graph *dem.Graph) (decoder.BatchDecoder, *decoder.Fallback) {
+func (st *WorkerState) bind(kind DecoderKind, graph *dem.Graph) decoder.BatchDecoder {
 	if st.dec == nil || st.decKind != kind || st.decGraph != graph {
-		st.dec, st.fb = st.decoderFor(kind, graph)
+		st.dec = st.decoderFor(kind, graph)
 		st.decKind, st.decGraph = kind, graph
 	}
-	return st.dec, st.fb
+	return st.dec
 }

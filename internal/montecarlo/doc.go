@@ -23,7 +23,7 @@
 // (DecodeSlot; the decode pipeline on or off is decided inside that one
 // step), then, strictly in batch order, popcount the mask (plain) or fold
 // its likelihood-ratio weights in shot order (rare event). Its output is a
-// Counts — trials, failures, fallbacks, pipeline skips and dedup hits,
+// Counts — trials, failures, pipeline skips and dedup hits,
 // decoder stage Stats, and the Weighted tally — embedded in Result and
 // ShardResult and merged everywhere by Counts.Add.
 //

@@ -157,7 +157,7 @@ func TestUnderflowedIdleRunsDoNotWedgeEngine(t *testing.T) {
 // structure cache is keyed by basis and scheme, not by decoder).
 func TestEngineMixedConfigs(t *testing.T) {
 	en := NewEngine()
-	for _, dec := range []DecoderKind{UF, Blossom, MWPM, Exact} {
+	for _, dec := range []DecoderKind{UF, Blossom} {
 		for _, basis := range []extract.Basis{extract.BasisZ, extract.BasisX} {
 			res, err := en.Run(Config{
 				Scheme:   extract.Baseline,

@@ -26,13 +26,10 @@ type DecoderKind = decoder.Kind
 
 // Available decoders. UF is the conservative workhorse; Blossom is the
 // sparse-blossom exact matcher (minimum-weight corrections at
-// union-find-like cost); MWPM and Exact are the older exact matchers, each
-// with a transparent fallback to union-find past their size ceilings.
+// union-find-like cost).
 const (
 	UF      = decoder.KindUF
 	Blossom = decoder.KindBlossom
-	MWPM    = decoder.KindMWPM
-	Exact   = decoder.KindExact
 )
 
 // Config describes one Monte-Carlo point.
@@ -79,8 +76,9 @@ type Config struct {
 	// + syndrome dedup) and decodes every shot through the unpruned path.
 	// The zero value — pipeline on — is the production configuration;
 	// predictions are bit-identical either way (the pipeline's contract,
-	// pinned by the conformance tests), so the switch exists for A/B
-	// benchmarking and as the conformance baseline, not correctness.
+	// pinned by the conformance tests), so the switch exists for the
+	// conformance tests and the benchmarks, which set it here directly; no
+	// user surface exposes it.
 	DisablePipeline bool
 }
 
@@ -98,9 +96,8 @@ func (cfg Config) extractConfig() extract.Config {
 // for Weighted, an ordered fold), so one Add carries the counters through
 // Run, RunOn, RunShardOn, MergeShards, and the fabric wire.
 type Counts struct {
-	Trials    int // shots actually taken (< Config.Trials under early stop)
-	Failures  int // failing shots (raw proposal shots in RareEvent mode)
-	Fallbacks int // mwpm/exact trials that fell back to union-find
+	Trials   int // shots actually taken (< Config.Trials under early stop)
+	Failures int // failing shots (raw proposal shots in RareEvent mode)
 	// Skipped counts zero-defect shots answered by the pipeline's word-level
 	// fast path without touching the decoder; DedupHits counts shots whose
 	// syndrome duplicated an earlier shot of the same batch and replayed its
@@ -121,7 +118,6 @@ type Counts struct {
 func (c *Counts) Add(o Counts) {
 	c.Trials += o.Trials
 	c.Failures += o.Failures
-	c.Fallbacks += o.Fallbacks
 	c.Skipped += o.Skipped
 	c.DedupHits += o.DedupHits
 	c.Stats.Add(o.Stats)
@@ -414,10 +410,8 @@ type WorkerState struct {
 	uf    *decoder.UnionFind
 	bl    *decoder.Blossom
 	pipe  *decoder.Pipeline
-	// The current decode binding (see bind): the decoder over decGraph and,
-	// for the fallback-wrapped kinds, its Fallback.
+	// The current decode binding (see bind): the decoder over decGraph.
 	dec      decoder.BatchDecoder
-	fb       *decoder.Fallback
 	decKind  DecoderKind
 	decGraph *dem.Graph
 	// The owner side of a cell's batches, and the crew it lends them to.
@@ -457,27 +451,18 @@ func (st *WorkerState) samplerFor(model, prop *dem.Model) (*dem.BatchSampler, *d
 
 // decoderFor returns the shot decoder for one cell, reusing the worker's
 // union-find or blossom state when the graph shape allows (the same hoisted
-// topology at a different noise scale rebinds in place). The fallback
-// pointer is non-nil only for the fallback-wrapped matching kinds, for
-// reading the fallback count afterwards.
-func (st *WorkerState) decoderFor(kind DecoderKind, graph *dem.Graph) (decoder.BatchDecoder, *decoder.Fallback) {
-	switch kind {
-	case MWPM:
-		fb := decoder.NewMWPMFallback(graph)
-		return fb, fb
-	case Exact:
-		fb := decoder.NewExactFallback(graph)
-		return fb, fb
-	case Blossom:
+// topology at a different noise scale rebinds in place).
+func (st *WorkerState) decoderFor(kind DecoderKind, graph *dem.Graph) decoder.BatchDecoder {
+	if kind == Blossom {
 		if st.bl == nil || !st.bl.Rebind(graph) {
 			st.bl = decoder.NewBlossom(graph)
 		}
-		return st.bl, nil
+		return st.bl
 	}
 	if st.uf == nil || !st.uf.Rebind(graph) {
 		st.uf = decoder.NewUnionFind(graph)
 	}
-	return st.uf, nil
+	return st.uf
 }
 
 // pipeline returns the worker's dedup pipeline over inner, creating it on
@@ -582,7 +567,6 @@ func (c *Counts) fold(s *Slot, weighted bool, cfg Config, budget *ShardBudget) {
 	c.Failures += fails
 	c.Skipped += s.skipped
 	c.DedupHits += s.dedup
-	c.Fallbacks += s.fallbacks
 	c.Stats.Add(s.stats)
 	if !weighted {
 		if cfg.TargetFailures > 0 && fails > 0 {
@@ -704,9 +688,9 @@ func Run(cfg Config) (Result, error) { return defaultEngine.Run(cfg) }
 
 // RunReference executes one Monte-Carlo point on the pre-batching scalar
 // engine: a fresh experiment and detector-model build per call, one RNG
-// draw per mechanism per shot, and per-shot decoding with the ad-hoc MWPM
-// fallback loop. Retained as the benchmark baseline (BenchmarkSweepRow) and
-// as the statistical reference for engine-equivalence tests.
+// draw per mechanism per shot, and per-shot decoding. Retained as the
+// benchmark baseline (BenchmarkSweepRow) and as the statistical reference
+// for engine-equivalence tests.
 func RunReference(cfg Config) (Result, error) {
 	if cfg.Trials <= 0 {
 		return Result{}, fmt.Errorf("montecarlo: trials must be positive")
@@ -738,10 +722,9 @@ func RunReference(cfg Config) (Result, error) {
 		sampler := model.NewSampler()
 		// Decoder selection goes through the same helper as the batched
 		// engine — one switch, so a new Kind cannot diverge between the two
-		// paths. The fallback wrapper reproduces the old ad-hoc
-		// primary-error -> union-find loop, count included.
+		// paths.
 		var st WorkerState
-		dec, fb := st.decoderFor(cfg.Decoder, graph)
+		dec := st.decoderFor(cfg.Decoder, graph)
 		c := Counts{Trials: trials}
 		for range trials {
 			events, truth := sampler.Sample(rng)
@@ -752,9 +735,6 @@ func RunReference(cfg Config) (Result, error) {
 			if pred != truth {
 				c.Failures++
 			}
-		}
-		if fb != nil {
-			c.Fallbacks = int(fb.Fallbacks)
 		}
 		return c, nil
 	})
@@ -771,9 +751,6 @@ type SweepPoint struct {
 type SweepOptions struct {
 	// TargetFailures enables early stopping per cell (see Config).
 	TargetFailures int
-	// DisablePipeline turns off the batch decode pipeline per cell (see
-	// Config); the zero value keeps it on.
-	DisablePipeline bool
 	// RareEvent switches every cell to importance-sampled estimation with
 	// proposal inflation Boost and optional TargetRelErr early stop (see
 	// Config).
@@ -789,18 +766,17 @@ type SweepOptions struct {
 // their Table I values.
 func ThresholdCellConfig(scheme extract.Scheme, d int, phys float64, base hardware.Params, trials int, seed int64, dec DecoderKind, opts SweepOptions) Config {
 	return Config{
-		Scheme:          scheme,
-		Distance:        d,
-		Basis:           extract.BasisZ,
-		Params:          base.ScaledGatesTo(phys),
-		Trials:          trials,
-		Seed:            seed + int64(d)*7919 + int64(phys*1e9),
-		Decoder:         dec,
-		TargetFailures:  opts.TargetFailures,
-		DisablePipeline: opts.DisablePipeline,
-		RareEvent:       opts.RareEvent,
-		Boost:           opts.Boost,
-		TargetRelErr:    opts.TargetRelErr,
+		Scheme:         scheme,
+		Distance:       d,
+		Basis:          extract.BasisZ,
+		Params:         base.ScaledGatesTo(phys),
+		Trials:         trials,
+		Seed:           seed + int64(d)*7919 + int64(phys*1e9),
+		Decoder:        dec,
+		TargetFailures: opts.TargetFailures,
+		RareEvent:      opts.RareEvent,
+		Boost:          opts.Boost,
+		TargetRelErr:   opts.TargetRelErr,
 	}
 }
 

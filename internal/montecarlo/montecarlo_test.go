@@ -166,24 +166,6 @@ func TestCavityCrossoverEstimate(t *testing.T) {
 	}
 }
 
-func TestMWPMDecoderPath(t *testing.T) {
-	res, err := Run(Config{
-		Scheme:   extract.Baseline,
-		Distance: 3,
-		Basis:    extract.BasisZ,
-		Params:   hardware.Default().ScaledTo(2e-3),
-		Trials:   500,
-		Seed:     5,
-		Decoder:  MWPM,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rate() > 0.2 {
-		t.Errorf("mwpm rate %.3f implausible", res.Rate())
-	}
-}
-
 func TestDefaultPhysRates(t *testing.T) {
 	rates := DefaultPhysRates(7)
 	if len(rates) != 7 {

@@ -117,19 +117,18 @@ func SensitivityCellConfig(panel Panel, value float64, d int, trials int, seed i
 		return Config{}, err
 	}
 	return Config{
-		Scheme:          extract.CompactInterleaved,
-		Distance:        d,
-		Basis:           extract.BasisZ,
-		Params:          params,
-		Trials:          trials,
-		Seed:            seed + int64(d)*104729 + int64(value*1e9),
-		Decoder:         dec,
-		ChargeGapIdle:   true,
-		TargetFailures:  opts.TargetFailures,
-		DisablePipeline: opts.DisablePipeline,
-		RareEvent:       opts.RareEvent,
-		Boost:           opts.Boost,
-		TargetRelErr:    opts.TargetRelErr,
+		Scheme:         extract.CompactInterleaved,
+		Distance:       d,
+		Basis:          extract.BasisZ,
+		Params:         params,
+		Trials:         trials,
+		Seed:           seed + int64(d)*104729 + int64(value*1e9),
+		Decoder:        dec,
+		ChargeGapIdle:  true,
+		TargetFailures: opts.TargetFailures,
+		RareEvent:      opts.RareEvent,
+		Boost:          opts.Boost,
+		TargetRelErr:   opts.TargetRelErr,
 	}, nil
 }
 

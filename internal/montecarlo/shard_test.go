@@ -96,10 +96,9 @@ func TestMergedShardsMatchMultiWorkerRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Trials != want.Trials || merged.Failures != want.Failures || merged.Fallbacks != want.Fallbacks {
-		t.Errorf("merged %d/%d/%d trials/failures/fallbacks, Run(Workers=%d) %d/%d/%d",
-			merged.Trials, merged.Failures, merged.Fallbacks, plan.Shards,
-			want.Trials, want.Failures, want.Fallbacks)
+	if merged.Trials != want.Trials || merged.Failures != want.Failures {
+		t.Errorf("merged %d/%d trials/failures, Run(Workers=%d) %d/%d",
+			merged.Trials, merged.Failures, plan.Shards, want.Trials, want.Failures)
 	}
 	if merged.Mechanisms != want.Mechanisms || merged.DetectorCount != want.DetectorCount {
 		t.Errorf("merged model dims %d/%d, want %d/%d",

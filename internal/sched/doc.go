@@ -64,7 +64,8 @@
 //   - Scheduler.Stream / StreamContext: drain jobs, results on a channel
 //     in completion order
 //   - Scheduler.ThresholdSweep / SensitivitySweep: run a whole Fig. 11
-//     grid or Fig. 12 panel, points in grid order
+//     grid or Fig. 12 panel, points in grid order; ThresholdPoints turns
+//     the results of any Fig. 11 jobs into the same points
 //   - CellCost / DrainOrder: the ordering estimate and the queue it
 //     yields, exported for the fabric, tests and tooling
 //   - ThresholdJobs / SensitivityJobs: expand a Fig. 11 grid or Fig. 12

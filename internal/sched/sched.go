@@ -290,12 +290,18 @@ func (s *Scheduler) ThresholdSweep(scheme extract.Scheme, distances []int, physR
 	if err != nil {
 		return nil, fmt.Errorf("sweep %v: %w", scheme, err)
 	}
+	return ThresholdPoints(results), nil
+}
+
+// ThresholdPoints converts the results of ThresholdCell-tagged jobs to
+// sweep points, in the results' order.
+func ThresholdPoints(results []CellResult) []montecarlo.SweepPoint {
 	pts := make([]montecarlo.SweepPoint, len(results))
 	for i, r := range results {
 		cell := r.Job.Tag.(ThresholdCell)
 		pts[i] = montecarlo.SweepPoint{Distance: cell.Distance, Phys: cell.Phys, Result: r.Result}
 	}
-	return pts, nil
+	return pts
 }
 
 // SensitivityCell tags one Fig. 12 panel cell.

@@ -71,9 +71,8 @@ type SweepRequest struct {
 	// bit-identical cells.
 	Seed int64 `json:"seed,omitempty"`
 	// Decoder selects the per-shot decoder for either sweep type: "uf"
-	// (default), "blossom" (exact minimum-weight matching at union-find-
-	// like cost), "mwpm", or "exact" (the older exact matchers, union-find
-	// fallback past their size ceilings).
+	// (default) or "blossom" (exact minimum-weight matching at union-find-
+	// like cost).
 	Decoder string `json:"decoder,omitempty"`
 	// Jobs is this sweep's scheduler pool width (0 = the server default).
 	Jobs int `json:"jobs,omitempty"`
@@ -87,11 +86,6 @@ type SweepRequest struct {
 	// one, so the shard count is part of the cell's ledger key. Local mode
 	// rejects a positive value.
 	ShardShots int `json:"shard_shots,omitempty"`
-	// DecodePipeline toggles the batch decode pipeline (zero-defect skip +
-	// per-batch syndrome dedup). Omitted or true keeps it on — the default,
-	// and bit-identical to the unpruned path; false decodes every shot
-	// through the matcher (A/B benchmarking).
-	DecodePipeline *bool `json:"decode_pipeline,omitempty"`
 	// NoCache bypasses the result ledger and request coalescing for this
 	// job: every cell runs on the engine (or fabric) even if an identical
 	// cell is stored or in flight, and nothing this job computes is
@@ -126,8 +120,7 @@ type CellRecord struct {
 	Failures int      `json:"failures"`
 	// Skipped and DedupHits surface the decode pipeline's hit rates for
 	// this cell: shots answered by the zero-defect fast path, and shots
-	// replayed from a duplicate syndrome in the same batch. Zero when the
-	// request disabled the pipeline.
+	// replayed from a duplicate syndrome in the same batch.
 	Skipped   int `json:"skipped,omitempty"`
 	DedupHits int `json:"dedup_hits,omitempty"`
 	// DecoderStats carries the cell's matcher-internal stage counters;
@@ -267,11 +260,10 @@ func buildCells(req SweepRequest) (typ string, cells []sched.Job, err error) {
 		}
 	}
 	opts := montecarlo.SweepOptions{
-		TargetFailures:  req.TargetFailures,
-		DisablePipeline: req.DecodePipeline != nil && !*req.DecodePipeline,
-		RareEvent:       req.RareEvent,
-		Boost:           req.Boost,
-		TargetRelErr:    req.TargetRelErr,
+		TargetFailures: req.TargetFailures,
+		RareEvent:      req.RareEvent,
+		Boost:          req.Boost,
+		TargetRelErr:   req.TargetRelErr,
 	}
 	dec := montecarlo.UF
 	if req.Decoder != "" {

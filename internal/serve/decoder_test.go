@@ -7,7 +7,7 @@ import (
 )
 
 // The decoder request field must round-trip into every streamed CellRecord
-// for both sweep types and all four kinds.
+// for both sweep types and both kinds.
 func TestDecoderSelectionRoundTrips(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
@@ -16,8 +16,6 @@ func TestDecoderSelectionRoundTrips(t *testing.T) {
 	}{
 		{`{"scheme":"baseline","distances":[3],"rates":[0.008],"trials":200,"seed":3}`, "uf"},
 		{`{"scheme":"baseline","distances":[3],"rates":[0.008],"trials":200,"seed":3,"decoder":"blossom"}`, "blossom"},
-		{`{"scheme":"baseline","distances":[3],"rates":[0.008],"trials":200,"seed":3,"decoder":"mwpm"}`, "mwpm"},
-		{`{"scheme":"baseline","distances":[3],"rates":[0.008],"trials":200,"seed":3,"decoder":"exact"}`, "exact"},
 		{`{"type":"sensitivity","panel":"cavity-t1","distances":[3],"values":[0.001],"trials":200,"decoder":"blossom"}`, "blossom"},
 	}
 	for _, tc := range cases {
@@ -66,7 +64,7 @@ func TestUnknownDecoderRejected(t *testing.T) {
 func TestStatsCacheHitsAcrossDecoderKinds(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var afterFirst int64
-	for i, dec := range []string{"uf", "blossom", "mwpm"} {
+	for i, dec := range []string{"uf", "blossom"} {
 		body := fmt.Sprintf(`{"scheme":"baseline","distances":[3],"rates":[0.004,0.008],"trials":200,"seed":9,"decoder":%q}`, dec)
 		resp := postSweep(t, ts, "/v1/sweeps", body)
 		if resp.StatusCode != http.StatusOK {

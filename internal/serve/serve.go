@@ -245,14 +245,24 @@ func (s *Server) lookup(id string) *job {
 	return s.jobs[id]
 }
 
-// evictFinished drops the oldest finished jobs beyond the retention cap in
-// one compaction pass over the order slice (the scan-and-splice it
-// replaces was O(n²) under churn). Queued and running jobs are never
-// evicted; evicted jobs get a belt-and-braces cancel so no evicted job
-// can leave a context registered on baseCtx.
-func (s *Server) evictFinished() {
+// finish moves jb to its terminal state and applies the retention cap in
+// one critical section on the registry. A client's stream ends when jb's
+// subscribers wake, and every registry read (/v1/stats, job status) waits
+// on s.mu, so no reader sees jb finished before the eviction it triggers:
+// after a stream ends, at most RetainJobs finished jobs remain.
+func (s *Server) finish(jb *job, state string, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	jb.finish(state, err)
+	s.evictFinishedLocked()
+}
+
+// evictFinishedLocked drops the oldest finished jobs beyond the retention
+// cap in one compaction pass over the order slice, so eviction stays
+// linear under churn. Queued and running jobs are never evicted; evicted
+// jobs get a belt-and-braces cancel so no evicted job can leave a context
+// registered on baseCtx. Callers hold s.mu.
+func (s *Server) evictFinishedLocked() {
 	finished := 0
 	for _, j := range s.order {
 		if terminal(j.stateNow()) {
@@ -376,9 +386,8 @@ func (s *Server) execute(jb *job) {
 	select {
 	case s.slots <- struct{}{}:
 	case <-jb.ctx.Done():
-		jb.finish(StateCancelled, jb.ctx.Err())
+		s.finish(jb, StateCancelled, jb.ctx.Err())
 		s.met.jobs.Observe(time.Since(jb.created).Seconds(), StateCancelled)
-		s.evictFinished()
 		return
 	}
 	defer func() { <-s.slots }()
@@ -390,20 +399,15 @@ func (s *Server) execute(jb *job) {
 	if err == nil {
 		err = s.runCells(jb)
 	}
-	var outcome string
+	outcome := StateDone
 	switch {
 	case jb.ctx.Err() != nil:
-		jb.finish(StateCancelled, jb.ctx.Err())
-		outcome = StateCancelled
+		outcome, err = StateCancelled, jb.ctx.Err()
 	case err != nil:
-		jb.finish(StateFailed, err)
 		outcome = StateFailed
-	default:
-		jb.finish(StateDone, nil)
-		outcome = StateDone
 	}
+	s.finish(jb, outcome, err)
 	s.met.jobs.Observe(time.Since(jb.created).Seconds(), outcome)
-	s.evictFinished()
 }
 
 // Cell provenance labels (CellRecord.Source and the metrics source label;

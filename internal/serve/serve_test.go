@@ -530,6 +530,9 @@ func TestMalformedRequests(t *testing.T) {
 		{"unknown type", `{"type":"tomography"}`},
 		{"unknown scheme", `{"scheme":"qldpc"}`},
 		{"unknown decoder", `{"decoder":"bp-osd"}`},
+		{"retired mwpm decoder", `{"decoder":"mwpm"}`},
+		{"retired exact decoder", `{"decoder":"exact"}`},
+		{"retired decode_pipeline field", `{"decode_pipeline":false}`},
 		{"negative trials", `{"trials":-5}`},
 		{"negative target", `{"target_failures":-1}`},
 		{"even distance", `{"distances":[4]}`},
@@ -640,6 +643,80 @@ func TestFinishedJobEviction(t *testing.T) {
 	}
 }
 
+// A job's stream must not end before the eviction its finish triggers,
+// or a client that reads /v1/stats right after its stream ends can see
+// RetainJobs+1 finished jobs. The test holds the registry lock while a
+// job finishes — after its run, or cancelled while it waits for a run
+// slot — so a job that reaches a terminal state before the lock is
+// released has been finished ahead of its eviction pass.
+func TestEvictionPrecedesStreamEnd(t *testing.T) {
+	for _, path := range []string{"run", "cancel-before-slot"} {
+		t.Run(path, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{RetainJobs: 1, MaxConcurrentJobs: 1})
+			release := make(chan struct{})
+			defer close(release)
+			s.beforeRun = func(ctx context.Context) error {
+				select {
+				case <-release:
+					return nil
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}
+			submit := func(seed int) string {
+				body := fmt.Sprintf(`{"scheme":"baseline","distances":[3],"rates":[0.008],"trials":20,"seed":%d}`, seed)
+				resp := postSweep(t, ts, "/v1/sweeps?async=1", body)
+				defer resp.Body.Close()
+				var st JobStatus
+				if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+					t.Fatal(err)
+				}
+				return st.ID
+			}
+			first := submit(1)
+			release <- struct{}{}
+			waitForState(t, ts, first, StateDone)
+			held := submit(2)
+			waitForState(t, ts, held, StateRunning)
+
+			target, want := held, StateDone
+			end := func(*job) { release <- struct{}{} }
+			if path == "cancel-before-slot" {
+				// The held job keeps the only run slot, so this one is
+				// still queued when it is cancelled.
+				target, want = submit(3), StateCancelled
+				end = func(jb *job) { jb.cancel() }
+			}
+
+			s.mu.Lock()
+			jb := s.jobs[target]
+			end(jb)
+			deadline := time.Now().Add(500 * time.Millisecond)
+			for time.Now().Before(deadline) && !terminal(jb.stateNow()) {
+				time.Sleep(time.Millisecond)
+			}
+			if terminal(jb.stateNow()) {
+				finished := 0
+				for _, j := range s.order {
+					if terminal(j.stateNow()) {
+						finished++
+					}
+				}
+				if finished > s.cfg.RetainJobs {
+					t.Errorf("job %s ended with %d finished jobs registered, retention is %d: eviction must come first",
+						target, finished, s.cfg.RetainJobs)
+				}
+			}
+			s.mu.Unlock()
+
+			waitForState(t, ts, target, want)
+			if _, code := getStatus(t, ts, first); code != http.StatusNotFound {
+				t.Errorf("oldest finished job still queryable: HTTP %d, want 404", code)
+			}
+		})
+	}
+}
+
 // Liveness endpoint.
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -653,19 +730,17 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// The decode pipeline is on by default: cells report their skip/dedup hit
-// counts, /v1/stats aggregates them process-wide, and a request disabling
-// the pipeline gets bit-identical rates with zeroed counters.
-func TestDecodePipelineCountersAndToggle(t *testing.T) {
+// The decode pipeline is always on: cells report their skip/dedup hit
+// counts, and /v1/stats aggregates them process-wide.
+func TestDecodePipelineCounters(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
-	on, status := readStream(t, postSweep(t, ts, "/v1/sweeps", rowBody))
+	cells, status := readStream(t, postSweep(t, ts, "/v1/sweeps", rowBody))
 	if status.State != StateDone {
-		t.Fatalf("pipeline-on sweep state %q (error %q)", status.State, status.Error)
+		t.Fatalf("sweep state %q (error %q)", status.State, status.Error)
 	}
-	on = byIndex(t, on)
 	var shots, skipped, dedup int
-	for _, rec := range on {
+	for _, rec := range cells {
 		shots += rec.Trials
 		skipped += rec.Skipped
 		dedup += rec.DedupHits
@@ -677,25 +752,5 @@ func TestDecodePipelineCountersAndToggle(t *testing.T) {
 	if st.Decode.Shots != int64(shots) || st.Decode.Skipped != int64(skipped) || st.Decode.DedupHits != int64(dedup) {
 		t.Errorf("/v1/stats decode %+v, want %d/%d/%d shots/skipped/dedup",
 			st.Decode, shots, skipped, dedup)
-	}
-
-	offBody := strings.TrimSuffix(rowBody, "}") + `,"decode_pipeline":false}`
-	off, status2 := readStream(t, postSweep(t, ts, "/v1/sweeps", offBody))
-	if status2.State != StateDone {
-		t.Fatalf("pipeline-off sweep state %q (error %q)", status2.State, status2.Error)
-	}
-	if len(off) != len(on) {
-		t.Fatalf("pipeline-off sweep streamed %d cells, on %d", len(off), len(on))
-	}
-	off = byIndex(t, off)
-	for i := range off {
-		if off[i].Skipped != 0 || off[i].DedupHits != 0 {
-			t.Errorf("cell %d: disabled pipeline reported counters %d/%d",
-				i, off[i].Skipped, off[i].DedupHits)
-		}
-		if off[i].Failures != on[i].Failures || off[i].Trials != on[i].Trials {
-			t.Errorf("cell %d: pipeline off %d/%d failures/trials, on %d/%d — predictions must be bit-identical",
-				i, off[i].Failures, off[i].Trials, on[i].Failures, on[i].Trials)
-		}
 	}
 }

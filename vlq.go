@@ -16,9 +16,9 @@
 //     fault Structure reweighted per noise scale, with the decoding-graph
 //     topology hoisted alongside it so each scale pays only an edge
 //     reweight), word-packed 64-shot batch sampling with geometric
-//     skip-sampling over rare mechanisms, union-find and exact
-//     minimum-weight-matching decoders with allocation-free batch entry
-//     points, a parallel Monte-Carlo engine with a bounded LRU structure
+//     skip-sampling over rare mechanisms, union-find and sparse-blossom
+//     exact minimum-weight-matching decoders with allocation-free batch
+//     entry points, a parallel Monte-Carlo engine with a bounded LRU structure
 //     cache, per-worker ChaCha8 streams, optional early stopping, and an
 //     importance-sampled rare-event mode (boosted proposal sampling with
 //     likelihood-ratio-weighted estimates, error bars, and effective
@@ -194,13 +194,6 @@ func BuildDetectorStructure(e *Experiment) (*DetectorStructure, error) {
 // BatchDecoder).
 func NewUnionFindDecoder(g *DecodingGraph) Decoder { return decoder.NewUnionFind(g) }
 
-// NewMWPMDecoder returns the exact minimum-weight perfect-matching decoder.
-func NewMWPMDecoder(g *DecodingGraph) Decoder { return decoder.NewMWPM(g) }
-
-// NewMWPMFallbackDecoder returns exact matching with a transparent
-// union-find fallback on oversized clusters (also a BatchDecoder).
-func NewMWPMFallbackDecoder(g *DecodingGraph) Decoder { return decoder.NewMWPMFallback(g) }
-
 // NewBlossomDecoder returns the sparse-blossom exact minimum-weight
 // matching decoder (also a BatchDecoder): strictly minimum-weight
 // corrections at union-find-like per-shot cost.
@@ -218,8 +211,7 @@ type (
 	SensitivityPanel = montecarlo.Panel
 	// SensitivityPoint is one cell of a sensitivity sweep.
 	SensitivityPoint = montecarlo.SensitivityPoint
-	// DecoderKind selects the trial decoder ("uf", "blossom", "mwpm", or
-	// "exact").
+	// DecoderKind selects the trial decoder ("uf" or "blossom").
 	DecoderKind = montecarlo.DecoderKind
 	// MonteCarloEngine caches circuit structures and detector-error-model
 	// Structures across the points of a sweep.
@@ -387,14 +379,11 @@ func RunMonteCarloReference(cfg MonteCarloConfig) (MonteCarloResult, error) {
 	return montecarlo.RunReference(cfg)
 }
 
-// Decoder kinds for Monte-Carlo trials: union-find, sparse-blossom exact
-// matching (the production matcher), and the older exact matchers (wrapped
-// with a union-find fallback past their size ceilings when used in runs).
+// Decoder kinds for Monte-Carlo trials: union-find and sparse-blossom
+// exact matching (the production matcher).
 const (
 	DecodeUnionFind = montecarlo.UF
 	DecodeBlossom   = montecarlo.Blossom
-	DecodeMWPM      = montecarlo.MWPM
-	DecodeExact     = montecarlo.Exact
 )
 
 // DecoderKinds lists every selectable decoder kind.

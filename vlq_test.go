@@ -37,7 +37,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dec := range []Decoder{NewUnionFindDecoder(graph), NewMWPMDecoder(graph)} {
+	for _, dec := range []Decoder{NewUnionFindDecoder(graph), NewBlossomDecoder(graph)} {
 		if obs, err := dec.Decode(nil); err != nil || obs {
 			t.Fatalf("%s: trivial decode failed", dec.Name())
 		}
