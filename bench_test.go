@@ -320,20 +320,21 @@ func BenchmarkClaim_TransmonSavings(b *testing.B) {
 func BenchmarkAblation_DecoderComparison(b *testing.B) {
 	trials := benchTrials()
 	var ufRate, blRate float64
+	en := montecarlo.NewEngine()
 	for i := 0; i < b.N; i++ {
-		uf, err := montecarlo.Run(montecarlo.Config{
+		uf, err := en.RunOn(montecarlo.Config{
 			Scheme: extract.Baseline, Distance: 5, Basis: extract.BasisZ,
 			Params: hardware.Default().ScaledGatesTo(4e-3), Trials: trials, Seed: 17,
 			Decoder: montecarlo.UF,
-		})
+		}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		bl, err := montecarlo.Run(montecarlo.Config{
+		bl, err := en.RunOn(montecarlo.Config{
 			Scheme: extract.Baseline, Distance: 5, Basis: extract.BasisZ,
 			Params: hardware.Default().ScaledGatesTo(4e-3), Trials: trials, Seed: 17,
 			Decoder: montecarlo.Blossom,
-		})
+		}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -375,8 +376,9 @@ func BenchmarkAblation_SchedulingOverhead(b *testing.B) {
 // BenchmarkSweepRow times a 3-distance x 8-rate Compact-Interleaved
 // threshold sweep row three ways: through the shared-pool scheduler
 // (one owner per cell, helped by idle workers; per-worker
-// decoder/sampler/model reuse, hoisted graph topology), through the PR 1 sequential-cell path (one engine.Run
-// per cell with per-cell worker forking and fresh per-cell state), and once
+// decoder/sampler/model reuse, hoisted graph topology), through the
+// sequential-cell path (one Engine.RunOn per cell on one goroutine, with
+// fresh per-cell state), and once
 // through the retained pre-batching scalar path (fresh model build per
 // cell, one RNG draw per mechanism per shot). The scheduler and sequential
 // legs run on warmed engines — structures and topologies prebuilt, the
@@ -519,14 +521,14 @@ func BenchmarkSweepRow(b *testing.B) {
 	})
 }
 
-// sequentialRow runs a Fig. 11 row cell by cell through Engine.Run, each
-// cell forking its own GOMAXPROCS workers — the pre-scheduler sweep path
-// that BenchmarkSweepRow holds the pool against.
+// sequentialRow runs a Fig. 11 row cell by cell through Engine.RunOn on the
+// calling goroutine, each cell on fresh per-cell state — the one-goroutine
+// sweep path that BenchmarkSweepRow holds the pool against.
 func sequentialRow(en *montecarlo.Engine, scheme extract.Scheme, ds []int, rates []float64, trials int, seed int64) ([]montecarlo.SweepPoint, error) {
 	var pts []montecarlo.SweepPoint
 	for _, d := range ds {
 		for _, p := range rates {
-			res, err := en.Run(montecarlo.ThresholdCellConfig(scheme, d, p, hardware.Default(), trials, seed, montecarlo.UF, montecarlo.SweepOptions{}))
+			res, err := en.RunOn(montecarlo.ThresholdCellConfig(scheme, d, p, hardware.Default(), trials, seed, montecarlo.UF, montecarlo.SweepOptions{}), nil)
 			if err != nil {
 				return nil, err
 			}
@@ -1090,20 +1092,21 @@ func BenchmarkMicro_DEMSampler(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := montecarlo.Run(montecarlo.Config{
+	en := montecarlo.NewEngine()
+	res, err := en.RunOn(montecarlo.Config{
 		Scheme: extract.CompactInterleaved, Distance: 5, Basis: extract.BasisZ,
 		Params: hardware.Default().ScaledGatesTo(4e-3), Trials: 1, Seed: 1,
-	})
+	}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	_ = res
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := montecarlo.Run(montecarlo.Config{
+		_, err := en.RunOn(montecarlo.Config{
 			Scheme: extract.CompactInterleaved, Distance: 5, Basis: extract.BasisZ,
 			Params: hardware.Default().ScaledGatesTo(4e-3), Trials: 200, Seed: int64(i),
-		})
+		}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

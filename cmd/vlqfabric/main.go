@@ -4,8 +4,8 @@
 // submissions on POST /v1/fabric/sweeps with the same SweepRequest body
 // the serving front end takes — results stream back as NDJSON cell lines.
 // Without shard_shots they are bit-identical to a local run of the same
-// request; a cell split into n shards equals montecarlo.Engine.Run with
-// Workers == n.
+// request; a cell split into n shards equals montecarlo.MergeShards of its
+// shards, shard i on stream i.
 //
 // Example cluster on one machine:
 //

@@ -35,8 +35,9 @@ type RunOptions struct {
 	// trials (montecarlo.PlanShards: 0 keeps every cell whole, positive
 	// values below montecarlo.MinShardShots are raised to that floor); the
 	// unit queue is BuildUnitQueue(jobs, ShardShots, Queue). A cell of n
-	// shards merges to montecarlo.Engine.Run with Workers == n, so an
-	// unsharded run reproduces the local scheduler's bytes.
+	// shards equals montecarlo.MergeShards of the plan's RunShardOn
+	// shards, shard i on stream i, so an unsharded run reproduces the
+	// local scheduler's bytes.
 	ShardShots int
 	// Queue orders the lease queue (default cost-descending).
 	Queue sched.QueueOrder
@@ -107,12 +108,12 @@ type Run struct {
 // Hub is the fabric coordinator: it leases sweep shard units to registered
 // workers, expires leases whose heartbeats stall, reassigns their units,
 // and merges the returned ShardResults exactly once per unit — so each
-// merged CellResult is bit-identical to montecarlo.Engine.Run of the cell
-// with Workers == its shard count, at any worker count, under any fault
-// schedule. One Hub serves many
-// runs over its lifetime (the serving front end submits each fabric-mode
-// sweep to the process's hub); leases are drawn from runs in submission
-// order, units within a run in cost order.
+// merged CellResult is bit-identical to montecarlo.MergeShards of the
+// cell's RunShardOn shards, shard i on stream i, at any worker count,
+// under any fault schedule. One Hub serves many runs over its lifetime
+// (the serving front end submits each fabric-mode sweep to the process's
+// hub); leases are drawn from runs in submission order, units within a
+// run in cost order.
 type Hub struct {
 	opts Options
 	ttl  time.Duration
@@ -563,8 +564,8 @@ func (h *Hub) recordUnitLocked(r *Run, k int, sr montecarlo.ShardResult, errMsg 
 // always for pending (unleased) units — units are settled as empty shards
 // immediately. With settleAll false (the banked-target path), leased units
 // stay outstanding: their workers abort at the next batch boundary and
-// submit partial tallies, exactly like Engine.Run's workers observing
-// their shared budget.
+// submit partial tallies, exactly like sibling shards observing their
+// shared budget.
 func (h *Hub) cancelCellLocked(r *Run, cellIdx int, reason string, settleAll bool) []emission {
 	var emits []emission
 	for k, u := range r.q.Units {
@@ -627,8 +628,8 @@ func (r *Run) Cancel() {
 // Wait blocks until every cell has merged and been delivered to OnResult
 // (or the run is cancelled, or ctx is done — which cancels the run), then
 // returns the per-cell results in submission order and reaps the run from
-// the hub. Completed cells carry exactly the Result Engine.Run gives the
-// cell with Workers == its shard count.
+// the hub. Completed cells carry exactly the Result montecarlo.MergeShards
+// gives the cell's RunShardOn shards, shard i on stream i.
 func (r *Run) Wait(ctx context.Context) ([]sched.CellResult, error) {
 	select {
 	case <-r.done:

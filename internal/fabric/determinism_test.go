@@ -11,22 +11,30 @@ import (
 	"repro/internal/sched"
 )
 
-// runReference is the reference side of the fabric's determinism
-// contract: each cell through montecarlo.Engine.Run with Workers equal to
-// its shard count under shardShots — RunOn's bytes for an unsharded cell.
-// The Result keeps the job's own Config, as a merged fabric cell does.
-func runReference(t *testing.T, jobs []sched.Job, shardShots int) []sched.CellResult {
+// RunReference is the reference side of the fabric's determinism
+// contract: each cell's shard plan under shardShots run through RunShardOn
+// in index order, on one goroutine under one ShardBudget, and merged by
+// MergeShards — RunOn's bytes for an unsharded cell. Exported (test-only)
+// for the external-package cluster smoke test.
+func RunReference(t *testing.T, jobs []sched.Job, shardShots int) []sched.CellResult {
 	t.Helper()
 	en := montecarlo.NewEngine()
+	var st montecarlo.WorkerState
 	out := make([]sched.CellResult, len(jobs))
 	for i, j := range jobs {
-		cfg := j.Cfg
-		cfg.Workers = montecarlo.PlanShards(cfg.Trials, shardShots).Shards
-		res, err := en.Run(cfg)
+		plan := montecarlo.PlanShards(j.Cfg.Trials, shardShots)
+		var budget montecarlo.ShardBudget
+		parts := make([]montecarlo.ShardResult, plan.Shards)
+		for s := range parts {
+			var err error
+			if parts[s], err = en.RunShardOn(j.Cfg, plan, s, &budget, &st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := montecarlo.MergeShards(j.Cfg, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Config.Workers = j.Cfg.Workers
 		out[i] = sched.CellResult{Index: i, Job: j, Result: res}
 	}
 	return out
@@ -77,10 +85,9 @@ func diffResults(t *testing.T, label string, got, want []sched.CellResult) {
 
 // TestClusterMatchesLocalThresholdGrid is the headline contract: every
 // cell of a threshold sweep executed over the fabric merges bit-identically
-// to Engine.Run with Workers == its shard count — the local scheduler's
-// RunOn bytes when unsharded — at every worker count and at every lease
-// granularity. The grid includes a Workers: 2 cell, whose Workers field the
-// plan ignores like every other cell's.
+// to RunReference's index-order run of its shard plan — the local
+// scheduler's RunOn bytes when unsharded — at every worker count and at
+// every lease granularity.
 func TestClusterMatchesLocalThresholdGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-worker sweep matrix")
@@ -89,13 +96,9 @@ func TestClusterMatchesLocalThresholdGrid(t *testing.T) {
 	rates := montecarlo.DefaultPhysRates(6)[2:5]
 	jobs := sched.ThresholdJobs(extract.Baseline, []int{3, 5}, rates,
 		hardware.Default(), trials, 41, montecarlo.UF, montecarlo.SweepOptions{})
-	wide := montecarlo.ThresholdCellConfig(extract.Baseline, 3, rates[0],
-		hardware.Default(), trials, 41, montecarlo.UF, montecarlo.SweepOptions{})
-	wide.Workers = 2
-	jobs = append(jobs, sched.Job{Cfg: wide, Tag: "wide"})
 
 	for _, shardShots := range []int{0, montecarlo.MinShardShots} {
-		want := runReference(t, jobs, shardShots)
+		want := RunReference(t, jobs, shardShots)
 		for _, workers := range []int{1, 2, 4, 8} {
 			got := runFabric(t, jobs, shardShots, workers)
 			diffResults(t, labelWS(workers, shardShots), got, want)
@@ -134,7 +137,7 @@ func TestClusterMatchesLocalSensitivityGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := runReference(t, jobs, montecarlo.MinShardShots)
+	want := RunReference(t, jobs, montecarlo.MinShardShots)
 	for _, workers := range []int{2, 4} {
 		got := runFabric(t, jobs, montecarlo.MinShardShots, workers)
 		diffResults(t, labelWS(workers, montecarlo.MinShardShots), got, want)
@@ -143,8 +146,8 @@ func TestClusterMatchesLocalSensitivityGrid(t *testing.T) {
 
 // TestClusterMatchesLocalRareGrid extends the contract to importance-sampled
 // cells: the weighted tallies are likelihood-ratio float sums, so this leg
-// pins that the fabric's shard-index merge order reproduces Engine.Run's
-// worker-order floating-point association byte for byte, at every worker
+// pins that the fabric's shard-index merge order reproduces the reference's
+// index-order floating-point association byte for byte, at every worker
 // count and lease granularity.
 func TestClusterMatchesLocalRareGrid(t *testing.T) {
 	if testing.Short() {
@@ -155,7 +158,7 @@ func TestClusterMatchesLocalRareGrid(t *testing.T) {
 		hardware.Default(), trials, 41, montecarlo.UF,
 		montecarlo.SweepOptions{RareEvent: true, Boost: 2})
 	for _, shardShots := range []int{0, montecarlo.MinShardShots} {
-		want := runReference(t, jobs, shardShots)
+		want := RunReference(t, jobs, shardShots)
 		for i := range want {
 			if w := want[i].Result.Weighted; w.Shots != trials || w.SumW <= 0 {
 				t.Fatalf("reference cell %d carries no weighted tally: %+v", i, w)
@@ -224,7 +227,7 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 
 	jobs := sched.ThresholdJobs(extract.Baseline, []int{3}, montecarlo.DefaultPhysRates(6)[3:5],
 		hardware.Default(), 2*montecarlo.MinShardShots, 61, montecarlo.UF, montecarlo.SweepOptions{})
-	want := runReference(t, jobs, montecarlo.MinShardShots)
+	want := RunReference(t, jobs, montecarlo.MinShardShots)
 
 	r, err := h.Submit(jobs, RunOptions{ShardShots: montecarlo.MinShardShots})
 	if err != nil {

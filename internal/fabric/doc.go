@@ -1,9 +1,9 @@
 // Package fabric distributes sweep execution across worker processes
 // without giving up the repo's determinism contract: a cluster run merges
 // to bit-identical CellResults at any worker count, under any fault
-// schedule. A cell planned into n shards equals montecarlo.Engine.Run of
-// its Config with Workers == n; an unsharded cell (n == 1) equals the
-// local scheduler's RunOn bytes.
+// schedule. A cell planned into n shards equals montecarlo.MergeShards of
+// the plan's montecarlo.Engine.RunShardOn shards, shard i on stream i; an
+// unsharded cell (n == 1) equals the local scheduler's RunOn bytes.
 //
 // Planning — BuildUnitQueue over the job specs — is a pure function:
 // montecarlo.PlanShards fixes each cell's shard plan from its trials and
@@ -26,8 +26,8 @@
 // Lease) requeues units whose leases lapse. Heartbeats also carry
 // cancellations: ReasonExpired (abort, never submit — a partial tally must
 // not race the reassigned run), ReasonSettled (the cell's TargetFailures
-// budget was banked by siblings; abort and submit the partial, as an
-// early-stopped Engine.Run worker would), and ReasonCancelled (run
+// budget was banked by siblings; abort and submit the partial, as a shard
+// that reads the banked target itself would), and ReasonCancelled (run
 // cancelled; abort).
 // A coordinator-side guard additionally rejects short tallies for
 // fixed-trials units, so even a worker that misses its cancellation cannot

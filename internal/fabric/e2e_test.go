@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/montecarlo"
-	"repro/internal/sched"
 	"repro/internal/serve"
 )
 
@@ -96,8 +96,8 @@ func TestE2EClusterOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The reference: each cell of the identical request through Engine.Run
-	// with Workers == its shard count.
+	// The reference: each cell of the identical request through its shard
+	// plan in index order (fabric.RunReference).
 	cells, err := serve.BuildCells(req)
 	if err != nil {
 		t.Fatal(err)
@@ -105,16 +105,9 @@ func TestE2EClusterOverTCP(t *testing.T) {
 	if len(got) != len(cells) {
 		t.Fatalf("cluster streamed %d cells, the request has %d", len(got), len(cells))
 	}
-	en := montecarlo.NewEngine()
 	want := make(map[int]serve.CellRecord, len(cells))
-	for i, j := range cells {
-		cfg := j.Cfg
-		cfg.Workers = montecarlo.PlanShards(cfg.Trials, req.ShardShots).Shards
-		res, err := en.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = serve.ToCellRecord(sched.CellResult{Index: i, Job: j, Result: res})
+	for _, r := range fabric.RunReference(t, cells, req.ShardShots) {
+		want[r.Index] = serve.ToCellRecord(r)
 	}
 	for _, rec := range got {
 		if rec != want[rec.Index] {

@@ -57,21 +57,29 @@ func schedules() []*Schedule {
 	}
 }
 
-// runReference is the fault-free reference: each cell through
-// montecarlo.Engine.Run with Workers equal to its shard count under
-// shardShots, keeping the job's own Config as a merged fabric cell does.
+// runReference is the fault-free reference: each cell's shard plan under
+// shardShots run through RunShardOn in index order, on one goroutine under
+// one ShardBudget, and merged by MergeShards, as a fault-free fabric run
+// merges it.
 func runReference(t *testing.T, jobs []sched.Job, shardShots int) []sched.CellResult {
 	t.Helper()
 	en := montecarlo.NewEngine()
+	var st montecarlo.WorkerState
 	out := make([]sched.CellResult, len(jobs))
 	for i, j := range jobs {
-		cfg := j.Cfg
-		cfg.Workers = montecarlo.PlanShards(cfg.Trials, shardShots).Shards
-		res, err := en.Run(cfg)
+		plan := montecarlo.PlanShards(j.Cfg.Trials, shardShots)
+		var budget montecarlo.ShardBudget
+		parts := make([]montecarlo.ShardResult, plan.Shards)
+		for s := range parts {
+			var err error
+			if parts[s], err = en.RunShardOn(j.Cfg, plan, s, &budget, &st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := montecarlo.MergeShards(j.Cfg, parts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Config.Workers = j.Cfg.Workers
 		out[i] = sched.CellResult{Index: i, Job: j, Result: res}
 	}
 	return out

@@ -28,8 +28,8 @@ type UnitQueue struct {
 // count or any runtime state — which is what makes results reproducible
 // across any execution of the queue: same jobs + same shardShots => same
 // plans (montecarlo.PlanShards) => same per-shard ChaCha8 streams. A cell
-// planned into n shards merges to montecarlo.Engine.Run with Workers == n
-// (RunOn's bytes when n is 1), whatever its Config.Workers says.
+// planned into n shards equals montecarlo.MergeShards of the plan's
+// RunShardOn shards, shard i on stream i (RunOn's bytes when n is 1).
 func BuildUnitQueue(jobs []sched.Job, shardShots int, order sched.QueueOrder) UnitQueue {
 	q := UnitQueue{Plans: make([]montecarlo.ShardPlan, len(jobs))}
 	nunits := 0

@@ -72,7 +72,7 @@ type Lease struct {
 	Shards int `json:"shards"`
 	Trials int `json:"trials"`
 	// Cfg is the full cell spec. Workers run it through
-	// montecarlo.Engine.RunShardOn; its Workers field plays no part.
+	// montecarlo.Engine.RunShardOn.
 	Cfg montecarlo.Config `json:"cfg"`
 	// DeadlineMillis is the lease deadline on the coordinator's clock
 	// (Unix milliseconds), advisory for the worker's own pacing; the

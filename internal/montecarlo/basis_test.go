@@ -13,7 +13,7 @@ func TestBothBasesRun(t *testing.T) {
 	for _, scheme := range extract.Schemes {
 		var rates [2]float64
 		for i, basis := range []extract.Basis{extract.BasisZ, extract.BasisX} {
-			res, err := Run(Config{
+			res, err := runPoint(Config{
 				Scheme:   scheme,
 				Distance: 3,
 				Basis:    basis,
@@ -56,12 +56,12 @@ func TestBlossomBeatsUFOnAverage(t *testing.T) {
 		Seed:     71,
 	}
 	cfg.Decoder = UF
-	uf, err := Run(cfg)
+	uf, err := runPoint(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Decoder = Blossom
-	bl, err := Run(cfg)
+	bl, err := runPoint(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +83,12 @@ func TestGapChargingMonotone(t *testing.T) {
 		Trials:   8000,
 		Seed:     41,
 	}
-	off, err := Run(base)
+	off, err := runPoint(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.ChargeGapIdle = true
-	on, err := Run(base)
+	on, err := runPoint(base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func pointCfg(d int, seed int64) Config {
 func TestCacheLRUEviction(t *testing.T) {
 	en := NewEngineWithCache(1)
 	for i, d := range []int{3, 5, 3} {
-		if _, err := en.Run(pointCfg(d, int64(i))); err != nil {
+		if _, err := en.RunOn(pointCfg(d, int64(i)), nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := en.CachedStructures(); got != 1 {
@@ -44,7 +44,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheLRUTouchRefreshesRecency(t *testing.T) {
 	en := NewEngineWithCache(2)
 	for i, d := range []int{3, 5, 3, 7, 3} {
-		if _, err := en.Run(pointCfg(d, int64(i))); err != nil {
+		if _, err := en.RunOn(pointCfg(d, int64(i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,7 +61,7 @@ func TestCacheLRUTouchRefreshesRecency(t *testing.T) {
 func TestCacheUnbounded(t *testing.T) {
 	en := NewEngineWithCache(0)
 	for i, d := range []int{3, 5, 7} {
-		if _, err := en.Run(pointCfg(d, int64(i))); err != nil {
+		if _, err := en.RunOn(pointCfg(d, int64(i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,16 +77,15 @@ func TestCacheUnbounded(t *testing.T) {
 // the same deterministic outcome as the original.
 func TestEvictionPreservesDeterminism(t *testing.T) {
 	cfg := pointCfg(3, 99)
-	cfg.Workers = 1
 	en := NewEngineWithCache(1)
-	a, err := en.Run(cfg)
+	a, err := en.RunOn(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := en.Run(pointCfg(5, 1)); err != nil { // evicts d=3
+	if _, err := en.RunOn(pointCfg(5, 1), nil); err != nil { // evicts d=3
 		t.Fatal(err)
 	}
-	b, err := en.Run(cfg) // rebuild
+	b, err := en.RunOn(cfg, nil) // rebuild
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestEvictionPreservesDeterminism(t *testing.T) {
 	}
 }
 
-// The engine must tolerate concurrent Run/RunOn callers hammering a tiny
+// The engine must tolerate concurrent RunOn callers hammering a tiny
 // cache — the -race CI job drives the LRU bookkeeping, the build once, and
 // the hoisted graph once under contention here.
 func TestEngineConcurrentUse(t *testing.T) {
@@ -111,11 +110,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 			if i%2 == 1 {
 				d = 5
 			}
-			if i%3 == 0 {
-				_, errs[i] = en.RunOn(pointCfg(d, int64(i)), nil)
-			} else {
-				_, errs[i] = en.Run(pointCfg(d, int64(i)))
-			}
+			_, errs[i] = en.RunOn(pointCfg(d, int64(i)), nil)
 		}(i)
 	}
 	wg.Wait()
@@ -126,9 +121,9 @@ func TestEngineConcurrentUse(t *testing.T) {
 	}
 }
 
-// RunOn must be bit-identical to Run with Workers == 1, and reusing one
-// WorkerState across different distances must not change results.
-func TestRunOnMatchesSingleWorkerRun(t *testing.T) {
+// Reusing one WorkerState across different distances must not change
+// results: RunOn on a reused state equals RunOn on a fresh one.
+func TestRunOnWorkerStateReuse(t *testing.T) {
 	en := NewEngine()
 	var st WorkerState
 	for _, d := range []int{3, 5, 3} {
@@ -138,15 +133,12 @@ func TestRunOnMatchesSingleWorkerRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := cfg
-		ref.Workers = 1
-		want, err := en.Run(ref)
+		want, err := en.RunOn(cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Failures != want.Failures || got.Trials != want.Trials {
-			t.Errorf("d=%d: RunOn %d/%d vs Run(Workers=1) %d/%d failures/trials",
-				d, got.Failures, got.Trials, want.Failures, want.Trials)
+		if got != want {
+			t.Errorf("d=%d: RunOn on a reused state\n %+v\non a fresh one\n %+v", d, got, want)
 		}
 	}
 }

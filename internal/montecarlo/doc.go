@@ -14,9 +14,10 @@
 // threshold sweep builds each (scheme, distance) experiment once and merely
 // Reweights it per physical rate. Shots are drawn 64 at a time by the
 // word-packed dem.BatchSampler and decoded through decoder.BatchDecoder
-// with reusable buffers; workers use independent ChaCha8 streams. An
-// optional early-stop mode (Config.TargetFailures) ends a point once a
-// target failure count is reached.
+// with reusable buffers; each shard of a point draws from its own ChaCha8
+// stream, and an unsharded point from stream 0. An optional early-stop
+// mode (Config.TargetFailures) ends a point once a target failure count is
+// reached.
 //
 // One kernel runs every point, in both modes and on every entry point:
 // sample a batch into a Slot, decode the Slot into a failure bitmask
@@ -43,7 +44,7 @@
 // weight. Failures accumulate into Result.Weighted (a WeightedResult),
 // whose Estimate is unbiased for the true logical rate and which carries
 // its own variance, relative standard error, and Kish effective sample
-// sizes. Weighted tallies merge across workers, shards, and fabric
+// sizes. Weighted tallies merge across shards and fabric
 // ShardResults in the same deterministic order as the plain counters, so
 // rare-event sweeps stay bit-identical at any pool width or shard plan.
 // TargetRelErr is the mode's early stop: a point ends once the weighted
@@ -54,13 +55,11 @@
 //
 // Entry points:
 //
-//   - Config -> Engine.Run: one point, trials split over cfg.Workers
-//     parallel workers (0 => GOMAXPROCS), each on its own ChaCha8 stream.
-//     This is the only entry point whose bytes depend on Workers; every
-//     other one runs a fixed stream layout
-//   - Engine.RunOn(cfg, *WorkerState): one point on the calling goroutine
-//     with reusable per-worker scratch — the sweep scheduler's per-cell
-//     entry; bit-identical to Run with Workers == 1, helped or not.
+//   - Config -> Engine.RunOn(cfg, *WorkerState): one unsharded point on
+//     the calling goroutine from stream 0, with reusable per-worker
+//     scratch — the one entry point of an unsharded cell, whose bytes
+//     depend on its Config alone, helped or not. The sweep scheduler, the
+//     serving front end and the public facade all run cells through it.
 //     Engine.RunOnBudget is the same under a caller-held ShardBudget whose
 //     Abort stops the point at its next batch (the scheduler's cancel)
 //   - NewCrew / WorkerState.JoinCrew / Crew.Claim / WorkerState.DecodeSlot
@@ -68,11 +67,13 @@
 //     running cells' batches
 //   - PlanShards / Engine.RunShardOn / MergeShards: the partial-run API
 //     the distributed fabric (internal/fabric) leases — a fixed
-//     decomposition of one point into shard units. Shard i consumes worker
-//     stream i, a shared ShardBudget coordinates TargetFailures early stop
-//     and abort across shards, and a fully executed plan merges
-//     bit-identically to Run with Workers == Shards. PlanShards never
-//     splits below the MinShardShots floor, protecting pinned small cells
+//     decomposition of one point into shard units. Shard i consumes stream
+//     i, a shared ShardBudget coordinates TargetFailures early stop and
+//     abort across shards, and a fully executed plan equals MergeShards of
+//     the plan's RunShardOn shards, shard i on stream i, whoever ran them
+//     in whatever order. These are the only multi-stream runs; a one-shard
+//     plan is RunOn. PlanShards never splits below the MinShardShots
+//     floor, protecting pinned small cells
 //   - ThresholdCellConfig / SensitivityCellConfig: the canonical per-cell
 //     configurations of the Fig. 11 and Fig. 12 grids, which
 //     internal/sched's job builders and sweeps run

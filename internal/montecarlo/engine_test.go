@@ -19,7 +19,7 @@ func TestEngineMatchesReferenceStatistically(t *testing.T) {
 		Trials:   8000,
 		Seed:     23,
 	}
-	a, err := Run(cfg)
+	a, err := runPoint(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestEarlyStop(t *testing.T) {
 		Seed:           3,
 		TargetFailures: 20,
 	}
-	res, err := Run(cfg)
+	res, err := runPoint(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,8 @@ func TestEarlyStop(t *testing.T) {
 	}
 }
 
-// Same config, same seed, fixed worker count: identical results.
+// Same config, same seed: identical results, whether the structure came
+// from the cache or from a fresh engine.
 func TestEngineDeterministic(t *testing.T) {
 	cfg := Config{
 		Scheme:   extract.CompactInterleaved,
@@ -76,20 +77,17 @@ func TestEngineDeterministic(t *testing.T) {
 		Params:   hardware.Default().ScaledGatesTo(5e-3),
 		Trials:   2000,
 		Seed:     17,
-		Workers:  2,
 	}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	en := NewEngine()
+	var got [3]Result
+	for i, e := range []*Engine{en, en, NewEngine()} {
+		var err error
+		if got[i], err = e.RunOn(cfg, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// A fresh engine must agree too: the cache must not change results.
-	b, err := NewEngine().Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Failures != b.Failures || a.Trials != b.Trials {
-		t.Errorf("results differ across engines: %d/%d vs %d/%d failures/trials",
-			a.Failures, a.Trials, b.Failures, b.Trials)
+	if got[0] != got[1] || got[0] != got[2] {
+		t.Errorf("results differ across cached and fresh engines:\n%+v\n%+v\n%+v", got[0], got[1], got[2])
 	}
 }
 
@@ -109,12 +107,12 @@ func TestZeroClassRunsDoNotPoisonCache(t *testing.T) {
 	}
 	cfg := base
 	cfg.Params = quiet
-	if _, err := en.Run(cfg); err != nil {
+	if _, err := en.RunOn(cfg, nil); err != nil {
 		t.Fatalf("zero-PGate2 run: %v", err)
 	}
 	cfg = base
 	cfg.Params = hardware.Default()
-	if _, err := en.Run(cfg); err != nil {
+	if _, err := en.RunOn(cfg, nil); err != nil {
 		t.Fatalf("default run after zero-PGate2 run on the same engine: %v", err)
 	}
 	if got := en.StructureBuilds(); got != 2 {
@@ -139,12 +137,12 @@ func TestUnderflowedIdleRunsDoNotWedgeEngine(t *testing.T) {
 	}
 	cfg := base
 	cfg.Params = frozen
-	if _, err := en.Run(cfg); err != nil {
+	if _, err := en.RunOn(cfg, nil); err != nil {
 		t.Fatalf("frozen-idle run: %v", err)
 	}
 	cfg = base
 	cfg.Params = hardware.Default()
-	res, err := en.Run(cfg)
+	res, err := en.RunOn(cfg, nil)
 	if err != nil {
 		t.Fatalf("normal run after frozen-idle run on the same engine: %v", err)
 	}
@@ -159,7 +157,7 @@ func TestEngineMixedConfigs(t *testing.T) {
 	en := NewEngine()
 	for _, dec := range []DecoderKind{UF, Blossom} {
 		for _, basis := range []extract.Basis{extract.BasisZ, extract.BasisX} {
-			res, err := en.Run(Config{
+			res, err := en.RunOn(Config{
 				Scheme:   extract.Baseline,
 				Distance: 3,
 				Basis:    basis,
@@ -167,7 +165,7 @@ func TestEngineMixedConfigs(t *testing.T) {
 				Trials:   400,
 				Seed:     5,
 				Decoder:  dec,
-			})
+			}, nil)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", dec, basis, err)
 			}

@@ -11,13 +11,13 @@ import (
 // budget, seed, decoder kind, charge-gap idling, early-stop targets, the
 // rare-event parameters, and the decode-pipeline flag (the pipeline never
 // changes predictions, but it does change the per-cell skip/dedup
-// counters a result record carries). Workers is deliberately excluded:
-// RunOn, the scheduler and a single-shard fabric lease all ignore it and
-// are bit-identical at any pool width, so one key addresses the same bytes
-// no matter how they were computed. Only Engine.Run with Workers > 1 (and
-// the fabric's multi-shard plans, which equal it) yields bytes that
-// depend on the worker split; callers storing such results must key the
-// split themselves, as internal/serve keys the shard count.
+// counters a result record carries). RunOn, the scheduler and a
+// single-shard fabric lease all run the one stream layout of an unsharded
+// cell and are bit-identical at any pool width, so one key addresses the
+// same bytes no matter how they were computed. Only the fabric's
+// multi-shard plans yield bytes that depend on a split; callers storing
+// such results must key the split themselves, as internal/serve keys the
+// shard count.
 //
 // Two configs with equal keys produce bit-identical Results; that
 // equivalence is what makes the key usable as a content address for

@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -41,13 +40,12 @@ type Config struct {
 	Params   hardware.Params
 	Trials   int
 	Seed     int64
-	Workers  int // 0 => GOMAXPROCS
 	Decoder  DecoderKind
 	// ChargeGapIdle forwards to extract.Config: include the cavity
 	// serialization gaps as storage noise (Fig. 12 mode).
 	ChargeGapIdle bool
 	// TargetFailures, when positive, ends the point early once this many
-	// logical failures have accumulated across workers; Trials then acts as
+	// logical failures have accumulated across shards; Trials then acts as
 	// a cap and Result.Trials reports the shots actually taken. Early
 	// stopping trades the fixed-trial-count determinism for bounded
 	// relative error per point (the standard sequential-sampling mode for
@@ -91,10 +89,10 @@ func (cfg Config) extractConfig() extract.Config {
 }
 
 // Counts is the per-cell tally every execution path produces and merges:
-// one worker's share of a point, a shard, a merged Result, and the serving
-// front end's process-wide decode totals. Every field is a plain sum (or,
-// for Weighted, an ordered fold), so one Add carries the counters through
-// Run, RunOn, RunShardOn, MergeShards, and the fabric wire.
+// a shard, a merged Result, and the serving front end's process-wide
+// decode totals. Every field is a plain sum (or, for Weighted, an ordered
+// fold), so one Add carries the counters through RunOn, RunShardOn,
+// MergeShards, and the fabric wire.
 type Counts struct {
 	Trials   int // shots actually taken (< Config.Trials under early stop)
 	Failures int // failing shots (raw proposal shots in RareEvent mode)
@@ -227,10 +225,6 @@ func NewEngineWithCache(maxEntries int) *Engine {
 	}
 }
 
-// defaultEngine backs the package-level Run and sweep functions, so
-// repeated calls share structures exactly like an explicit Engine.
-var defaultEngine = NewEngine()
-
 // StructureBuilds reports how many experiment+Structure builds the engine
 // has performed — the hook that lets tests verify one build serves a whole
 // sweep row.
@@ -315,10 +309,11 @@ func (en *Engine) structure(cfg extract.Config) (*cacheEntry, error) {
 	return e, e.err
 }
 
-// workerSeed derives a 32-byte ChaCha8 seed for one worker stream. Hashing
-// (seed, worker) keeps streams independent for every worker count, unlike
-// the additive seed+w*constant scheme it replaces, which made streams of
-// nearby seeds collide across points.
+// workerSeed derives the 32-byte ChaCha8 seed of stream w of a point: shard
+// w of a shard plan, stream 0 for an unsharded point. Hashing (seed, w)
+// keeps streams independent for every shard count, unlike the additive
+// seed+w*constant scheme it replaces, which made streams of nearby seeds
+// collide across points.
 func workerSeed(seed int64, w int) [32]byte {
 	var buf [16]byte
 	binary.LittleEndian.PutUint64(buf[:8], uint64(seed))
@@ -478,16 +473,16 @@ func (st *WorkerState) pipeline(inner decoder.BatchDecoder) *decoder.Pipeline {
 	return st.pipe
 }
 
-// runCell executes worker w's share of one point — the single 64-shot
-// loop behind Run, RunOn and RunShardOn in both modes. Batches come from
-// the worker's ChaCha8 stream through a *dem.BatchSampler (the plain one,
+// runCell executes shard w's share of one point — the single 64-shot
+// loop behind RunOn and RunShardOn in both modes. Batches come from
+// stream w's ChaCha8 generator through a *dem.BatchSampler (the plain one,
 // or the one embedded in the weighted sampler when prop is non-nil, so
 // boost = 1 consumes the stream identically to a plain point), each into a
 // Slot that DecodeSlot turns into a failure bitmask. Slots fold strictly
 // in batch order: plain points popcount the mask and bank failures toward
 // TargetFailures; rare-event points fold the likelihood-ratio weights in
 // ascending shot order and bank them toward TargetRelErr. budget
-// coordinates that early stop across the point's workers (or shards), and
+// coordinates that early stop across the point's shards, and
 // both it and the abort flag are checked after each fold — the batch
 // boundary a serial loop checks at.
 //
@@ -587,67 +582,14 @@ func (c *Counts) fold(s *Slot, weighted bool, cfg Config, budget *ShardBudget) {
 	}
 }
 
-// Run executes one Monte-Carlo point on the engine, splitting the trials
-// over cfg.Workers goroutines with independent ChaCha8 streams.
-func (en *Engine) Run(cfg Config) (Result, error) {
-	if err := cfg.normalize(); err != nil {
-		return Result{}, err
-	}
-	model, prop, graph, err := en.prepareModels(cfg, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	var budget ShardBudget // early-stop coordination only
-	return fanOut(cfg, model, func(w, trials int) (Counts, error) {
-		var st WorkerState
-		return runCell(model, prop, graph, cfg, w, trials, &budget, &st)
-	})
-}
-
-// fanOut runs fn for each of the point's cfg.Workers workers (0 =>
-// GOMAXPROCS, at most one per trial) on its own goroutine and folds their
-// Counts in worker order into a Result over model. The worker split IS the
-// shard split: worker w takes ShardTrials(w) of a plan with one shard per
-// worker, which is what makes a fully merged shard plan bit-identical to
-// Run with Workers == Shards (worker w and shard w take the same allotment
-// from the same stream).
-func fanOut(cfg Config, model *dem.Model, fn func(w, trials int) (Counts, error)) (Result, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	plan := ShardPlan{Shards: min(workers, cfg.Trials), Trials: cfg.Trials}
-	parts := make([]Counts, plan.Shards)
-	errs := make([]error, plan.Shards)
-	var wg sync.WaitGroup
-	for w := range plan.Shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[w], errs[w] = fn(w, plan.ShardTrials(w))
-		}()
-	}
-	wg.Wait()
-	res := Result{
-		Config:        cfg,
-		Mechanisms:    model.Stats.Mechanisms,
-		DetectorCount: model.NumDets,
-	}
-	for w, part := range parts {
-		if errs[w] != nil {
-			return Result{}, errs[w]
-		}
-		res.Counts.Add(part)
-	}
-	return res, nil
-}
-
-// RunOn executes one Monte-Carlo point on the calling goroutine as worker
-// 0, reusing st's buffers across calls — the per-worker entry point of the
-// sweep scheduler. If st has joined a Crew, idle members may decode some
-// of its batches. cfg.Workers is ignored, so the result is bit-identical
-// to Run with Workers == 1 and independent of any pool width the caller
-// schedules cells under, helped or not. st may be nil for one-shot use.
+// RunOn executes one Monte-Carlo point on the calling goroutine from
+// stream 0 of cfg.Seed, reusing st's buffers across calls — the one entry
+// point of an unsharded point, which the sweep scheduler, the serving
+// front end and the public facade all run cells through. If st
+// has joined a Crew, idle members may decode some of its batches. The
+// result depends on cfg alone: never on GOMAXPROCS, on the pool width the
+// caller schedules cells under, or on who helped. st may be nil for
+// one-shot use.
 func (en *Engine) RunOn(cfg Config, st *WorkerState) (Result, error) {
 	return en.RunOnBudget(cfg, nil, st)
 }
@@ -656,41 +598,22 @@ func (en *Engine) RunOn(cfg Config, st *WorkerState) (Result, error) {
 // the point at its next 64-shot batch boundary, and the Result then counts
 // only the batches folded so far. The sweep scheduler holds one budget per
 // cell, so a cancelled sweep stops its running cells promptly. A nil
-// budget is RunOn.
+// budget is RunOn. An unsharded point is the one-shard plan, so this is
+// RunShardOn's shard 0 of it, merged.
 func (en *Engine) RunOnBudget(cfg Config, budget *ShardBudget, st *WorkerState) (Result, error) {
-	if st == nil {
-		st = &WorkerState{}
-	}
-	if budget == nil {
-		budget = &ShardBudget{}
-	}
-	if err := cfg.normalize(); err != nil {
-		return Result{}, err
-	}
-	model, prop, graph, err := en.prepareModels(cfg, st)
+	sr, err := en.RunShardOn(cfg, PlanShards(cfg.Trials, 0), 0, budget, st)
 	if err != nil {
 		return Result{}, err
 	}
-	c, err := runCell(model, prop, graph, cfg, 0, cfg.Trials, budget, st)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Config:        cfg,
-		Counts:        c,
-		Mechanisms:    model.Stats.Mechanisms,
-		DetectorCount: model.NumDets,
-	}, nil
+	return MergeShards(cfg, []ShardResult{sr})
 }
-
-// Run executes one Monte-Carlo point on the shared default engine.
-func Run(cfg Config) (Result, error) { return defaultEngine.Run(cfg) }
 
 // RunReference executes one Monte-Carlo point on the pre-batching scalar
 // engine: a fresh experiment and detector-model build per call, one RNG
-// draw per mechanism per shot, and per-shot decoding. Retained as the
-// benchmark baseline (BenchmarkSweepRow) and as the statistical reference
-// for engine-equivalence tests.
+// draw per mechanism per shot, and per-shot decoding, all on the calling
+// goroutine from one PCG stream of cfg.Seed. Retained as the benchmark
+// baseline (BenchmarkSweepRow) and as the statistical reference for
+// engine-equivalence tests.
 func RunReference(cfg Config) (Result, error) {
 	if cfg.Trials <= 0 {
 		return Result{}, fmt.Errorf("montecarlo: trials must be positive")
@@ -717,27 +640,29 @@ func RunReference(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	return fanOut(cfg, model, func(w, trials int) (Counts, error) {
-		rng := rand.New(rand.NewPCG(uint64(cfg.Seed), uint64(w)*1_000_003))
-		sampler := model.NewSampler()
-		// Decoder selection goes through the same helper as the batched
-		// engine — one switch, so a new Kind cannot diverge between the two
-		// paths.
-		var st WorkerState
-		dec := st.decoderFor(cfg.Decoder, graph)
-		c := Counts{Trials: trials}
-		for range trials {
-			events, truth := sampler.Sample(rng)
-			pred, err := dec.Decode(events)
-			if err != nil {
-				return Counts{}, err
-			}
-			if pred != truth {
-				c.Failures++
-			}
+	rng := rand.New(rand.NewPCG(uint64(cfg.Seed), 0))
+	sampler := model.NewSampler()
+	// Decoder selection goes through the same helper as the batched engine
+	// — one switch, so a new Kind cannot diverge between the two paths.
+	var st WorkerState
+	dec := st.decoderFor(cfg.Decoder, graph)
+	res := Result{
+		Config:        cfg,
+		Counts:        Counts{Trials: cfg.Trials},
+		Mechanisms:    model.Stats.Mechanisms,
+		DetectorCount: model.NumDets,
+	}
+	for range cfg.Trials {
+		events, truth := sampler.Sample(rng)
+		pred, err := dec.Decode(events)
+		if err != nil {
+			return Result{}, err
 		}
-		return c, nil
-	})
+		if pred != truth {
+			res.Failures++
+		}
+	}
+	return res, nil
 }
 
 // SweepPoint is one (distance, physical rate) cell of a threshold sweep.

@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/extract"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestRunBasic(t *testing.T) {
-	res, err := Run(Config{
+	res, err := runPoint(Config{
 		Scheme:   extract.Baseline,
 		Distance: 3,
 		Basis:    extract.BasisZ,
@@ -34,26 +35,30 @@ func TestRunBasic(t *testing.T) {
 	}
 }
 
+// runPoint runs one point through RunOn on a fresh engine.
+func runPoint(cfg Config) (Result, error) { return NewEngine().RunOn(cfg, nil) }
+
+// An unsharded point has one stream layout: its Result, decoder counters
+// included, must not depend on how many CPUs the process may use.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	base := Config{
+	cfg := Config{
 		Scheme:   extract.Baseline,
 		Distance: 3,
 		Basis:    extract.BasisZ,
 		Params:   hardware.Default().ScaledTo(5e-3),
 		Trials:   1000,
 		Seed:     7,
-		Workers:  1,
 	}
-	a, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
+	run := func(procs int) Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := runPoint(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	b, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Failures != b.Failures {
-		t.Errorf("same config, same seed: %d vs %d failures", a.Failures, b.Failures)
+	if a, b := run(1), run(4); a != b {
+		t.Errorf("GOMAXPROCS=1 gave\n %+v\nGOMAXPROCS=4 gave\n %+v", a, b)
 	}
 }
 
@@ -65,12 +70,12 @@ func TestSubAndSuperThresholdScaling(t *testing.T) {
 		t.Skip("statistical test")
 	}
 	base := hardware.Default()
-	low3, err := Run(Config{Scheme: extract.Baseline, Distance: 3, Basis: extract.BasisZ,
+	low3, err := runPoint(Config{Scheme: extract.Baseline, Distance: 3, Basis: extract.BasisZ,
 		Params: base.ScaledTo(2e-3), Trials: 20000, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	low5, err := Run(Config{Scheme: extract.Baseline, Distance: 5, Basis: extract.BasisZ,
+	low5, err := runPoint(Config{Scheme: extract.Baseline, Distance: 5, Basis: extract.BasisZ,
 		Params: base.ScaledTo(2e-3), Trials: 20000, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
@@ -78,12 +83,12 @@ func TestSubAndSuperThresholdScaling(t *testing.T) {
 	if low5.Rate() >= low3.Rate() {
 		t.Errorf("below threshold d=5 (%.4f) must beat d=3 (%.4f)", low5.Rate(), low3.Rate())
 	}
-	high3, err := Run(Config{Scheme: extract.Baseline, Distance: 3, Basis: extract.BasisZ,
+	high3, err := runPoint(Config{Scheme: extract.Baseline, Distance: 3, Basis: extract.BasisZ,
 		Params: base.ScaledTo(4e-2), Trials: 4000, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
-	high5, err := Run(Config{Scheme: extract.Baseline, Distance: 5, Basis: extract.BasisZ,
+	high5, err := runPoint(Config{Scheme: extract.Baseline, Distance: 5, Basis: extract.BasisZ,
 		Params: base.ScaledTo(4e-2), Trials: 4000, Seed: 14})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +187,7 @@ func TestDefaultPhysRates(t *testing.T) {
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{Scheme: extract.Baseline, Distance: 3, Params: hardware.Default()}); err == nil {
+	if _, err := runPoint(Config{Scheme: extract.Baseline, Distance: 3, Params: hardware.Default()}); err == nil {
 		t.Error("zero trials must fail")
 	}
 }

@@ -67,29 +67,26 @@ func TestPipelineCountersBelowThreshold(t *testing.T) {
 	}
 }
 
-// Pipeline-on determinism across pool widths {1, 2, 4, 8} and shard
-// thresholds: Run at every width, and the fully merged shard plan, must be
-// bit-identical in every field including the pipeline counters (the skip
-// and dedup classification is a pure function of each worker stream).
+// Pipeline-on determinism across shard plans of width {1, 2, 4, 8}: a
+// repeat run of the plan, with a budget per shard, must merge to the
+// index-order plan run (runPlan, which also holds its reversed and
+// concurrent runs to the same bytes) in every field including the pipeline
+// counters (the skip and dedup classification is a pure function of each
+// shard stream). The one-shard plan is RunOn's.
 func TestPipelineDeterministicAcrossWidthsAndShards(t *testing.T) {
 	en := NewEngine()
 	cfg := ThresholdCellConfig(extract.CompactInterleaved, 5, 3e-3, hardware.Default(), 4096, 99, Blossom, SweepOptions{})
+	on, err := en.RunOn(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, width := range []int{1, 2, 4, 8} {
-		cfg.Workers = width
-		first, err := en.Run(cfg)
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
-		second, err := en.Run(cfg)
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
-		if first != second {
-			t.Fatalf("width %d not deterministic: %+v vs %+v", width, first, second)
+		plan := ShardPlan{Shards: width, Trials: cfg.Trials}
+		first := runPlan(t, en, cfg, plan)
+		if width == 1 && first != on {
+			t.Fatalf("one-shard plan %+v vs RunOn %+v", first, on)
 		}
 
-		// The shard plan with Shards == width merges to the same Result.
-		plan := ShardPlan{Shards: width, Trials: cfg.Trials}
 		parts := make([]ShardResult, plan.Shards)
 		var st WorkerState
 		for s := 0; s < plan.Shards; s++ {
@@ -104,7 +101,7 @@ func TestPipelineDeterministicAcrossWidthsAndShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		if merged != first {
-			t.Fatalf("width %d: merged shards %+v vs Run %+v", width, merged, first)
+			t.Fatalf("width %d: merged shards %+v vs runPlan %+v", width, merged, first)
 		}
 	}
 }

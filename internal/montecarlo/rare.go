@@ -23,10 +23,10 @@ const DefaultBoost = 2.0
 // running sums of the likelihood-ratio weights over all shots and over
 // failing shots, from which the unbiased estimate, its sampling error, and
 // the effective sample size all derive. The sums are plain in-order
-// accumulations — worker w adds its 64-shot batches in shot order, and
+// accumulations — each shard adds its 64-shot batches in shot order, and
 // merges fold parts in shard-index order — so a merged WeightedResult is
-// bit-identical at any pool width or worker count, the same contract the
-// integer tallies have always had.
+// bit-identical at any pool width or fabric worker count, the same
+// contract the integer tallies have always had.
 type WeightedResult struct {
 	// Shots is the number of weighted shots accumulated.
 	Shots int
@@ -59,7 +59,7 @@ func (wr *WeightedResult) addShot(w float64, fail bool) {
 }
 
 // Add folds another tally into wr. Addition order matters bit-wise: callers
-// merge in worker/shard index order (Run, MergeShards) so identical parts
+// merge in shard index order (MergeShards) so identical parts
 // always fold to identical sums.
 func (wr *WeightedResult) Add(o WeightedResult) {
 	wr.Shots += o.Shots

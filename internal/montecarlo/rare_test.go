@@ -25,14 +25,13 @@ func TestRareBoostOneMatchesUnweighted(t *testing.T) {
 	en := NewEngine()
 	cfg := rareTestConfig(3, 6e-3, 8192)
 	cfg.Boost = 1
-	cfg.Workers = 2
-	weighted, err := en.Run(cfg)
+	weighted, err := en.RunOn(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plain := cfg
 	plain.RareEvent, plain.Boost = false, 0
-	unweighted, err := en.Run(plain)
+	unweighted, err := en.RunOn(plain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestRareCrossValidation(t *testing.T) {
 		ref := Config{
 			Scheme: extract.Baseline, Distance: cell.d, Basis: extract.BasisZ,
 			Params: hardware.Default().ScaledGatesTo(cell.phys),
-			Trials: cell.trials, Seed: 7001, Workers: 2,
+			Trials: cell.trials, Seed: 7001,
 		}
 		brute, err := RunReference(ref)
 		if err != nil {
@@ -94,7 +93,7 @@ func TestRareCrossValidation(t *testing.T) {
 			cfg := ref
 			cfg.Seed = 7002 // independent stream from the reference
 			cfg.RareEvent, cfg.Boost = true, boost
-			res, err := en.Run(cfg)
+			res, err := en.RunOn(cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,30 +111,24 @@ func TestRareCrossValidation(t *testing.T) {
 	}
 }
 
-// Weighted results must be bit-identical across Run worker counts matched to
-// shard plans, merged shards must equal the multi-worker Run exactly, and
-// RunOn must equal the single-worker Run — the Result/ShardResult contract
-// extended to the float sums.
+// Weighted results must be bit-identical across shard execution orders:
+// merged shards must equal runPlan's index-order run exactly (which runPlan
+// also holds its reversed and concurrent runs to), and RunOn must equal
+// the one-shard plan — the Result/ShardResult contract extended to the
+// float sums.
 func TestRareShardWidthDeterminism(t *testing.T) {
 	en := NewEngine()
 	cfg := rareTestConfig(3, 4e-3, 8192)
-	single, err := en.Run(withWorkers(cfg, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
 	on, err := en.RunOn(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.Weighted != single.Weighted || on.Failures != single.Failures {
-		t.Fatalf("RunOn diverged from Run(Workers=1):\n%+v\n%+v", on.Weighted, single.Weighted)
+	if single := runPlan(t, en, cfg, ShardPlan{Shards: 1, Trials: cfg.Trials}); on != single {
+		t.Fatalf("RunOn diverged from the one-shard plan:\n%+v\n%+v", on.Weighted, single.Weighted)
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		ref, err := en.Run(withWorkers(cfg, shards))
-		if err != nil {
-			t.Fatal(err)
-		}
 		plan := ShardPlan{Shards: shards, Trials: cfg.Trials}
+		ref := runPlan(t, en, cfg, plan)
 		var budget ShardBudget
 		var st WorkerState
 		parts := make([]ShardResult, shards)
@@ -152,11 +145,11 @@ func TestRareShardWidthDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		if merged.Weighted != ref.Weighted {
-			t.Fatalf("shards=%d: merged weighted tally diverged from Run:\n%+v\n%+v",
+			t.Fatalf("shards=%d: merged weighted tally diverged from runPlan:\n%+v\n%+v",
 				shards, merged.Weighted, ref.Weighted)
 		}
 		if merged.Failures != ref.Failures || merged.Trials != ref.Trials {
-			t.Fatalf("shards=%d: merged counts %d/%d vs Run %d/%d",
+			t.Fatalf("shards=%d: merged counts %d/%d vs runPlan %d/%d",
 				shards, merged.Failures, merged.Trials, ref.Failures, ref.Trials)
 		}
 		// Arrival-order invariance: merging a rotated slice folds the same.
@@ -176,13 +169,12 @@ func TestRareShardWidthDeterminism(t *testing.T) {
 func TestRarePipelineBitIdentity(t *testing.T) {
 	en := NewEngine()
 	cfg := rareTestConfig(5, 2e-3, 8192)
-	cfg.Workers = 2
-	onRes, err := en.Run(cfg)
+	onRes, err := en.RunOn(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.DisablePipeline = true
-	offRes, err := en.Run(cfg)
+	offRes, err := en.RunOn(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,14 +331,14 @@ func TestRareConfigValidation(t *testing.T) {
 	for _, tc := range cases {
 		cfg := base
 		tc.mut(&cfg)
-		if _, err := en.Run(cfg); err == nil {
+		if _, err := en.RunOn(cfg, nil); err == nil {
 			t.Errorf("%s: expected error, got nil", tc.name)
 		}
 	}
 	// Default boost fills in.
 	cfg := base
 	cfg.Boost = 0
-	res, err := en.Run(cfg)
+	res, err := en.RunOn(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,9 +383,4 @@ func TestWeightedResultEdgeCases(t *testing.T) {
 	} else {
 		t.Fatal("zero target stopped the run")
 	}
-}
-
-func withWorkers(cfg Config, w int) Config {
-	cfg.Workers = w
-	return cfg
 }

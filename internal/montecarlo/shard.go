@@ -52,10 +52,9 @@ func PlanShards(trials, shardShots int) ShardPlan {
 }
 
 // ShardTrials returns shard i's trial allotment: Trials/Shards each, with
-// the remainder spread over the first shards. This is exactly the split
-// Engine.Run uses across its workers, so a fully executed plan merges to a
-// Result bit-identical to Run with Workers == Shards (shard i consumes
-// worker stream i).
+// the remainder spread over the first shards. Shard i consumes stream i of
+// the point's seed, so a fully executed plan merges to the same Result
+// whichever worker ran which shard, in whatever order.
 func (p ShardPlan) ShardTrials(i int) int {
 	per := p.Trials / p.Shards
 	if i < p.Trials%p.Shards {
@@ -64,9 +63,9 @@ func (p ShardPlan) ShardTrials(i int) int {
 	return per
 }
 
-// ShardBudget coordinates the workers executing one point: the shared
-// failure count that TargetFailures early stopping reads, and an abort
-// flag that stops in-flight runs at their next 64-shot batch boundary
+// ShardBudget coordinates the shards of one point: the shared failure
+// count that TargetFailures early stopping reads, and an abort flag that
+// stops in-flight runs at their next 64-shot batch boundary
 // (the sweep scheduler raises it on a cancelled cell's RunOnBudget, a
 // fabric worker on a cancelled lease, so neither burns cycles on a result
 // that can no longer be delivered). The zero value is ready to use. One
@@ -135,19 +134,19 @@ type ShardResult struct {
 // RunShardOn executes one shard of a planned point on the calling
 // goroutine (helped, like RunOn, by st's Crew if it has joined one),
 // reusing st's buffers across calls — the partial-run entry point the
-// distributed fabric's workers lease units through. The shard samples
-// worker stream `shard` of cfg.Seed (the same derivation Engine.Run gives
-// worker `shard`), takes plan.ShardTrials(shard) shots, and coordinates
+// distributed fabric's workers lease units through, and the body of RunOn,
+// which runs the one shard of an unsharded plan. The shard samples stream
+// `shard` of cfg.Seed, takes plan.ShardTrials(shard) shots, and coordinates
 // TargetFailures early stopping and cancellation through budget, which must
 // be shared by all shards of the plan. st and budget may be nil for
 // one-shot use.
 //
-// Determinism contract: with TargetFailures == 0 and no abort, a shard's
+// Determinism contract: with no early-stop target and no abort, a shard's
 // ShardResult depends only on (cfg, plan, shard) — never on which worker
-// runs it or when — and merging every shard of the plan reproduces
-// Engine.Run with Workers == plan.Shards bit for bit. With TargetFailures
-// set, the shots a shard takes depend on when sibling shards bank their
-// failures, exactly as Run's workers always have; the merge is still
+// runs it or when — so MergeShards of the plan's RunShardOn shards, shard
+// i on stream i, is one fixed Result, and for a one-shard plan it is
+// RunOn's. With an early-stop target set, the shots a shard takes depend
+// on when sibling shards bank their failures; the merge is still
 // deterministic in the shard results it is given.
 func (en *Engine) RunShardOn(cfg Config, plan ShardPlan, shard int, budget *ShardBudget, st *WorkerState) (ShardResult, error) {
 	if st == nil {

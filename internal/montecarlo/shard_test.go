@@ -59,10 +59,64 @@ func TestPlanShardsFloorAndShape(t *testing.T) {
 	}
 }
 
+// runPlan is the reference for a fully executed shard plan: every shard
+// through RunShardOn in index order, on one goroutine under one
+// ShardBudget, merged by MergeShards. It runs the plan twice more — in
+// reverse order on one reused WorkerState, and with every shard on its own
+// goroutine — and fails t unless all three merge to the same Result, so no
+// execution order, state reuse or concurrency leaks into the bytes. cfg
+// must not set an early-stop target, whose shot counts depend on when
+// siblings bank theirs.
+func runPlan(t *testing.T, en *Engine, cfg Config, plan ShardPlan) Result {
+	t.Helper()
+	run := func(order []int, concurrent bool) Result {
+		var budget ShardBudget
+		var st WorkerState
+		var wg sync.WaitGroup
+		parts := make([]ShardResult, len(order)) // in execution order
+		errs := make([]error, len(order))
+		for k, shard := range order {
+			if !concurrent {
+				parts[k], errs[k] = en.RunShardOn(cfg, plan, shard, &budget, &st)
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				parts[k], errs[k] = en.RunShardOn(cfg, plan, shard, &budget, nil)
+			}()
+		}
+		wg.Wait()
+		for k, err := range errs {
+			if err != nil {
+				t.Fatalf("shard %d of %d: %v", order[k], plan.Shards, err)
+			}
+		}
+		res, err := MergeShards(cfg, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	forward := make([]int, plan.Shards)
+	reverse := make([]int, plan.Shards)
+	for i := range forward {
+		forward[i], reverse[plan.Shards-1-i] = i, i
+	}
+	want := run(forward, false)
+	if got := run(reverse, false); got != want {
+		t.Errorf("%d shards in reverse order merged to\n %+v\nin index order to\n %+v", plan.Shards, got, want)
+	}
+	if got := run(forward, true); got != want {
+		t.Errorf("%d concurrent shards merged to\n %+v\nin index order to\n %+v", plan.Shards, got, want)
+	}
+	return want
+}
+
 // The shard identity contract: executing every shard of a plan (in any
-// order, here reversed) and merging reproduces Engine.Run with
-// Workers == Shards bit for bit — shard i consumes worker stream i with the
-// same per/extra trial split.
+// order, here reversed) and merging reproduces runPlan's index-order run
+// bit for bit — shard i consumes stream i with the same per/extra trial
+// split — and the merged Config is normalized.
 func TestMergedShardsMatchMultiWorkerRun(t *testing.T) {
 	const trials = 5000
 	cfg := shardTestConfig(trials)
@@ -90,19 +144,11 @@ func TestMergedShardsMatchMultiWorkerRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref := cfg
-	ref.Workers = plan.Shards
-	want, err := en.Run(ref)
-	if err != nil {
-		t.Fatal(err)
+	if want := runPlan(t, en, cfg, plan); merged != want {
+		t.Errorf("merged\n %+v\nindex-order plan run\n %+v", merged, want)
 	}
-	if merged.Trials != want.Trials || merged.Failures != want.Failures {
-		t.Errorf("merged %d/%d trials/failures, Run(Workers=%d) %d/%d",
-			merged.Trials, merged.Failures, plan.Shards, want.Trials, want.Failures)
-	}
-	if merged.Mechanisms != want.Mechanisms || merged.DetectorCount != want.DetectorCount {
-		t.Errorf("merged model dims %d/%d, want %d/%d",
-			merged.Mechanisms, merged.DetectorCount, want.Mechanisms, want.DetectorCount)
+	if merged.Trials != trials || merged.Mechanisms == 0 || merged.DetectorCount == 0 {
+		t.Errorf("merged %d trials over model dims %d/%d", merged.Trials, merged.Mechanisms, merged.DetectorCount)
 	}
 	if merged.Config.Decoder != UF {
 		t.Errorf("merge did not normalize the config: decoder %q", merged.Config.Decoder)
@@ -110,47 +156,20 @@ func TestMergedShardsMatchMultiWorkerRun(t *testing.T) {
 }
 
 // DecoderStats shard-merge bit-identity: every stage counter is a plain sum
-// over disjoint worker streams, so executing a point's shards out of order
-// through RunShardOn and folding with MergeShards must reproduce the
-// multi-worker Run's counters exactly — at every pool width, for both
-// matcher kinds.
+// over disjoint shard streams, so a point's shards merge to the same
+// counters in index order, in reverse order and run concurrently (runPlan)
+// — at every shard count, for both matcher kinds.
 func TestDecoderStatsShardMergeBitIdentity(t *testing.T) {
 	for _, dec := range []DecoderKind{UF, Blossom} {
 		for _, width := range []int{1, 2, 4, 8} {
 			trials := width * MinShardShots
 			cfg := shardTestConfig(trials)
 			cfg.Decoder = dec
-			en := NewEngine()
 			plan := PlanShards(trials, 1)
 			if plan.Shards != width {
 				t.Fatalf("%s: PlanShards(%d, 1) gave %d shards, want %d", dec, trials, plan.Shards, width)
 			}
-			var budget ShardBudget
-			var st WorkerState
-			parts := make([]ShardResult, 0, plan.Shards)
-			for i := plan.Shards - 1; i >= 0; i-- { // execution order must not matter
-				sr, err := en.RunShardOn(cfg, plan, i, &budget, &st)
-				if err != nil {
-					t.Fatalf("%s width %d shard %d: %v", dec, width, i, err)
-				}
-				parts = append(parts, sr)
-			}
-			merged, err := MergeShards(cfg, parts)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			ref := cfg
-			ref.Workers = width
-			want, err := en.Run(ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if merged.Stats != want.Stats {
-				t.Errorf("%s width %d: merged stats %+v differ from Run(Workers=%d) stats %+v",
-					dec, width, merged.Stats, width, want.Stats)
-			}
-			if merged.Stats.IsZero() {
+			if merged := runPlan(t, NewEngine(), cfg, plan); merged.Stats.IsZero() {
 				t.Errorf("%s width %d: all stage counters zero — stats not threaded through the shard path", dec, width)
 			}
 		}

@@ -1,16 +1,13 @@
 // Package sched is the serving-oriented sweep scheduler: a queue of
 // Monte-Carlo sweep cells drained by one shared worker pool, cost-ordered,
-// with idle workers helping the cells still running, instead of the
-// cell-at-a-time loop with per-cell worker forking that sweeps used
-// before.
+// with idle workers helping the cells still running.
 //
 // # Execution model
 //
 // Every cell is one unit of work, owned by whichever pool worker picks it
-// up and run through montecarlo.Engine.RunOn as worker 0 of its own point;
-// Config.Workers is ignored. The owner samples every batch from the
-// cell's own ChaCha8 stream and folds every result, strictly in batch
-// order. Decoding, the bulk of a cell's time, may run on other workers: a
+// up and run through montecarlo.Engine.RunOn, the one stream layout of an
+// unsharded point. The owner samples every batch from the cell's own
+// ChaCha8 stream and folds every result, strictly in batch order. Decoding, the bulk of a cell's time, may run on other workers: a
 // worker that finds the queue drained does not exit but waits in the
 // run's montecarlo.Crew, decoding batches that running cells have
 // sampled, until the last cell finishes. An owner lends only batches

@@ -15,8 +15,8 @@ import (
 // Job is one sweep cell: a Monte-Carlo point configuration plus an opaque
 // caller tag carried through to the result (grid coordinates, typically).
 // Every cell runs on one pool worker through montecarlo.Engine.RunOn,
-// which idle workers may help decode (see the package doc); Cfg.Workers is
-// ignored, so a cell's bytes are RunOn's at any pool width.
+// which idle workers may help decode (see the package doc), so a cell's
+// bytes are RunOn's at any pool width.
 type Job struct {
 	Cfg montecarlo.Config
 	Tag any

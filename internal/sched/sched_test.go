@@ -22,8 +22,7 @@ func thresholdGrid(trials int) []Job {
 // therefore in every cell completion order): each cell runs as worker 0 of
 // its own point, whichever workers decode its batches, so the stream it
 // consumes is fixed by its Config alone. The grid mixes threshold and
-// sensitivity cells and includes a Workers: 4 job, whose Workers field the
-// pool ignores.
+// sensitivity cells.
 func TestSchedulerDeterministicAcrossPoolWidths(t *testing.T) {
 	mk := func() []Job {
 		jobs := thresholdGrid(400)
@@ -32,10 +31,7 @@ func TestSchedulerDeterministicAcrossPoolWidths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wide := montecarlo.ThresholdCellConfig(extract.Baseline, 5, 8e-3, hardware.Default(),
-			2000, 23, montecarlo.UF, montecarlo.SweepOptions{})
-		wide.Workers = 4
-		return append(append(jobs, sens...), Job{Cfg: wide, Tag: "wide"})
+		return append(jobs, sens...)
 	}
 	en := montecarlo.NewEngine()
 	jobs := mk()
@@ -60,7 +56,7 @@ func TestSchedulerDeterministicAcrossPoolWidths(t *testing.T) {
 }
 
 // A scheduled cell must be bit-identical to running its Config directly
-// with Workers == 1: the pool is pure orchestration.
+// through RunOn: the pool is pure orchestration.
 func TestSchedulerCellMatchesDirectRun(t *testing.T) {
 	en := montecarlo.NewEngine()
 	jobs := thresholdGrid(300)
@@ -69,15 +65,12 @@ func TestSchedulerCellMatchesDirectRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range results {
-		cfg := jobs[i].Cfg
-		cfg.Workers = 1
-		want, err := en.Run(cfg)
+		want, err := en.RunOn(jobs[i].Cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Result.Failures != want.Failures || r.Result.Trials != want.Trials {
-			t.Errorf("cell %d: scheduled %d/%d vs direct %d/%d failures/trials",
-				i, r.Result.Failures, r.Result.Trials, want.Failures, want.Trials)
+		if r.Result != want {
+			t.Errorf("cell %d: scheduled\n %+v\ndirect\n %+v", i, r.Result, want)
 		}
 	}
 }

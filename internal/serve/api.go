@@ -82,9 +82,9 @@ type SweepRequest struct {
 	// montecarlo.MinShardShots are raised to that floor (see
 	// montecarlo.PlanShards). A sharded cell still streams as one
 	// CellRecord, merged deterministically from its fixed shard plan, and
-	// equals a Workers == shards run of the cell rather than the unsharded
-	// one, so the shard count is part of the cell's ledger key. Local mode
-	// rejects a positive value.
+	// equals the merge of the plan's shards, shard i on stream i, rather
+	// than the unsharded cell, so the shard count is part of the cell's
+	// ledger key. Local mode rejects a positive value.
 	ShardShots int `json:"shard_shots,omitempty"`
 	// NoCache bypasses the result ledger and request coalescing for this
 	// job: every cell runs on the engine (or fabric) even if an identical
@@ -360,8 +360,8 @@ func ToCellRecord(r sched.CellResult) CellRecord { return cellRecord(r) }
 // that happened to expand to the same Config would still stream different
 // Scheme/Panel/PhysRate/Value columns, so they must not share a ledger
 // entry. The shard count matters because a cell of n shards (fabric
-// mode) equals Engine.Run with Workers == n, whose bytes differ from the
-// unsharded cell's; it is 1 for every unsharded cell.
+// mode) equals the merge of its n shards, shard i on stream i, whose bytes
+// differ from the unsharded cell's; it is 1 for every unsharded cell.
 func cellKey(j sched.Job, shardShots int) string {
 	sh := montecarlo.PlanShards(j.Cfg.Trials, shardShots).Shards
 	switch tag := j.Tag.(type) {

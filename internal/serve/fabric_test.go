@@ -102,10 +102,10 @@ func TestFabricModeRejectedWithoutHub(t *testing.T) {
 	}
 }
 
-// A cell the fabric splits into shards equals Engine.Run with Workers ==
-// shards, not the unsharded cell, so the ledger keys it by its shard
-// count. A local request for the same cell must miss that entry and
-// return exactly the bytes of a no_cache run, while a repeat of the
+// A cell the fabric splits into shards equals the merge of its shards,
+// shard i on stream i, not the unsharded cell, so the ledger keys it by
+// its shard count. A local request for the same cell must miss that entry
+// and return exactly the bytes of a no_cache run, while a repeat of the
 // sharded request is still served from the ledger.
 func TestShardedFabricCellMissesLocalLedger(t *testing.T) {
 	ts := newFabricServer(t, 2)

@@ -18,8 +18,8 @@
 //     reweight), word-packed 64-shot batch sampling with geometric
 //     skip-sampling over rare mechanisms, union-find and sparse-blossom
 //     exact minimum-weight-matching decoders with allocation-free batch
-//     entry points, a parallel Monte-Carlo engine with a bounded LRU structure
-//     cache, per-worker ChaCha8 streams, optional early stopping, and an
+//     entry points, a Monte-Carlo engine with a bounded LRU structure
+//     cache, per-shard ChaCha8 streams, optional early stopping, and an
 //     importance-sampled rare-event mode (boosted proposal sampling with
 //     likelihood-ratio-weighted estimates, error bars, and effective
 //     sample sizes for deep sub-threshold points), a
@@ -392,8 +392,12 @@ var DecoderKinds = decoder.Kinds
 // SensitivityPanels lists the seven Fig. 12 panels.
 var SensitivityPanels = montecarlo.Panels
 
-// RunMonteCarlo measures one logical error rate.
-func RunMonteCarlo(cfg MonteCarloConfig) (MonteCarloResult, error) { return montecarlo.Run(cfg) }
+// RunMonteCarlo measures one logical error rate on the calling goroutine,
+// through the engine the sweeps below share, so the result depends on cfg
+// alone, not on GOMAXPROCS.
+func RunMonteCarlo(cfg MonteCarloConfig) (MonteCarloResult, error) {
+	return sweeps.Engine().RunOn(cfg, nil)
+}
 
 // sweeps runs ThresholdSweep and SensitivitySweep. Its cells run as
 // Engine.RunOn does, so the points do not depend on GOMAXPROCS.

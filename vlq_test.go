@@ -96,6 +96,35 @@ func TestPublicMachineAndMagic(t *testing.T) {
 	}
 }
 
+// RunMonteCarlo and RunMonteCarloReference each decode one stream on the
+// calling goroutine, so their Results, decoder counters included, depend on
+// the config alone, not on how many CPUs the process may use.
+func TestRunMonteCarloIndependentOfGOMAXPROCS(t *testing.T) {
+	cfg := MonteCarloConfig{
+		Scheme:   Baseline,
+		Distance: 5,
+		Params:   DefaultHardware().ScaledGatesTo(6e-3),
+		Trials:   4000,
+		Seed:     1,
+	}
+	for name, run := range map[string]func(MonteCarloConfig) (MonteCarloResult, error){
+		"RunMonteCarlo":          RunMonteCarlo,
+		"RunMonteCarloReference": RunMonteCarloReference,
+	} {
+		at := func(procs int) MonteCarloResult {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			res, err := run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return res
+		}
+		if one, four := at(1), at(4); one != four {
+			t.Errorf("%s: GOMAXPROCS=1 gave\n %+v\nGOMAXPROCS=4 gave\n %+v", name, one, four)
+		}
+	}
+}
+
 // The public sweeps run every cell as one RunOn stream, so their points
 // depend on the seed alone, not on how many CPUs the process may use.
 func TestThresholdSweepIndependentOfGOMAXPROCS(t *testing.T) {
