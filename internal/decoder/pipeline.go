@@ -32,7 +32,7 @@ type PipelineStats struct {
 // detector list, so a hash collision can never alias two different
 // syndromes — decoding each distinct syndrome once and replaying the cached
 // prediction for its duplicates, and (3) feeds the inner decoder the
-// surviving distinct syndromes sorted by defect count, cheapest first.
+// surviving distinct syndromes in batch order.
 //
 // Determinism contract: decoders are deterministic per syndrome (pinned by
 // the fuzz suite), shots are decoded independently, and dedup verifies full
@@ -53,9 +53,9 @@ type Pipeline struct {
 	tabHash  []uint64
 	tabShot  []int32
 
-	distinct []int32    // representative shot indices, later sorted by defect count
+	distinct []int32    // representative shot indices, in batch order
 	dups     [][2]int32 // (duplicate shot, representative shot)
-	sub      Batch      // distinct syndromes, in sorted decode order
+	sub      Batch      // distinct syndromes, in decode order
 	subOut   []bool
 }
 
@@ -139,8 +139,10 @@ func (p *Pipeline) grow(n int) {
 	p.epoch = 0
 }
 
-// DecodeBatch implements BatchDecoder: classify, dedup, sort, decode the
-// distinct survivors through the inner decoder, then scatter and replay.
+// DecodeBatch implements BatchDecoder: classify, dedup, decode the distinct
+// survivors through the inner decoder in batch order, then scatter and
+// replay. Decoding is a pure function of each syndrome, so the order the
+// survivors are decoded in cannot change any prediction.
 func (p *Pipeline) DecodeBatch(b *Batch, out []bool) error {
 	n := b.Len()
 	if len(out) < n {
@@ -179,15 +181,6 @@ func (p *Pipeline) DecodeBatch(b *Batch, out []bool) error {
 		}
 	}
 	p.stats.Decoded += int64(len(p.distinct))
-
-	// Cheapest syndromes first; ties broken by batch position so the order
-	// — like everything here — is a pure function of the batch contents.
-	slices.SortFunc(p.distinct, func(a, c int32) int {
-		if d := len(b.Shot(int(a))) - len(b.Shot(int(c))); d != 0 {
-			return d
-		}
-		return int(a - c)
-	})
 
 	p.sub.Reset()
 	for _, i := range p.distinct {

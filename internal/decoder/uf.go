@@ -74,6 +74,12 @@ type UnionFind struct {
 	// order. The boundary side's slot is unused (peel reaches the
 	// boundary's edges through satBound).
 	slot []ufSlot
+	// slotAdj is the adjacency slot was built from. It depends on topology
+	// only, so load keeps the table when a rebind brings the same
+	// adjacency slice and the same endpoints: every noise scale of one
+	// hoisted graph topology, which is most rebinds of a sweep worker that
+	// walks one distance's rates.
+	slotAdj [][]int32
 	// act[v] is the last activeGen in which root v was collected into the
 	// active list. It sits apart from ufNode so the walks' and scans' "is
 	// the far side growing" check reads a small dense array, not the far
@@ -201,8 +207,11 @@ func NewUnionFind(g *dem.Graph) *UnionFind {
 
 // load rebuilds every table the decoder hoists from g: the integer
 // capacities, the flat endpoints and the adjacency slots. NewUnionFind and
-// Rebind both come through here, so a rebind cannot keep a stale table.
+// Rebind both come through here, so a rebind cannot keep a stale table;
+// the slots are kept only when g's adjacency is the slice they were built
+// from and no edge changed endpoints.
 func (u *UnionFind) load(g *dem.Graph) {
+	sameTopo := len(g.Adj) > 0 && len(u.slotAdj) == len(g.Adj) && &u.slotAdj[0] == &g.Adj[0]
 	minW := math.Inf(1)
 	for i := range g.Edges {
 		if w := g.Edges[i].W; w > 0 && w < minW {
@@ -218,13 +227,20 @@ func (u *UnionFind) load(g *dem.Graph) {
 			c = 1
 		}
 		u.ue[i].cap = c
-		u.ue[i].u = g.Edges[i].U
 		v := g.Edges[i].V
 		if v == dem.BoundaryNode {
 			v = int32(u.n)
 		}
+		if u.ue[i].u != g.Edges[i].U || u.ue[i].v != v {
+			sameTopo = false
+		}
+		u.ue[i].u = g.Edges[i].U
 		u.ue[i].v = v
 	}
+	if sameTopo {
+		return
+	}
+	u.slotAdj = g.Adj
 	for v, adj := range g.Adj {
 		for k, ei := range adj {
 			sl := uint8(min(k, satWide))

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dem"
 	"repro/internal/extract"
+	"repro/internal/hardware"
 )
 
 // permutedGraph returns g with its edge ids permuted and every adjacency
@@ -73,6 +74,55 @@ func TestUnionFindRebindRebuildsTables(t *testing.T) {
 		t.Fatal("rebind refused a same-shape graph")
 	}
 	fresh := NewUnionFind(g2)
+	for i, ev := range shots {
+		if got, want := decodeOutcome(t, uf, ev), decodeOutcome(t, fresh, ev); !sameOutcome(got, want) {
+			t.Fatalf("shot %d %v: rebound decoder %+v, fresh decoder %+v", i, ev, got, want)
+		}
+	}
+}
+
+// TestUnionFindRebindSameTopology rebinds across two noise scales of one
+// hoisted topology, whose weighted graphs share one adjacency slice. Load
+// keeps the slot table then, and every outcome must still equal a decoder
+// built fresh on the new graph.
+func TestUnionFindRebindSameTopology(t *testing.T) {
+	e, err := extract.Build(extract.Config{Scheme: extract.Baseline, Distance: 5, Basis: extract.BasisZ, Params: hardware.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := dem.BuildStructure(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var models []*dem.Model
+	var graphs []*dem.Graph
+	for _, p := range []float64{3e-3, 9e-3} {
+		noise, err := e.NoiseProbs(hardware.Default().ScaledGatesTo(p), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := st.Reweight(noise)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := m.DecodingGraph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		models, graphs = append(models, m), append(graphs, g)
+	}
+	if &graphs[0].Adj[0] != &graphs[1].Adj[0] {
+		t.Fatal("weighted graphs of one topology do not share their adjacency")
+	}
+	shots := nonEmptyShots(models[1], 400, 5)
+	uf := NewUnionFind(graphs[0])
+	for _, ev := range shots[:50] {
+		decodeOutcome(t, uf, ev)
+	}
+	if !uf.Rebind(graphs[1]) {
+		t.Fatal("rebind refused a same-topology graph")
+	}
+	fresh := NewUnionFind(graphs[1])
 	for i, ev := range shots {
 		if got, want := decodeOutcome(t, uf, ev), decodeOutcome(t, fresh, ev); !sameOutcome(got, want) {
 			t.Fatalf("shot %d %v: rebound decoder %+v, fresh decoder %+v", i, ev, got, want)

@@ -34,7 +34,6 @@ func buildStructureForward(e *extract.Experiment) (*Structure, error) {
 
 	prop := pframe.NewPropagator(e.Circ)
 	s := &Structure{NumDets: ndet, NumOps: e.Circ.NumOps()}
-	s.detOff = append(s.detOff, 0)
 
 	buckets := make(map[uint64][]int32) // footprint hash -> mechanism indices
 	var srcs [][]int32                  // per-mechanism source indices into srcOp/srcDiv order
@@ -95,16 +94,14 @@ func buildStructureForward(e *extract.Experiment) (*Structure, error) {
 				h := fnv1aFootprint(dets, obs)
 				mech := int32(-1)
 				for _, cand := range buckets[h] {
-					if s.obs[cand] == obs && slices.Equal(s.dets[s.detOff[cand]:s.detOff[cand+1]], dets) {
+					if s.mechs[cand].Obs == obs && slices.Equal(s.mechs[cand].Dets, dets) {
 						mech = cand
 						break
 					}
 				}
 				if mech < 0 {
-					mech = int32(len(s.obs))
-					s.dets = append(s.dets, dets...)
-					s.detOff = append(s.detOff, int32(len(s.dets)))
-					s.obs = append(s.obs, obs)
+					mech = int32(len(s.mechs))
+					s.mechs = append(s.mechs, Mechanism{Dets: slices.Clone(dets), Obs: obs})
 					srcs = append(srcs, nil)
 					buckets[h] = append(buckets[h], mech)
 				}
@@ -155,9 +152,7 @@ func assertSameStructure(t *testing.T, e *extract.Experiment) {
 		name      string
 		got, want any
 	}{
-		{"dets", got.dets, want.dets},
-		{"detOff", got.detOff, want.detOff},
-		{"obs", got.obs, want.obs},
+		{"mechs", got.mechs, want.mechs},
 		{"srcOp", got.srcOp, want.srcOp},
 		{"srcDiv", got.srcDiv, want.srcDiv},
 		{"srcOff", got.srcOff, want.srcOff},

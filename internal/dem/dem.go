@@ -41,6 +41,9 @@ type Model struct {
 	// DecodingGraph can reuse the hoisted, build-once graph topology. Nil
 	// for hand-assembled models, which derive a topology on demand.
 	st *Structure
+	// classP is ReweightInto's per-class scratch: mechanism class c's
+	// folded probability, gathered into Mechs.
+	classP []float64
 }
 
 // Structure is the immutable, probability-free half of a detector error
@@ -49,14 +52,13 @@ type Model struct {
 // form. A Structure is built once per circuit structure and Reweighted for
 // every noise scale; it is safe for concurrent use.
 type Structure struct {
-	NumDets int
-	NumOps  int // ops of the source circuit (length of Reweight's input)
+	NumDets    int
+	NumOps     int // ops of the source circuit
+	NumRecipes int // noise recipes of the source circuit (length of Reweight's input)
 
-	// Footprints: mechanism i flips dets[detOff[i]:detOff[i+1]] and, if
-	// obs[i], the logical observable.
-	dets   []int32
-	detOff []int32
-	obs    []bool
+	// mechs[i] is mechanism i's footprint with P zero: the list a
+	// reweighted model copies before it gathers probabilities.
+	mechs []Mechanism
 
 	// Sources: mechanism i is fed by fault branches with probability
 	// probs[srcOp[k]]/srcDiv[k] for k in [srcOff[i], srcOff[i+1]), in fault
@@ -65,6 +67,16 @@ type Structure struct {
 	srcOp  []int32
 	srcDiv []float64
 	srcOff []int32
+
+	// Mechanism classes: mechanisms whose ordered (recipe, divisor) source
+	// lists are equal fold to the same probability under every noise
+	// vector. Mechanism i is in class mechClass[i], numbered by first
+	// occurrence; class c folds noise[clsRec[k]]/clsDiv[k] for k in
+	// [clsOff[c], clsOff[c+1]), in its mechanisms' source order.
+	mechClass []int32
+	clsRec    []int32
+	clsDiv    []float64
+	clsOff    []int32
 
 	Stats BuildStats
 
@@ -82,35 +94,43 @@ type Structure struct {
 // Weight, reached through Model.DecodingGraph). Safe for concurrent use.
 func (s *Structure) Graph() (*GraphStructure, error) {
 	s.graphOnce.Do(func() {
-		s.graph, s.graphErr = buildGraphStructure(s.NumDets, s.NumMechanisms(), s.Footprint)
+		s.graph, s.graphErr = buildGraphStructure(s.NumDets, s.NumMechanisms(), s.Footprint, s.mechClass)
 	})
 	return s.graph, s.graphErr
 }
 
 // NumMechanisms returns the merged mechanism count.
-func (s *Structure) NumMechanisms() int { return len(s.detOff) - 1 }
+func (s *Structure) NumMechanisms() int { return len(s.mechs) }
+
+// NumClasses returns the number of mechanism classes: the folds
+// ReweightInto evaluates per noise vector.
+func (s *Structure) NumClasses() int { return len(s.clsOff) - 1 }
 
 // Footprint returns mechanism i's detector footprint (shared backing; do
 // not modify) and observable mask.
 func (s *Structure) Footprint(i int) ([]int32, bool) {
-	return s.dets[s.detOff[i]:s.detOff[i+1]], s.obs[i]
+	return s.mechs[i].Dets, s.mechs[i].Obs
 }
+
+// FNV-1a parameters of the footprint and class hashes.
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+// fnvMix folds one word into an FNV-1a style hash.
+func fnvMix(h, x uint64) uint64 { return (h ^ x) * fnvPrime }
 
 // fnv1aFootprint hashes a sorted footprint plus observable mask.
 func fnv1aFootprint(dets []int32, obs bool) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
+	h := uint64(fnvOffset)
 	for _, d := range dets {
 		u := uint32(d)
 		for s := 0; s < 32; s += 8 {
-			h ^= uint64(u >> s & 0xff)
-			h *= prime64
+			h = fnvMix(h, uint64(u>>s&0xff))
 		}
 	}
 	if obs {
 		h ^= 1
 	}
-	h *= prime64
+	h *= fnvPrime
 	return h
 }
 
@@ -258,19 +278,18 @@ func BuildStructure(e *extract.Experiment) (*Structure, error) {
 	nmech := len(pObs)
 	s := &Structure{NumDets: len(e.Detectors), NumOps: c.NumOps(), Stats: st}
 	final := slices.Repeat([]int32{-1}, nmech)
-	s.detOff = make([]int32, 1, nmech+1)
-	s.dets = make([]int32, 0, len(pDets))
-	s.obs = make([]bool, 0, nmech)
+	dets := make([]int32, 0, len(pDets)) // one backing for every footprint
+	s.mechs = make([]Mechanism, 0, nmech)
 	s.srcOff = make([]int32, nmech+1)
 	for k, p := range prov {
 		if p < 0 {
 			continue
 		}
 		if final[p] < 0 {
-			final[p] = int32(len(s.obs))
-			s.dets = append(s.dets, pDets[pOff[p]:pOff[p+1]]...)
-			s.detOff = append(s.detOff, int32(len(s.dets)))
-			s.obs = append(s.obs, pObs[p])
+			final[p] = int32(len(s.mechs))
+			lo := len(dets)
+			dets = append(dets, pDets[pOff[p]:pOff[p+1]]...)
+			s.mechs = append(s.mechs, Mechanism{Dets: dets[lo:], Obs: pObs[p]})
 		}
 		prov[k] = final[p]
 		s.srcOff[prov[k]+1]++
@@ -302,7 +321,88 @@ func BuildStructure(e *extract.Experiment) (*Structure, error) {
 		}
 	}
 	s.Stats.Mechanisms = s.NumMechanisms()
+	opRecipe := e.OpRecipes()
+	s.NumRecipes = e.NumRecipes()
+	if opRecipe == nil {
+		// A hand-assembled experiment has no recipes: each op is its own,
+		// and the noise vector is the per-op probability list.
+		opRecipe = make([]int32, s.NumOps)
+		for i := range opRecipe {
+			opRecipe[i] = int32(i)
+		}
+		s.NumRecipes = s.NumOps
+	}
+	s.internClasses(opRecipe)
 	return s, nil
+}
+
+// internClasses groups mechanisms by their ordered (recipe, divisor) source
+// lists and stores one source list per class. opRecipe maps a global op
+// index to its noise recipe.
+func (s *Structure) internClasses(opRecipe []int32) {
+	src := func(i int) (lo, hi int32) { return s.srcOff[i], s.srcOff[i+1] }
+	var reps []int32
+	s.mechClass, reps = groupBy(s.NumMechanisms(), func(i int) uint64 {
+		h := uint64(fnvOffset)
+		lo, hi := src(i)
+		for k := lo; k < hi; k++ {
+			h = fnvMix(fnvMix(h, uint64(opRecipe[s.srcOp[k]])), math.Float64bits(s.srcDiv[k]))
+		}
+		return h
+	}, func(a, b int) bool {
+		la, ha := src(a)
+		lb, hb := src(b)
+		if ha-la != hb-lb {
+			return false
+		}
+		for ; la < ha; la, lb = la+1, lb+1 {
+			if opRecipe[s.srcOp[la]] != opRecipe[s.srcOp[lb]] || s.srcDiv[la] != s.srcDiv[lb] {
+				return false
+			}
+		}
+		return true
+	})
+	s.clsOff = []int32{0}
+	s.clsRec, s.clsDiv = nil, nil
+	for _, r := range reps {
+		lo, hi := src(int(r))
+		for k := lo; k < hi; k++ {
+			s.clsRec = append(s.clsRec, opRecipe[s.srcOp[k]])
+		}
+		s.clsDiv = append(s.clsDiv, s.srcDiv[lo:hi]...)
+		s.clsOff = append(s.clsOff, int32(len(s.clsRec)))
+	}
+}
+
+// groupBy numbers n items by first occurrence of their key: class[i] is
+// item i's class and reps[c] the first item of class c. same decides
+// whether two items have equal keys, and hash must agree with it.
+// Neighbouring items often share a key, so item i tries item i-1's class
+// before hashing.
+func groupBy(n int, hash func(i int) uint64, same func(a, b int) bool) (class, reps []int32) {
+	class = make([]int32, n)
+	buckets := make(map[uint64][]int32) // hash -> class ids
+	for i := range n {
+		if i > 0 && same(int(reps[class[i-1]]), i) {
+			class[i] = class[i-1]
+			continue
+		}
+		h := hash(i)
+		id := int32(-1)
+		for _, c := range buckets[h] {
+			if same(int(reps[c]), i) {
+				id = c
+				break
+			}
+		}
+		if id < 0 {
+			id = int32(len(reps))
+			reps = append(reps, int32(i))
+			buckets[h] = append(buckets[h], id)
+		}
+		class[i] = id
+	}
+	return class, reps
 }
 
 // sensitivity is a detector set (sorted) plus an observable bit: the
@@ -383,25 +483,54 @@ func recordSets(e *extract.Experiment) (off, dets []int32, obs []bool) {
 	return off, dets[:w], obs
 }
 
-// Reweight materializes the Model for one per-op probability assignment
-// (global op order, e.g. circuit.OpProbs or extract.NoiseProbs). Mechanism
-// footprints share the Structure's backing arrays; probabilities are
-// XOR-folded over each mechanism's sources in fault enumeration order, so
-// the result is bit-for-bit identical to a direct Build at the same
-// annotation.
-func (s *Structure) Reweight(probs []float64) (*Model, error) {
-	return s.ReweightInto(probs, nil)
+// Reweight materializes the Model for one noise vector (one probability
+// per recipe, as extract.Experiment.NoiseProbs returns it). Mechanism
+// footprints share the Structure's backing arrays; each mechanism class
+// XOR-folds its sources in fault enumeration order once, and every
+// mechanism takes its class's value, so the result is bit-for-bit identical
+// to a direct Build at the same annotation.
+func (s *Structure) Reweight(noise []float64) (*Model, error) {
+	return s.ReweightInto(noise, nil)
 }
 
 // ReweightInto is Reweight recycling model m (from an earlier reweight of
 // any structure) instead of allocating: a sweep worker walking the noise
 // scales of a row reuses one Model's backing across every cell. m may be
 // nil or must be exclusively owned by the caller; the returned model is m
-// when shapes allow reuse.
-func (s *Structure) ReweightInto(probs []float64, m *Model) (*Model, error) {
-	if len(probs) != s.NumOps {
-		return nil, fmt.Errorf("dem: Reweight got %d op probabilities, want %d", len(probs), s.NumOps)
+// when shapes allow reuse. The cost is one fold per mechanism class plus
+// one gather per mechanism; a model last reweighted from s keeps its
+// footprints, and only its probabilities are rewritten.
+func (s *Structure) ReweightInto(noise []float64, m *Model) (*Model, error) {
+	if len(noise) != s.NumRecipes {
+		return nil, fmt.Errorf("dem: Reweight got %d recipe probabilities, want %d", len(noise), s.NumRecipes)
 	}
+	shaped := m != nil && m.st == s && len(m.Mechs) == s.NumMechanisms()
+	m = s.shapeModel(m)
+	nc := s.NumClasses()
+	if cap(m.classP) >= nc {
+		m.classP = m.classP[:nc]
+	} else {
+		m.classP = make([]float64, nc)
+	}
+	for c := 0; c < nc; c++ {
+		p := 0.0
+		for k := s.clsOff[c]; k < s.clsOff[c+1]; k++ {
+			p = xorProb(p, noise[s.clsRec[k]]/s.clsDiv[k])
+		}
+		m.classP[c] = p
+	}
+	if !shaped {
+		copy(m.Mechs, s.mechs)
+	}
+	for i, c := range s.mechClass {
+		m.Mechs[i].P = m.classP[c]
+	}
+	return m, nil
+}
+
+// shapeModel returns m (allocated when nil) bound to s, with one mechanism
+// slot per merged mechanism.
+func (s *Structure) shapeModel(m *Model) *Model {
 	n := s.NumMechanisms()
 	if m == nil {
 		m = &Model{}
@@ -412,28 +541,34 @@ func (s *Structure) ReweightInto(probs []float64, m *Model) (*Model, error) {
 	} else {
 		m.Mechs = make([]Mechanism, n)
 	}
-	for i := 0; i < n; i++ {
-		p := 0.0
-		for k := s.srcOff[i]; k < s.srcOff[i+1]; k++ {
-			p = xorProb(p, probs[s.srcOp[k]]/s.srcDiv[k])
-		}
-		m.Mechs[i] = Mechanism{
-			Dets: s.dets[s.detOff[i]:s.detOff[i+1]],
-			Obs:  s.obs[i],
-			P:    p,
-		}
-	}
-	return m, nil
+	return m
 }
 
 // Build constructs the model for experiment e at its current noise
-// annotation: BuildStructure + Reweight in one step.
+// annotation. It is the independent reference for Reweight: every
+// mechanism XOR-folds its own sources from the circuit's per-op
+// probabilities, without recipes or classes.
 func Build(e *extract.Experiment) (*Model, error) {
 	s, err := BuildStructure(e)
 	if err != nil {
 		return nil, err
 	}
-	return s.Reweight(e.Circ.OpProbs(make([]float64, 0, e.Circ.NumOps())))
+	return s.foldOps(e.Circ.OpProbs(make([]float64, 0, e.Circ.NumOps()))), nil
+}
+
+// foldOps materializes the Model for per-op probabilities (global op
+// order), XOR-folding every mechanism's own sources.
+func (s *Structure) foldOps(probs []float64) *Model {
+	m := s.shapeModel(nil)
+	copy(m.Mechs, s.mechs)
+	for i := range m.Mechs {
+		p := 0.0
+		for k := s.srcOff[i]; k < s.srcOff[i+1]; k++ {
+			p = xorProb(p, probs[s.srcOp[k]]/s.srcDiv[k])
+		}
+		m.Mechs[i].P = p
+	}
+	return m
 }
 
 // xorProb combines two independent flip sources into the probability that an

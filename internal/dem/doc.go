@@ -27,9 +27,27 @@
 //     GraphStructure once, and GraphStructure.Weight recomputes only the
 //     edge weights per noise scale.
 //   - Reweight (and the allocation-reusing ReweightInto) is the cheap
-//     half: given per-op error probabilities it produces a Model —
+//     half: given the experiment's noise vector (one probability per op
+//     recipe, extract.Experiment.NoiseProbs) it produces a Model —
 //     per-mechanism probabilities ready for sampling and decoding-graph
 //     extraction — without re-running fault analysis.
+//
+// Mechanism classes make the cheap half cost O(distinct noise values)
+// plus a gather. BuildStructure records each fault source's recipe and
+// groups mechanisms whose ordered (recipe, divisor) source lists are
+// equal into one class: such mechanisms fold to the same probability
+// under every noise vector. A Compact-Interleaved d=11 model has 3,631
+// mechanisms in 41 classes, fed by 115,808 sources. Reweight folds each
+// class once and gathers the values into the mechanisms; Structure.Graph
+// groups edges the same way, by their ordered (mechanism class,
+// observable) source lists, so GraphStructure.Weight converts one
+// probability to a weight per edge class; a model whose mechanisms break
+// their classes (probabilities edited one by one) is weighted edge by edge
+// instead. The samplers' Reset evaluates
+// its logarithms once per distinct probability value. Every value is
+// computed by the same operations in the same order as a per-mechanism
+// fold, so the results are bit-for-bit those of a direct Build, which
+// stays the per-op reference.
 //
 // Build bundles both for one-shot use.
 //

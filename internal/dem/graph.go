@@ -68,9 +68,9 @@ type GraphStructure struct {
 	NumNodes int
 	numMechs int
 
-	// Candidate edges sorted by (u, v); v == BoundaryNode for boundary
-	// edges.
-	u, v []int32
+	// Candidate edges sorted by (U, V), V == BoundaryNode for boundary
+	// edges, with P, W and Obs zero: the template Weight copies and fills.
+	cand []Edge
 
 	// Sources in CSR form: mechanism srcMech[k] contributes its probability
 	// to logical class srcObs[k] of edge i, for k in [srcOff[i],
@@ -78,6 +78,22 @@ type GraphStructure struct {
 	srcMech []int32
 	srcObs  []bool
 	srcOff  []int32
+
+	// Edge classes: edges whose ordered (mechanism class, observable)
+	// source lists are equal weigh the same in every Model reweighted from
+	// the backing Structure. edgeClass[i] is edge i's class and classRep[c]
+	// the first edge of class c, whose sources Weight folds for the whole
+	// class. Topologies derived from hand-assembled models class edges by
+	// their (mechanism, observable) lists instead, which is exact for any
+	// probabilities.
+	edgeClass []int32
+	classRep  []int32
+	// mechClass is the Structure's mechanism class of each mechanism and
+	// mechRep[c] the first mechanism of class c; Weight checks a model
+	// against them before it trusts the edge classes. Nil when every
+	// mechanism is its own class.
+	mechClass []int32
+	mechRep   []int32
 
 	// adj is the candidate-edge adjacency, shared read-only by every
 	// weighted Graph in which no candidate edge dropped to zero probability
@@ -90,7 +106,7 @@ type GraphStructure struct {
 
 // NumEdges returns the candidate edge count (edges whose probability folds
 // to zero at a given weighting are dropped from the materialized Graph).
-func (gs *GraphStructure) NumEdges() int { return len(gs.u) }
+func (gs *GraphStructure) NumEdges() int { return len(gs.cand) }
 
 // edgeAcc accumulates one candidate edge's mechanism sources during
 // topology construction.
@@ -106,8 +122,10 @@ type edgeAcc struct {
 // edge set directly; larger footprints are decomposed over it, preferring
 // exact covers whose structural logical masks XOR to the mechanism's. An
 // edge's structural mask is unambiguous-class-or-false: true only when every
-// source seen so far carries the observable.
-func buildGraphStructure(numDets, numMechs int, footprint func(int) ([]int32, bool)) (*GraphStructure, error) {
+// source seen so far carries the observable. mechClass maps each mechanism
+// to its Structure class, so that edges fed alike share a class; nil puts
+// every mechanism in its own class.
+func buildGraphStructure(numDets, numMechs int, footprint func(int) ([]int32, bool), mechClass []int32) (*GraphStructure, error) {
 	acc := make(map[edgeKey]*edgeAcc)
 	var order []edgeKey
 	add := func(u, v int32, mech int32, class bool) {
@@ -200,8 +218,7 @@ func buildGraphStructure(numDets, numMechs int, footprint func(int) ([]int32, bo
 	gs.srcOff = make([]int32, 1, len(order)+1)
 	for _, k := range order {
 		a := acc[k]
-		gs.u = append(gs.u, k.u)
-		gs.v = append(gs.v, k.v)
+		gs.cand = append(gs.cand, Edge{U: k.u, V: k.v})
 		gs.srcMech = append(gs.srcMech, a.mechs...)
 		gs.srcObs = append(gs.srcObs, a.classes...)
 		gs.srcOff = append(gs.srcOff, int32(len(gs.srcMech)))
@@ -210,20 +227,76 @@ func buildGraphStructure(numDets, numMechs int, footprint func(int) ([]int32, bo
 	// Candidate adjacency, hoisted so Weight can share it across noise
 	// scales instead of rebuilding per-node lists per scale.
 	gs.adj = make([][]int32, numDets)
-	for i := range gs.u {
-		gs.adj[gs.u[i]] = append(gs.adj[gs.u[i]], int32(i))
-		if gs.v[i] != BoundaryNode {
-			gs.adj[gs.v[i]] = append(gs.adj[gs.v[i]], int32(i))
+	for i, e := range gs.cand {
+		gs.adj[e.U] = append(gs.adj[e.U], int32(i))
+		if e.V != BoundaryNode {
+			gs.adj[e.V] = append(gs.adj[e.V], int32(i))
 		}
 	}
+	gs.internEdgeClasses(mechClass)
 	return gs, nil
 }
 
+// internEdgeClasses groups candidate edges by their ordered (mechanism
+// class, observable) source lists.
+func (gs *GraphStructure) internEdgeClasses(mechClass []int32) {
+	if mechClass != nil {
+		gs.mechClass = mechClass
+		for i, c := range mechClass {
+			if int(c) == len(gs.mechRep) {
+				gs.mechRep = append(gs.mechRep, int32(i))
+			}
+		}
+	} else {
+		mechClass = make([]int32, gs.numMechs)
+		for i := range mechClass {
+			mechClass[i] = int32(i)
+		}
+	}
+	key := func(k int32) uint64 {
+		if gs.srcObs[k] {
+			return uint64(mechClass[gs.srcMech[k]]) | 1<<32
+		}
+		return uint64(mechClass[gs.srcMech[k]])
+	}
+	gs.edgeClass, gs.classRep = groupBy(len(gs.cand), func(i int) uint64 {
+		h := uint64(fnvOffset)
+		for k := gs.srcOff[i]; k < gs.srcOff[i+1]; k++ {
+			h = fnvMix(h, key(k))
+		}
+		return h
+	}, func(a, b int) bool {
+		la, lb := gs.srcOff[a], gs.srcOff[b]
+		if gs.srcOff[a+1]-la != gs.srcOff[b+1]-lb {
+			return false
+		}
+		for ; la < gs.srcOff[a+1]; la, lb = la+1, lb+1 {
+			if key(la) != key(lb) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// edgeWeight is one edge class's weighting at one noise scale.
+type edgeWeight struct {
+	p, w    float64
+	minMass float64 // the lighter logical class's mass, when ambiguous
+	obs     bool
+	amb     bool
+}
+
 // Weight materializes the weighted Graph for model m, which must carry the
-// same mechanism list the topology was derived from. Per candidate edge it
-// XOR-folds the source mechanisms' probabilities into the two logical
-// classes; edges whose total probability folds to zero are dropped. This is
-// the only per-noise-scale graph work left once the topology is hoisted.
+// same mechanism list the topology was derived from. Per edge class it
+// XOR-folds the class's first edge's source mechanisms into the two
+// logical classes and converts the total to a weight once; every edge then
+// copies its class's values, and edges whose total probability folds to
+// zero are dropped. Edge classes are exact only while m assigns equal
+// probabilities within each mechanism class, as every Reweight does; a
+// model edited mechanism by mechanism is weighted edge by edge instead.
+// This is the only per-noise-scale graph work left once the topology is
+// hoisted.
 func (gs *GraphStructure) Weight(m *Model) (*Graph, error) {
 	if m.NumDets != gs.NumNodes || len(m.Mechs) != gs.numMechs {
 		return nil, fmt.Errorf("dem: model with %d detectors / %d mechanisms does not match graph structure (%d / %d)",
@@ -232,10 +305,18 @@ func (gs *GraphStructure) Weight(m *Model) (*Graph, error) {
 	g := &Graph{NumNodes: gs.NumNodes}
 	g.Stats.DecomposedOK = gs.decomposedOK
 	g.Stats.DecomposedDirty = gs.decomposedDirty
-	g.Edges = make([]Edge, 0, len(gs.u))
-	for i := range gs.u {
+	edgeClass, classRep := gs.edgeClass, gs.classRep
+	if !gs.classesHold(m) {
+		edgeClass = make([]int32, len(gs.cand))
+		for i := range edgeClass {
+			edgeClass[i] = int32(i)
+		}
+		classRep = edgeClass
+	}
+	classes := make([]edgeWeight, len(classRep))
+	for c, r := range classRep {
 		var pFalse, pTrue float64
-		for k := gs.srcOff[i]; k < gs.srcOff[i+1]; k++ {
+		for k := gs.srcOff[r]; k < gs.srcOff[r+1]; k++ {
 			p := m.Mechs[gs.srcMech[k]].P
 			if gs.srcObs[k] {
 				pTrue = xorProb(pTrue, p)
@@ -243,21 +324,42 @@ func (gs *GraphStructure) Weight(m *Model) (*Graph, error) {
 				pFalse = xorProb(pFalse, p)
 			}
 		}
-		p := xorProb(pFalse, pTrue)
-		if p <= 0 {
-			continue
-		}
-		if pTrue > 0 && pFalse > 0 {
-			g.Stats.AmbiguousClasses++
-			g.Stats.AmbiguousMass += math.Min(pTrue, pFalse)
-		}
-		g.Edges = append(g.Edges, Edge{U: gs.u[i], V: gs.v[i], P: p, W: WeightOf(p), Obs: pTrue > pFalse})
-		if gs.v[i] == BoundaryNode {
-			g.Stats.BoundaryEdges++
+		ew := &classes[c]
+		if ew.p = xorProb(pFalse, pTrue); ew.p > 0 {
+			ew.w = WeightOf(ew.p)
+			ew.obs = pTrue > pFalse
+			ew.amb = pTrue > 0 && pFalse > 0
+			ew.minMass = math.Min(pTrue, pFalse)
 		}
 	}
+
+	// Copy the candidate template (append leaves the new backing
+	// unzeroed), fill each edge from its class and compact away the
+	// dropped ones, summing the ambiguous mass in edge order.
+	g.Edges = append([]Edge(nil), gs.cand...)
+	n := 0
+	for i, c := range edgeClass {
+		ew := &classes[c]
+		if ew.p <= 0 {
+			continue
+		}
+		if ew.amb {
+			g.Stats.AmbiguousClasses++
+			g.Stats.AmbiguousMass += ew.minMass
+		}
+		e := &g.Edges[n]
+		if n != i {
+			*e = g.Edges[i]
+		}
+		e.P, e.W, e.Obs = ew.p, ew.w, ew.obs
+		if e.V == BoundaryNode {
+			g.Stats.BoundaryEdges++
+		}
+		n++
+	}
+	g.Edges = g.Edges[:n]
 	g.Stats.Edges = len(g.Edges)
-	if len(g.Edges) == len(gs.u) {
+	if len(g.Edges) == len(gs.cand) {
 		// No candidate dropped: candidate index == edge index, so the
 		// hoisted adjacency applies verbatim. Shared read-only.
 		g.Adj = gs.adj
@@ -274,6 +376,17 @@ func (gs *GraphStructure) Weight(m *Model) (*Graph, error) {
 	return g, nil
 }
 
+// classesHold reports whether m gives every mechanism its class
+// representative's probability, so that the edge classes weigh alike.
+func (gs *GraphStructure) classesHold(m *Model) bool {
+	for i, c := range gs.mechClass {
+		if m.Mechs[i].P != m.Mechs[gs.mechRep[c]].P {
+			return false
+		}
+	}
+	return true
+}
+
 // GraphStructure returns the hoisted decoding-graph topology backing this
 // model: the Structure's shared, build-once instance when the model came
 // from Reweight (or Build), or a freshly derived one for hand-assembled
@@ -284,7 +397,7 @@ func (m *Model) GraphStructure() (*GraphStructure, error) {
 	}
 	return buildGraphStructure(m.NumDets, len(m.Mechs), func(i int) ([]int32, bool) {
 		return m.Mechs[i].Dets, m.Mechs[i].Obs
-	})
+	}, nil)
 }
 
 // DecodingGraph projects the model onto a graph of 1- and 2-detector error

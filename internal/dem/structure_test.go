@@ -1,9 +1,11 @@
 package dem
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/extract"
@@ -11,70 +13,269 @@ import (
 )
 
 // Structure + Reweight must reproduce a fresh Build bit for bit — same
-// mechanisms, same footprints, same probabilities — across noise scales,
-// even though only the first build runs fault analysis.
+// mechanisms, same footprints, same probabilities — across every scheme,
+// basis and distance, at several gate-error rates and cavity coherence
+// times, although only the first build runs fault analysis and Reweight
+// folds each mechanism class once from the recipe noise vector. The same
+// holds for the boosted rare-event proposal after alignment, and for the
+// decoding graph, whose class-grouped weighting must equal a per-edge
+// weighting of the fresh model.
 func TestStructureReweightMatchesFreshBuild(t *testing.T) {
-	for _, scheme := range []extract.Scheme{extract.Baseline, extract.CompactInterleaved} {
-		cfg := extract.Config{Scheme: scheme, Distance: 3, Basis: extract.BasisZ, Params: hardware.Default()}
-		base, err := extract.Build(cfg)
+	type point struct {
+		name   string
+		params hardware.Params
+	}
+	var points []point
+	for _, phys := range []float64{1e-3, 5e-3, 1.3e-2} {
+		points = append(points, point{fmt.Sprintf("p=%g", phys), hardware.Default().ScaledGatesTo(phys)})
+	}
+	for _, t1 := range []float64{1e-5, 1e-3, 1e-1} { // the cavity-T1 panel's ends and middle
+		params := hardware.Default()
+		params.T1Cavity = t1
+		points = append(points, point{fmt.Sprintf("T1c=%g", t1), params})
+	}
+	distances := []int{3, 5, 7, 9, 11}
+	if testing.Short() {
+		distances = distances[:3]
+	}
+	const boost = 1.5
+	for _, scheme := range extract.Schemes {
+		for _, basis := range []extract.Basis{extract.BasisZ, extract.BasisX} {
+			for _, d := range distances {
+				t.Run(fmt.Sprintf("%v/%v/d%d", scheme, basis, d), func(t *testing.T) {
+					cfg := extract.Config{Scheme: scheme, Distance: d, Basis: basis, Params: hardware.Default()}
+					base, err := extract.Build(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s, err := BuildStructure(base)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, pt := range points {
+						fresh := cfg
+						fresh.Params = pt.params
+						exp2, err := extract.Build(fresh)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ref, err := BuildStructure(exp2)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ops := exp2.Circ.OpProbs(nil)
+						want := ref.foldOps(ops)
+						wantProp := ref.foldOps(boostNoise(boost, ops))
+						alignModels(want, wantProp)
+
+						noise, err := base.NoiseProbs(pt.params, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := s.Reweight(noise)
+						if err != nil {
+							t.Fatal(err)
+						}
+						prop, err := s.Reweight(boostNoise(boost, noise))
+						if err != nil {
+							t.Fatal(err)
+						}
+						alignModels(got, prop)
+						assertSameModel(t, pt.name+" target", got, want)
+						assertSameModel(t, pt.name+" proposal", prop, wantProp)
+
+						gotG, err := got.DecodingGraph()
+						if err != nil {
+							t.Fatal(err)
+						}
+						refGS, err := ref.Graph()
+						if err != nil {
+							t.Fatal(err)
+						}
+						assertSameGraph(t, pt.name, gotG, weightPerEdge(refGS, want))
+					}
+				})
+			}
+		}
+	}
+}
+
+// weightPerEdge is the reference for GraphStructure.Weight: every candidate
+// edge XOR-folds its own source mechanisms and converts its total to a
+// weight, with no edge classes.
+func weightPerEdge(gs *GraphStructure, m *Model) *Graph {
+	g := &Graph{NumNodes: gs.NumNodes, Adj: make([][]int32, gs.NumNodes)}
+	g.Stats.DecomposedOK, g.Stats.DecomposedDirty = gs.decomposedOK, gs.decomposedDirty
+	for i, c := range gs.cand {
+		var pFalse, pTrue float64
+		for k := gs.srcOff[i]; k < gs.srcOff[i+1]; k++ {
+			if p := m.Mechs[gs.srcMech[k]].P; gs.srcObs[k] {
+				pTrue = xorProb(pTrue, p)
+			} else {
+				pFalse = xorProb(pFalse, p)
+			}
+		}
+		p := xorProb(pFalse, pTrue)
+		if p <= 0 {
+			continue
+		}
+		if pTrue > 0 && pFalse > 0 {
+			g.Stats.AmbiguousClasses++
+			g.Stats.AmbiguousMass += math.Min(pTrue, pFalse)
+		}
+		if c.V == BoundaryNode {
+			g.Stats.BoundaryEdges++
+		}
+		ei := int32(len(g.Edges))
+		g.Edges = append(g.Edges, Edge{U: c.U, V: c.V, P: p, W: WeightOf(p), Obs: pTrue > pFalse})
+		g.Adj[c.U] = append(g.Adj[c.U], ei)
+		if c.V != BoundaryNode {
+			g.Adj[c.V] = append(g.Adj[c.V], ei)
+		}
+	}
+	g.Stats.Edges = len(g.Edges)
+	return g
+}
+
+// assertSameGraph requires got and want to agree bit for bit: edges,
+// adjacency and stats.
+func assertSameGraph(t *testing.T, name string, got, want *Graph) {
+	t.Helper()
+	if got.NumNodes != want.NumNodes || !reflect.DeepEqual(got.Edges, want.Edges) || got.Stats != want.Stats {
+		t.Fatalf("%s: decoding graph (%d edges, %+v) differs from the per-edge weighting (%d edges, %+v)",
+			name, len(got.Edges), got.Stats, len(want.Edges), want.Stats)
+	}
+	for v := range want.Adj {
+		if !slices.Equal(got.Adj[v], want.Adj[v]) {
+			t.Fatalf("%s: adjacency of node %d differs from the per-edge weighting", name, v)
+		}
+	}
+}
+
+// A model whose mechanisms fold some edges to zero drops those edges:
+// Weight must compact the rest, rebuild the adjacency and count the stats
+// (ambiguous edges included) exactly as a per-edge weighting does, for a
+// structure-backed topology and for one derived from a hand-assembled
+// model.
+func TestGraphWeightDropsZeroEdges(t *testing.T) {
+	e, m := buildModel(t, extract.CompactInterleaved, 3)
+	s, err := BuildStructure(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, err := s.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Zero whole mechanism classes, so that the structure-backed leg
+	// weighs by edge class rather than edge by edge.
+	zeroed := &Model{NumDets: m.NumDets, Stats: m.Stats, Mechs: slices.Clone(m.Mechs)}
+	for i := range zeroed.Mechs {
+		if s.mechClass[i]%3 == 1 {
+			zeroed.Mechs[i].P = 0
+		}
+	}
+	if !gs.classesHold(zeroed) {
+		t.Fatal("zeroing whole classes broke a mechanism class")
+	}
+	looseGS, err := zeroed.GraphStructure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leg := range []struct {
+		name string
+		gs   *GraphStructure
+	}{{"structure", gs}, {"hand-assembled", looseGS}} {
+		got, err := leg.gs.Weight(zeroed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := BuildStructure(base)
-		if err != nil {
-			t.Fatal(err)
+		want := weightPerEdge(leg.gs, zeroed)
+		if len(want.Edges) == gs.NumEdges() || want.Stats.AmbiguousClasses == 0 {
+			t.Fatalf("%s: the leg drops %d of %d edges with %d ambiguous; it must drop some and keep an ambiguous one",
+				leg.name, gs.NumEdges()-len(want.Edges), gs.NumEdges(), want.Stats.AmbiguousClasses)
 		}
-		for _, phys := range []float64{1e-3, 2e-3, 5e-3, 1.3e-2} {
-			params := hardware.Default().ScaledGatesTo(phys)
+		assertSameGraph(t, leg.name, got, want)
+	}
+}
 
-			fresh := cfg
-			fresh.Params = params
-			exp2, err := extract.Build(fresh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := Build(exp2)
-			if err != nil {
-				t.Fatal(err)
-			}
+// A reweighted model whose probabilities are then edited mechanism by
+// mechanism, or a Build of a circuit annotated unevenly within a recipe,
+// no longer gives a mechanism class one probability: Weight must notice
+// and weigh every edge from its own sources.
+func TestGraphWeightUnevenClasses(t *testing.T) {
+	e, m := buildModel(t, extract.Baseline, 5)
+	s, err := BuildStructure(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, err := s.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gs.classRep) == gs.NumEdges() {
+		t.Fatal("every edge is its own class; the test needs shared ones")
+	}
+	noise, err := e.NoiseProbs(e.Config.Params, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uneven, err := s.Reweight(noise)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameModel(t, "reweight", uneven, m)
+	for i := range uneven.Mechs {
+		if i%3 == 0 {
+			uneven.Mechs[i].P *= 1.5
+		}
+	}
+	if gs.classesHold(uneven) {
+		t.Fatal("the edit left every mechanism class uniform")
+	}
+	got, err := uneven.DecodingGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameGraph(t, "edited reweight", got, weightPerEdge(gs, uneven))
 
-			probs, err := base.NoiseProbs(params, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := s.Reweight(probs)
-			if err != nil {
-				t.Fatal(err)
-			}
+	probs := e.Circ.OpProbs(nil)
+	for i := range probs {
+		if i%2 == 0 {
+			probs[i] *= 1.3
+		}
+	}
+	if err := e.Circ.SetOpProbs(probs); err != nil {
+		t.Fatal(err)
+	}
+	built, err := Build(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builtGS, err := built.GraphStructure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builtGS.classesHold(built) {
+		t.Fatal("the uneven annotation left every mechanism class uniform")
+	}
+	if got, err = built.DecodingGraph(); err != nil {
+		t.Fatal(err)
+	}
+	assertSameGraph(t, "uneven build", got, weightPerEdge(builtGS, built))
+}
 
-			if got.NumDets != want.NumDets {
-				t.Fatalf("%v p=%g: NumDets %d vs %d", scheme, phys, got.NumDets, want.NumDets)
-			}
-			if got.Stats != want.Stats {
-				t.Errorf("%v p=%g: stats %+v vs %+v", scheme, phys, got.Stats, want.Stats)
-			}
-			if len(got.Mechs) != len(want.Mechs) {
-				t.Fatalf("%v p=%g: %d mechanisms vs %d", scheme, phys, len(got.Mechs), len(want.Mechs))
-			}
-			for i := range got.Mechs {
-				g, w := &got.Mechs[i], &want.Mechs[i]
-				if g.Obs != w.Obs || g.P != w.P || !reflect.DeepEqual(g.Dets, w.Dets) {
-					t.Fatalf("%v p=%g: mechanism %d differs: %+v vs %+v", scheme, phys, i, *g, *w)
-				}
-			}
-
-			// The decoding graphs must agree bit for bit too.
-			gg, err := got.DecodingGraph()
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg, err := want.DecodingGraph()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gg.Edges, wg.Edges) {
-				t.Fatalf("%v p=%g: decoding graphs differ", scheme, phys)
-			}
+// assertSameModel requires got and want to agree bit for bit.
+func assertSameModel(t *testing.T, name string, got, want *Model) {
+	t.Helper()
+	if got.NumDets != want.NumDets || got.Stats != want.Stats || len(got.Mechs) != len(want.Mechs) {
+		t.Fatalf("%s: shape (%d dets, %d mechanisms, %+v), want (%d, %d, %+v)", name,
+			got.NumDets, len(got.Mechs), got.Stats, want.NumDets, len(want.Mechs), want.Stats)
+	}
+	for i := range got.Mechs {
+		g, w := &got.Mechs[i], &want.Mechs[i]
+		if g.Obs != w.Obs || math.Float64bits(g.P) != math.Float64bits(w.P) || !slices.Equal(g.Dets, w.Dets) {
+			t.Fatalf("%s: mechanism %d differs: %+v vs %+v", name, i, *g, *w)
 		}
 	}
 }

@@ -149,7 +149,10 @@ func TestWeightedRealModelBoost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs := e.Circ.OpProbs(nil)
+	probs, err := e.NoiseProbs(e.Config.Params, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	target, err := st.Reweight(probs)
 	if err != nil {
 		t.Fatal(err)

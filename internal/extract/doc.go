@@ -30,9 +30,15 @@
 //     durations that shape the circuit). Two Configs with equal keys
 //     share one circuit structure.
 //   - Experiment.Reannotate / Experiment.NoiseProbs re-derive only the
-//     per-op error probabilities for new hardware.Params, so a sweep
-//     builds each circuit once and re-noises it per scale. NoiseProbs
-//     feeds dem.Structure.Reweight directly.
+//     error probabilities for new hardware.Params, so a sweep builds each
+//     circuit once and re-noises it per scale. Build interns every op's
+//     noise recipe — its noise class, its moment duration (idle classes
+//     only) and whether the class was zero at build time — and ops with
+//     equal recipes carry equal probabilities under any parameters.
+//     NoiseProbs returns the noise vector, one probability per recipe
+//     (OpRecipes maps each op to its entry): a handful of values for tens
+//     of thousands of ops, so re-noising a cell costs O(recipes).
+//     dem.Structure.Reweight consumes the noise vector directly.
 //
 // Entry points: Config -> Build -> Experiment; Scheme and Basis enumerate
 // the five Fig. 11 setups and the two memory bases; Schemes lists them in

@@ -135,9 +135,11 @@ type Experiment struct {
 	// FinalMeas maps data id -> measurement index of its perfect readout.
 	FinalMeas []int
 
-	// noise is the per-op re-annotation recipe (global op order), derived
-	// once at build time.
-	noise []opNoise
+	// recipes are the distinct noise recipes of the circuit's ops, in
+	// first-occurrence order, and opRecipe maps each op (global op order)
+	// to its recipe. Both are derived once at build time.
+	recipes  []opNoise
+	opRecipe []int32
 }
 
 // Build constructs the experiment for cfg.

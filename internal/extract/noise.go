@@ -24,10 +24,14 @@ const (
 	noiseIdleCavity                     // Params.LambdaCavity(moment duration)
 )
 
-// opNoise is the per-op annotation recipe: the driving class plus the moment
+// opNoise is an op's annotation recipe: the driving class plus the moment
 // duration (needed only by the idle classes). zeroed marks ops whose class
 // probability was zero at build time: they carry no faults in any model
 // structure derived from the build, so raising their class later is invalid.
+// Ops with equal recipes carry equal probabilities under every parameter
+// set, so the build interns them: a circuit of tens of thousands of ops has
+// a handful of recipes (at most 16 for every scheme at d=11), and
+// NoiseProbs evaluates one probability per recipe.
 type opNoise struct {
 	class  noiseClass
 	dur    float64
@@ -84,17 +88,21 @@ func classOf(c *circuit.Circuit, op *circuit.Op, dur float64) opNoise {
 	}
 }
 
-// classifyNoise derives the annotation recipe for every op of the built
-// circuit, in global op order. Ops whose probability is zero while their
-// class probability under the build parameters is positive are deliberately
-// perfect (e.g. the closing data readout) and stay perfect under any
-// re-annotation. A class whose build probability is zero is ambiguous — a
-// perfect op cannot be told apart from a noisy op of a zero-probability
-// class — so re-annotating it to a nonzero value is rejected later.
+// classifyNoise derives the annotation recipe of every op of the built
+// circuit, in global op order, and interns the recipes. Ops whose
+// probability is zero while their class probability under the build
+// parameters is positive are deliberately perfect (e.g. the closing data
+// readout) and stay perfect under any re-annotation. A class whose build
+// probability is zero is ambiguous — a perfect op cannot be told apart from
+// a noisy op of a zero-probability class — so re-annotating it to a nonzero
+// value is rejected later.
 func (e *Experiment) classifyNoise() error {
 	p := e.Config.Params
 	c := e.Circ
-	e.noise = e.noise[:0]
+	ids := make(map[opNoise]int32)
+	e.recipes = e.recipes[:0]
+	e.opRecipe = make([]int32, 0, c.NumOps())
+	id := int32(-1) // the last op's recipe; neighbouring ops usually share it
 	for mi := range c.Moments {
 		m := &c.Moments[mi]
 		for oi := range m.Ops {
@@ -114,11 +122,28 @@ func (e *Experiment) classifyNoise() error {
 				return fmt.Errorf("extract: op %v has probability %g, class %d expects %g",
 					op.Kind, op.P, n.class, want)
 			}
-			e.noise = append(e.noise, n)
+			if id < 0 || e.recipes[id] != n {
+				var ok bool
+				if id, ok = ids[n]; !ok {
+					id = int32(len(e.recipes))
+					ids[n] = id
+					e.recipes = append(e.recipes, n)
+				}
+			}
+			e.opRecipe = append(e.opRecipe, id)
 		}
 	}
 	return nil
 }
+
+// NumRecipes returns the number of distinct noise recipes among the
+// circuit's ops: the length of the noise vector NoiseProbs returns.
+func (e *Experiment) NumRecipes() int { return len(e.recipes) }
+
+// OpRecipes maps each op of the circuit, in global op order, to its recipe:
+// op i carries probability NoiseProbs(params)[OpRecipes()[i]]. The slice is
+// shared; do not modify it.
+func (e *Experiment) OpRecipes() []int32 { return e.opRecipe }
 
 // StructuralKey identifies the circuit structure shared by every build of a
 // configuration whose parameters differ only in error probabilities and
@@ -190,12 +215,14 @@ func (e *Experiment) checkStructural(params hardware.Params) error {
 	return nil
 }
 
-// NoiseProbs computes the per-op error probabilities the experiment's
-// circuit would carry if it were rebuilt with params, in global op order
-// (appending to dst), without rebuilding anything. It fails if params imply
-// a structurally different circuit, or if a noise class that was zero at
-// build time (and therefore indistinguishable from deliberately perfect
-// ops) is being raised to a nonzero value.
+// NoiseProbs computes the noise vector for params: one error probability
+// per recipe (see OpRecipes), appended to dst, without rebuilding anything.
+// Op i of a circuit rebuilt with params would carry probability
+// v[OpRecipes()[i]]. Each recipe's probability is evaluated once, so the
+// cost is O(recipes), not O(ops). It fails if params imply a structurally
+// different circuit, or if a noise class that was zero at build time (and
+// therefore indistinguishable from deliberately perfect ops) is being
+// raised to a nonzero value.
 func (e *Experiment) NoiseProbs(params hardware.Params, dst []float64) ([]float64, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -203,14 +230,14 @@ func (e *Experiment) NoiseProbs(params hardware.Params, dst []float64) ([]float6
 	if err := e.checkStructural(params); err != nil {
 		return nil, err
 	}
-	for i := range e.noise {
-		n := &e.noise[i]
+	for i := range e.recipes {
+		n := &e.recipes[i]
 		p := classProb(&params, *n)
 		if n.zeroed && p != 0 {
-			// This op's class was zero at build time, so no faults for it
-			// exist in any structure derived from the build; silently
-			// dropping its new noise would skew results.
-			return nil, fmt.Errorf("extract: noise class %d was zero at build time (op %d carries no faults); rebuild the experiment to raise it", n.class, i)
+			// This recipe's class was zero at build time, so no faults for
+			// its ops exist in any structure derived from the build;
+			// silently dropping its new noise would skew results.
+			return nil, fmt.Errorf("extract: noise class %d was zero at build time (its ops carry no faults); rebuild the experiment to raise it", n.class)
 		}
 		dst = append(dst, p)
 	}
@@ -222,9 +249,13 @@ func (e *Experiment) NoiseProbs(params hardware.Params, dst []float64) ([]float6
 // extract.Build when only error probabilities or coherence times change —
 // e.g. across the physical-rate axis of a threshold sweep.
 func (e *Experiment) Reannotate(params hardware.Params) error {
-	ps, err := e.NoiseProbs(params, make([]float64, 0, e.Circ.NumOps()))
+	v, err := e.NoiseProbs(params, make([]float64, 0, len(e.recipes)))
 	if err != nil {
 		return err
+	}
+	ps := make([]float64, len(e.opRecipe))
+	for i, r := range e.opRecipe {
+		ps[i] = v[r]
 	}
 	if err := e.Circ.SetOpProbs(ps); err != nil {
 		return err

@@ -66,6 +66,52 @@ func TestReannotateScaledTo(t *testing.T) {
 	}
 }
 
+// The noise vector has one entry per distinct op recipe, a handful per
+// circuit (at most 16 for every scheme at d=11, against tens of thousands
+// of ops), and expanding it through OpRecipes gives every op the
+// probability a fresh build at those parameters annotates.
+func TestNoiseVectorHasOneEntryPerRecipe(t *testing.T) {
+	for _, scheme := range Schemes {
+		for _, basis := range []Basis{BasisZ, BasisX} {
+			cfg := Config{Scheme: scheme, Distance: 11, Basis: basis, Params: hardware.Default()}
+			e, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			params := hardware.Default().ScaledGatesTo(4e-3)
+			v, err := e.NoiseProbs(params, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(v) != e.NumRecipes() || len(v) > 16 {
+				t.Errorf("%v %v: noise vector has %d entries for %d recipes, want one per recipe and at most 16",
+					scheme, basis, len(v), e.NumRecipes())
+			}
+			seen := make(map[opNoise]bool)
+			for _, r := range e.recipes {
+				if seen[r] {
+					t.Errorf("%v %v: recipe %+v interned twice", scheme, basis, r)
+				}
+				seen[r] = true
+			}
+			cfg.Params = params
+			want, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := want.Circ.OpProbs(nil)
+			if len(e.OpRecipes()) != len(ops) {
+				t.Fatalf("%v %v: %d op recipes for %d ops", scheme, basis, len(e.OpRecipes()), len(ops))
+			}
+			for i, r := range e.OpRecipes() {
+				if v[r] != ops[i] {
+					t.Fatalf("%v %v: op %d gets %g from its recipe, a fresh build has %g", scheme, basis, i, v[r], ops[i])
+				}
+			}
+		}
+	}
+}
+
 // Parameters that change the circuit structure (durations, cavity depth)
 // must be rejected: the annotation recipe no longer applies.
 func TestReannotateRejectsStructuralChange(t *testing.T) {
@@ -160,5 +206,34 @@ func TestStructuralKey(t *testing.T) {
 	zeroed.Params.PGate2 = 0
 	if base.StructuralKey() == zeroed.StructuralKey() {
 		t.Error("zeroing a probability class must change the structural key (its ops lose their faults)")
+	}
+}
+
+// BenchmarkNoiseProbs is the per-cell noise vector on the cache-hit path,
+// on the two d=11 structures the per-scale stages cost most on: a Fig. 11
+// tail cell and the deeper rare-event golden cell.
+func BenchmarkNoiseProbs(b *testing.B) {
+	for _, leg := range []struct {
+		name   string
+		scheme Scheme
+		phys   float64
+	}{
+		{"ci-d11-p5e-3", CompactInterleaved, 5e-3},
+		{"baseline-d11-p1e-3-rare", Baseline, 1e-3},
+	} {
+		e, err := Build(Config{Scheme: leg.scheme, Distance: 11, Basis: BasisZ, Params: hardware.Default()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		params := hardware.Default().ScaledGatesTo(leg.phys)
+		b.Run(leg.name, func(b *testing.B) {
+			var v []float64
+			b.ReportAllocs()
+			for b.Loop() {
+				if v, err = e.NoiseProbs(params, v[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

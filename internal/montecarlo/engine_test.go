@@ -2,8 +2,11 @@ package montecarlo
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/dem"
 	"repro/internal/extract"
 	"repro/internal/hardware"
 )
@@ -176,5 +179,94 @@ func TestEngineMixedConfigs(t *testing.T) {
 	}
 	if got := en.StructureBuilds(); got != 2 {
 		t.Errorf("two bases should need two structures, built %d", got)
+	}
+}
+
+// prepare must resolve a point to exactly the models and graph a fresh
+// build at its parameters gives — the target, the boosted and aligned
+// proposal of a rare-event point, and the target's decoding graph — on the
+// cached path and on the uncached fallback (a cache entry whose idle noise
+// underflowed to zero cannot serve normal parameters).
+func TestPrepareMatchesFreshBuild(t *testing.T) {
+	frozen := hardware.Default()
+	frozen.T1Transmon, frozen.T1Cavity = 1e12, 1e12
+	cells := []Config{
+		{Scheme: extract.CompactInterleaved, Distance: 5, Params: hardware.Default().ScaledGatesTo(6e-3)},
+		{Scheme: extract.Baseline, Distance: 5, Params: hardware.Default().ScaledGatesTo(1e-3), RareEvent: true, Boost: 1.5},
+	}
+	for _, cell := range cells {
+		for _, fallback := range []bool{false, true} {
+			cfg := cell
+			cfg.Basis, cfg.Trials = extract.BasisZ, 64
+			if err := cfg.normalize(); err != nil {
+				t.Fatal(err)
+			}
+			en := NewEngine()
+			if fallback {
+				prime := cfg
+				prime.Params = frozen
+				if _, err := en.RunOn(prime, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var st WorkerState
+			model, prop, graph, err := en.prepare(cfg, &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if builds, want := en.StructureBuilds(), map[bool]int64{false: 1, true: 2}[fallback]; builds != want {
+				t.Errorf("%v fallback=%v: %d structure builds, want %d", cfg.Scheme, fallback, builds, want)
+			}
+
+			exp, err := extract.Build(cfg.extractConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := dem.Build(exp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A hand-assembled copy derives its own topology with every
+			// mechanism in its own class: a graph reference that shares
+			// nothing with the Structure's mechanism or edge classes.
+			loose := &dem.Model{NumDets: want.NumDets, Mechs: want.Mechs}
+			wantG, err := loose.DecodingGraph()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameModel(t, "target", model, want)
+			if !reflect.DeepEqual(graph.Edges, wantG.Edges) || !reflect.DeepEqual(graph.Adj, wantG.Adj) || graph.Stats != wantG.Stats {
+				t.Errorf("%v fallback=%v: decoding graph differs from a class-free weighting of a fresh build", cfg.Scheme, fallback)
+			}
+			if !cfg.RareEvent {
+				if prop != nil {
+					t.Errorf("%v: plain point got a proposal", cfg.Scheme)
+				}
+				continue
+			}
+			if err := exp.Circ.SetOpProbs(boostProbs(cfg.Boost, exp.Circ.OpProbs(nil), nil)); err != nil {
+				t.Fatal(err)
+			}
+			wantProp, err := dem.Build(exp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alignProposal(want, wantProp)
+			sameModel(t, "proposal", prop, wantProp)
+		}
+	}
+}
+
+// sameModel requires got and want to carry identical mechanisms.
+func sameModel(t *testing.T, name string, got, want *dem.Model) {
+	t.Helper()
+	if got.NumDets != want.NumDets || len(got.Mechs) != len(want.Mechs) {
+		t.Fatalf("%s: %d dets / %d mechanisms, want %d / %d", name, got.NumDets, len(got.Mechs), want.NumDets, len(want.Mechs))
+	}
+	for i := range got.Mechs {
+		g, w := &got.Mechs[i], &want.Mechs[i]
+		if g.P != w.P || g.Obs != w.Obs || !slices.Equal(g.Dets, w.Dets) {
+			t.Fatalf("%s: mechanism %d is %+v, a fresh build has %+v", name, i, *g, *w)
+		}
 	}
 }

@@ -336,59 +336,61 @@ func (cfg *Config) normalize() error {
 }
 
 // prepare resolves one point to its reweighted model and weighted decoding
-// graph, going through the structure cache. st, when non-nil, donates its
-// reusable noise-probability buffer and Model backing (RunOn's per-worker
-// reuse); the results are stored back on st.
-func (en *Engine) prepare(cfg Config, st *WorkerState) (*dem.Model, *dem.Graph, error) {
-	entry, err := en.structure(cfg.extractConfig())
+// graph, going through the structure cache: the noise vector, its model,
+// and the graph weighted from that model. A rare-event point also gets the
+// boosted proposal model (shared footprints, a second probability column,
+// aligned to the target's zero-support and always-fire classes); the graph
+// stays the target's, so corrections are minimum-weight under the true
+// noise while shots are drawn from the proposal. Plain points get a nil
+// proposal, the signal runCell switches on. st donates its noise-vector and
+// Model buffers, and the results are stored back on it.
+func (en *Engine) prepare(cfg Config, st *WorkerState) (model, prop *dem.Model, graph *dem.Graph, err error) {
+	ecfg := cfg.extractConfig()
+	entry, err := en.structure(ecfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	var probs []float64
-	var recycle *dem.Model
-	if st != nil {
-		probs = st.probs
-		recycle = st.model
-	}
-	var model *dem.Model
-	if p2, perr := entry.exp.NoiseProbs(cfg.Params, probs[:0]); perr == nil {
-		probs = p2
-		if st != nil {
-			st.probs = probs
-		}
-		model, err = entry.st.ReweightInto(probs, recycle)
-		if err != nil {
-			return nil, nil, err
-		}
-		if st != nil {
-			st.model = model
-		}
-	} else {
+	exp, s := entry.exp, entry.st
+	noise, err := exp.NoiseProbs(cfg.Params, st.noise[:0])
+	if err != nil {
 		// The cached structure cannot serve these parameters — typically a
 		// noise class that was zero when the entry was built (absent from
 		// its fault set in a way the structural key cannot always see, e.g.
 		// idle error underflowing to zero under extreme coherence times).
-		// Build a dedicated, uncached model so the run still succeeds;
+		// Build a dedicated, uncached structure so the run still succeeds;
 		// repeated runs in this regime pay a rebuild each time.
-		exp, berr := extract.Build(cfg.extractConfig())
-		if berr != nil {
-			return nil, nil, berr
+		if exp, err = extract.Build(ecfg); err != nil {
+			return nil, nil, nil, err
 		}
 		en.builds.Add(1)
-		model, err = dem.Build(exp)
-		if err != nil {
-			return nil, nil, err
+		if s, err = dem.BuildStructure(exp); err != nil {
+			return nil, nil, nil, err
+		}
+		if noise, err = exp.NoiseProbs(cfg.Params, st.noise[:0]); err != nil {
+			return nil, nil, nil, err
 		}
 	}
-	graph, err := model.DecodingGraph()
-	if err != nil {
-		return nil, nil, err
+	st.noise = noise
+	if st.model, err = s.ReweightInto(noise, st.model); err != nil {
+		return nil, nil, nil, err
 	}
-	return model, graph, nil
+	model = st.model
+	if cfg.RareEvent {
+		st.wnoise = boostProbs(cfg.Boost, noise, st.wnoise[:0])
+		if st.wmodel, err = s.ReweightInto(st.wnoise, st.wmodel); err != nil {
+			return nil, nil, nil, err
+		}
+		prop = st.wmodel
+		alignProposal(model, prop)
+	}
+	if graph, err = model.DecodingGraph(); err != nil {
+		return nil, nil, nil, err
+	}
+	return model, prop, graph, nil
 }
 
 // WorkerState is reusable per-worker scratch for point execution: the
-// noise-probability buffer, the batch decode buffers, and rebindable
+// noise-vector buffer, the batch decode buffers, and rebindable
 // sampler/decoder state. A sweep scheduler threads one WorkerState through
 // the consecutive cells a pool worker executes, so cells sharing a
 // structure reuse the sampler tables and union-find arrays instead of
@@ -397,7 +399,7 @@ func (en *Engine) prepare(cfg Config, st *WorkerState) (*dem.Model, *dem.Graph, 
 // it decodes other cells' slots (DecodeSlot). The zero value is ready to
 // use; a WorkerState must not be shared between concurrent calls.
 type WorkerState struct {
-	probs []float64
+	noise []float64
 	model *dem.Model
 	batch decoder.Batch
 	out   [dem.BatchShots]bool
@@ -412,9 +414,9 @@ type WorkerState struct {
 	// The owner side of a cell's batches, and the crew it lends them to.
 	lane *lane
 	crew *Crew
-	// Rare-event siblings of probs/model/bs: the boosted proposal column,
+	// Rare-event siblings of noise/model/bs: the boosted proposal column,
 	// its folded model, and the weighted sampler over the pair.
-	wprobs []float64
+	wnoise []float64
 	wmodel *dem.Model
 	wsamp  *dem.WeightedBatchSampler
 }
@@ -708,8 +710,11 @@ func ThresholdCellConfig(scheme extract.Scheme, d int, phys float64, base hardwa
 // EstimateThreshold finds the crossing point of the logical-error curves for
 // consecutive distances: below threshold larger d gives lower logical error,
 // above it gives higher. It interpolates each sign change of
-// rate(d2)-rate(d1) in log-p and averages the crossings. Returns 0 if no
-// crossing is bracketed by the sweep.
+// rate(d2)-rate(d1) in log-p and averages the crossings. A zero gap (a tie)
+// at a grid rate counts as a crossing there only when the pair's last
+// nonzero gap at a lower rate was negative, so a tie with nothing below it
+// is not taken for a crossing. Returns 0 if no crossing is bracketed by the
+// sweep.
 func EstimateThreshold(points []SweepPoint) float64 {
 	byDist := map[int]map[float64]float64{}
 	var dists []int
@@ -736,14 +741,15 @@ func EstimateThreshold(points []SweepPoint) float64 {
 	var crossings []float64
 	for di := 0; di+1 < len(dists); di++ {
 		d1, d2 := dists[di], dists[di+1]
+		below := false // the last nonzero gap at a lower rate was negative
 		for pi := 0; pi+1 < len(rates); pi++ {
 			pa, pb := rates[pi], rates[pi+1]
 			ga := byDist[d2][pa] - byDist[d1][pa]
 			gb := byDist[d2][pb] - byDist[d1][pb]
-			if ga == 0 && gb == 0 {
-				continue
+			if ga != 0 {
+				below = ga < 0
 			}
-			if ga <= 0 && gb > 0 {
+			if (ga < 0 || ga == 0 && below) && gb > 0 {
 				// Linear interpolation of the gap in log p.
 				f := 0.5
 				if gb != ga {

@@ -125,6 +125,30 @@ func TestEstimateThresholdNoCrossing(t *testing.T) {
 	}
 }
 
+// A tie at a grid rate is a crossing only when a negative gap at a lower
+// rate of the same distance pair brackets it. The FOUND case of a
+// three-rate sweep: d=3 and d=5 tie at the lowest rate and d=5 lies above
+// d=3 at every higher rate, so nothing crosses. With gaps (negative, 0,
+// positive) the crossing is the tie rate itself.
+func TestEstimateThresholdTies(t *testing.T) {
+	rates := []float64{2e-3, 6e-3, 2e-2}
+	curves := func(d3, d5 []int) []SweepPoint {
+		var pts []SweepPoint
+		for i, p := range rates {
+			pts = append(pts,
+				SweepPoint{Distance: 3, Phys: p, Result: Result{Counts: Counts{Trials: 500, Failures: d3[i]}}},
+				SweepPoint{Distance: 5, Phys: p, Result: Result{Counts: Counts{Trials: 500, Failures: d5[i]}}})
+		}
+		return pts
+	}
+	if th := EstimateThreshold(curves([]int{7, 40, 150}, []int{7, 55, 260})); th != 0 {
+		t.Errorf("tie at the lowest rate with d=5 above everywhere else: threshold %g, want 0", th)
+	}
+	if th := EstimateThreshold(curves([]int{9, 40, 150}, []int{4, 40, 260})); math.Abs(th-rates[1]) > 1e-12*rates[1] {
+		t.Errorf("gaps (negative, 0, positive): threshold %g, want the tie rate %g", th, rates[1])
+	}
+}
+
 func TestPanelApply(t *testing.T) {
 	base := OperatingPoint()
 	for _, panel := range Panels {

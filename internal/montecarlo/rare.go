@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/dem"
-	"repro/internal/extract"
 )
 
 // DefaultBoost is the proposal inflation factor used when Config.RareEvent
@@ -141,7 +140,7 @@ func (wr WeightedResult) RelErrMet(target float64) bool {
 	return target > 0 && wr.Estimate() > 0 && wr.RelErr() <= target
 }
 
-// boostProbs maps per-op target probabilities to the inflated proposal:
+// boostProbs maps a target noise vector to the inflated proposal:
 // probabilities in (0, 0.5) scale by boost and clamp at 0.5 (a mechanism
 // boosted past even odds stops being "rare" and only degrades the weights);
 // zeros stay zero and anything at or above 0.5 is left alone, so the
@@ -171,79 +170,6 @@ func alignProposal(target, prop *dem.Model) {
 			prop.Mechs[i].P = p
 		}
 	}
-}
-
-// prepareRare resolves a rare-event point to its target model, boosted
-// proposal model, and decoding graph. Both models reweight through the same
-// cached Structure (shared footprints, two probability columns); the graph
-// comes from the target, so corrections are minimum-weight under the true
-// noise while shots are drawn from the proposal. st, when non-nil, donates
-// its probability and model buffers exactly like Engine.prepare.
-func (en *Engine) prepareRare(cfg Config, st *WorkerState) (target, prop *dem.Model, graph *dem.Graph, err error) {
-	entry, err := en.structure(cfg.extractConfig())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var probs, wprobs []float64
-	var recycleT, recycleP *dem.Model
-	if st != nil {
-		probs, wprobs = st.probs, st.wprobs
-		recycleT, recycleP = st.model, st.wmodel
-	}
-	if p2, perr := entry.exp.NoiseProbs(cfg.Params, probs[:0]); perr == nil {
-		probs = p2
-		target, err = entry.st.ReweightInto(probs, recycleT)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		wprobs = boostProbs(cfg.Boost, probs, wprobs[:0])
-		prop, err = entry.st.ReweightInto(wprobs, recycleP)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if st != nil {
-			st.probs, st.wprobs = probs, wprobs
-			st.model, st.wmodel = target, prop
-		}
-	} else {
-		// Uncached parameter-mismatch fallback, mirroring Engine.prepare: a
-		// dedicated build whose structure serves both probability columns.
-		exp, berr := extract.Build(cfg.extractConfig())
-		if berr != nil {
-			return nil, nil, nil, berr
-		}
-		en.builds.Add(1)
-		s, serr := dem.BuildStructure(exp)
-		if serr != nil {
-			return nil, nil, nil, serr
-		}
-		ps := exp.Circ.OpProbs(make([]float64, 0, exp.Circ.NumOps()))
-		target, err = s.Reweight(ps)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		prop, err = s.Reweight(boostProbs(cfg.Boost, ps, nil))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	alignProposal(target, prop)
-	graph, err = target.DecodingGraph()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return target, prop, graph, nil
-}
-
-// prepareModels is the mode dispatcher the point executors share: plain
-// points get (model, nil, graph), rare-event points (target, proposal,
-// graph). A non-nil proposal is the signal runCell switches on.
-func (en *Engine) prepareModels(cfg Config, st *WorkerState) (model, prop *dem.Model, graph *dem.Graph, err error) {
-	if cfg.RareEvent {
-		return en.prepareRare(cfg, st)
-	}
-	model, graph, err = en.prepare(cfg, st)
-	return model, nil, graph, err
 }
 
 // normalizeRare validates the rare-event half of a Config, filling the

@@ -164,7 +164,7 @@ func (en *Engine) RunShardOn(cfg Config, plan ShardPlan, shard int, budget *Shar
 	if plan.Trials != cfg.Trials {
 		return ShardResult{}, fmt.Errorf("montecarlo: shard plan covers %d trials but config has %d", plan.Trials, cfg.Trials)
 	}
-	model, prop, graph, err := en.prepareModels(cfg, st)
+	model, prop, graph, err := en.prepare(cfg, st)
 	if err != nil {
 		return ShardResult{}, err
 	}
