@@ -73,6 +73,7 @@
 // width and cell durations, but result IDENTITY does not — the CellResult
 // carrying a given Index is bit-identical at every pool width.
 // internal/serve builds on this package to run sweeps as cancellable HTTP
-// jobs; cmd/vlqthreshold and cmd/vlqsense use it for -jobs/-csv/-json
-// streaming sweeps.
+// jobs; cmd/internal/sweepcli, behind cmd/vlqthreshold and cmd/vlqsense,
+// drains serve.BuildCells grids through it for -jobs/-csv/-json streaming
+// sweeps.
 package sched

@@ -23,7 +23,9 @@ const maxCells = 4096
 // sensitivity (Fig. 12) sweep job. Zero fields take the documented
 // defaults, so the smallest useful threshold submission is `{}` and the
 // smallest sensitivity submission is `{"type":"sensitivity","panel":
-// "cavity-t1"}`.
+// "cavity-t1"}`. Each field is also a flag of vlqthreshold or vlqsense,
+// named by its JSON tag with "_" as "-", unless cmd/internal/sweepcli's
+// tests list it as service-only: a new field needs its flag there.
 type SweepRequest struct {
 	// Type selects the experiment: "threshold" (default) or "sensitivity".
 	Type string `json:"type,omitempty"`
@@ -340,10 +342,11 @@ func buildCells(req SweepRequest) (typ string, cells []sched.Job, err error) {
 	return typ, cells, nil
 }
 
-// BuildCells expands a validated SweepRequest into scheduler jobs — the
-// same expansion POST /v1/sweeps performs, exported for coordinator
-// binaries (cmd/vlqfabric) that reuse the request schema without the full
-// server.
+// BuildCells validates a SweepRequest and expands it into scheduler jobs —
+// the same check and expansion POST /v1/sweeps performs, exported for
+// binaries that reuse the request schema without the full server: the
+// fabric coordinator (cmd/vlqfabric) and the sweep CLIs vlqthreshold and
+// vlqsense (cmd/internal/sweepcli), whose flags are SweepRequest fields.
 func BuildCells(req SweepRequest) ([]sched.Job, error) {
 	_, cells, err := buildCells(req)
 	return cells, err
