@@ -153,37 +153,37 @@ type bLabel struct {
 // within reporting tolerance.
 const blossomScale = 1 << 26
 
-// NewBlossom builds the sparse-blossom decoder over g.
+// NewBlossom builds the sparse-blossom decoder over g: Rebind on a zero
+// value.
 func NewBlossom(g *dem.Graph) *Blossom {
-	n := g.NumNodes
-	bl := &Blossom{g: g, n: n}
-	bl.wInt = make([]int64, len(g.Edges))
-	bl.wF = make([]float64, len(g.Edges))
-	bl.eU = make([]int32, len(g.Edges))
-	bl.eV = make([]int32, len(g.Edges))
-	bl.eObs = make([]bool, len(g.Edges))
-	bl.bdist = make([]int64, n)
-	bl.bdistF = make([]float64, n)
-	bl.bmask = make([]bool, n)
-	bl.distEpoch = make([]uint64, n)
-	bl.dist = make([]int64, n)
-	bl.distF = make([]float64, n)
-	bl.mask = make([]bool, n)
-	bl.labEpoch = make([]uint64, n)
-	bl.labHead = make([]int32, n)
-	bl.loadGraph(g)
+	bl := &Blossom{}
+	bl.Rebind(g)
 	return bl
 }
 
-// Rebind points the decoder at a new graph, reusing every buffer when the
-// shape matches (same node and edge counts — e.g. the same hoisted topology
-// at a different noise scale). It reports whether the rebind happened; on
-// false the decoder is unchanged and the caller should build a fresh one.
+// Rebind points the decoder at g, whatever its shape, reslicing every
+// per-node and per-edge buffer within its capacity and growing it only
+// past it. The per-search and per-shot stamps are 64-bit and never wrap,
+// so entries past the current length stay stale. Rebind always succeeds
+// and reports true, so callers written against its earlier form, which
+// refused a graph of another shape, never rebuild.
 func (bl *Blossom) Rebind(g *dem.Graph) bool {
-	if g.NumNodes != bl.n || len(g.Edges) != len(bl.wInt) {
-		return false
-	}
-	bl.g = g
+	n, m := g.NumNodes, len(g.Edges)
+	bl.g, bl.n = g, n
+	bl.wInt = grown(bl.wInt, m)
+	bl.wF = grown(bl.wF, m)
+	bl.eU = grown(bl.eU, m)
+	bl.eV = grown(bl.eV, m)
+	bl.eObs = grown(bl.eObs, m)
+	bl.bdist = grown(bl.bdist, n)
+	bl.bdistF = grown(bl.bdistF, n)
+	bl.bmask = grown(bl.bmask, n)
+	bl.distEpoch = grown(bl.distEpoch, n)
+	bl.dist = grown(bl.dist, n)
+	bl.distF = grown(bl.distF, n)
+	bl.mask = grown(bl.mask, n)
+	bl.labEpoch = grown(bl.labEpoch, n)
+	bl.labHead = grown(bl.labHead, n)
 	bl.loadGraph(g)
 	return true
 }
@@ -876,10 +876,13 @@ func (h *bHeap) pop() bItem {
 }
 
 // grown returns s resized to n elements, reusing its backing array when the
-// capacity allows (contents are overwritten by the caller).
+// capacity allows and otherwise moving its contents, up to its capacity,
+// into a new one of exactly n.
 func grown[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
+	if cap(s) >= n {
+		return s[:n]
 	}
-	return s[:n]
+	t := make([]T, n)
+	copy(t, s[:cap(s)])
+	return t
 }

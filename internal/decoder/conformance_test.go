@@ -269,7 +269,8 @@ func TestCrossDecoderConformance(t *testing.T) {
 
 // TestBlossomDeterminismAndRebind pins buffer-reuse correctness: repeated
 // decodes of the same shots are identical, and a decoder rebound to a
-// reweighted graph of the same topology matches a freshly built one.
+// reweighted graph of the same topology, and then through graphs of every
+// size in turn (shapeWalk), matches a freshly built one.
 func TestBlossomDeterminismAndRebind(t *testing.T) {
 	m, g := circuitGraph(t, extract.CompactInterleaved, 3, 4e-3)
 	blos := NewBlossom(g)
@@ -312,12 +313,7 @@ func TestBlossomDeterminismAndRebind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.NumNodes != g.NumNodes || len(g2.Edges) != len(g.Edges) {
-		t.Skip("reweighted graph changed shape; rebind not applicable")
-	}
-	if !blos.Rebind(g2) {
-		t.Fatal("rebind refused a same-shape graph")
-	}
+	blos.Rebind(g2)
 	fresh := NewBlossom(g2)
 	s2 := m2.NewSampler()
 	for trial := 0; trial < 200; trial++ {
@@ -329,6 +325,21 @@ func TestBlossomDeterminismAndRebind(t *testing.T) {
 		}
 		if a != b {
 			t.Fatalf("trial %d: rebound decoder diverged from fresh build", trial)
+		}
+	}
+
+	for i, leg := range shapeWalk(t, 5e-3) {
+		blos.Rebind(leg.g)
+		fresh := NewBlossom(leg.g)
+		for j, ev := range nonEmptyShots(leg.m, 60, uint64(i)) {
+			a, wa, err1 := blos.DecodeWithWeight(ev)
+			b, wb, err2 := fresh.DecodeWithWeight(ev)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("%s shot %d: %v / %v", leg.name, j, err1, err2)
+			}
+			if a != b || wa != wb {
+				t.Fatalf("%s shot %d %v: rebound decoder (%v, %g), fresh build (%v, %g)", leg.name, j, ev, a, wa, b, wb)
+			}
 		}
 	}
 }

@@ -85,9 +85,11 @@
 //   - DecoderStats / StatsSource: the stage-counter surface; Add/Sub
 //     bracket intervals and merge shards
 //   - UnionFind.Rebind / Blossom.Rebind / Pipeline.Rebind: rebind
-//     existing decoder state to a new graph of the same shape, so a
-//     sweep reuses all decoder arrays (and the pipeline's hash table)
-//     across noise scales instead of reallocating per cell
+//     existing decoder state to a new graph of any shape, reslicing its
+//     arrays within their capacity and growing them only past it, so a
+//     worker reuses all decoder arrays (and the pipeline's hash table)
+//     across noise scales and distances instead of reallocating per
+//     cell; NewUnionFind and NewBlossom are Rebind on a zero value
 //
 // Decoders reuse internal buffers and are not safe for concurrent use;
 // create one per goroutine (the Monte-Carlo engine threads one per worker

@@ -188,30 +188,53 @@ type ufEdge struct {
 // significant digits.
 const capScale = 1 << 20
 
-// NewUnionFind builds a union-find decoder over g.
+// NewUnionFind builds a union-find decoder over g: Rebind on a zero value.
 func NewUnionFind(g *dem.Graph) *UnionFind {
-	n := g.NumNodes
-	u := &UnionFind{g: g, n: n}
-	u.ue = make([]ufEdge, len(g.Edges))
-	u.slot = make([]ufSlot, len(g.Edges))
-	u.load(g)
-	u.un = make([]ufNode, n+1)
-	u.act = make([]uint32, n+1)
-	u.deadAt = make([]uint32, n+1)
-	u.edgeList = make([][]int32, n+1)
-	u.seg = make([][]int32, n+1)
-	u.bfsEdge = make([]int32, n+1)
-	u.bfsPar = make([]int32, n+1)
+	u := &UnionFind{}
+	u.Rebind(g)
 	return u
 }
 
+// Rebind points the decoder at g, whatever its shape. Every per-node and
+// per-edge array is resliced within its capacity and grows only past it,
+// keeping the per-root candidate lists, so a worker that alternates
+// distances reallocates nothing once it has seen the largest graph. The
+// epoch-stamped scratch needs no reset: the epoch bump makes every stamp
+// stale, and the wrap clear in bumpEpoch covers each array's capacity.
+// Rebind always succeeds and reports true, so callers written against its
+// earlier form, which refused a graph of another shape, never rebuild.
+func (u *UnionFind) Rebind(g *dem.Graph) bool {
+	// The slot table depends on the adjacency alone, which for a graph
+	// from dem.GraphStructure is a function of the node count and the
+	// edges' endpoints in order (see load).
+	keepSlots := len(g.Adj) > 0 && len(u.slotAdj) == len(g.Adj) && &u.slotAdj[0] == &g.Adj[0] &&
+		len(g.Edges) == len(u.ue)
+	n := g.NumNodes
+	u.g, u.n = g, n
+	u.ue = grown(u.ue, len(g.Edges))
+	u.slot = grown(u.slot, len(g.Edges))
+	u.un = grown(u.un, n+1)
+	u.act = grown(u.act, n+1)
+	u.deadAt = grown(u.deadAt, n+1)
+	u.edgeList = grown(u.edgeList, n+1)
+	u.seg = grown(u.seg, n+1)
+	u.bfsEdge = grown(u.bfsEdge, n+1)
+	u.bfsPar = grown(u.bfsPar, n+1)
+	u.load(g, keepSlots)
+	// Invalidate the cross-decode edge-root cache: the stamps reference the
+	// previous graph's decodes, and epoch monotonicity is all that guards
+	// them.
+	u.bumpEpoch()
+	return true
+}
+
 // load rebuilds every table the decoder hoists from g: the integer
-// capacities, the flat endpoints and the adjacency slots. NewUnionFind and
-// Rebind both come through here, so a rebind cannot keep a stale table;
-// the slots are kept only when g's adjacency is the slice they were built
-// from and no edge changed endpoints.
-func (u *UnionFind) load(g *dem.Graph) {
-	sameTopo := len(g.Adj) > 0 && len(u.slotAdj) == len(g.Adj) && &u.slotAdj[0] == &g.Adj[0]
+// capacities, the flat endpoints and the adjacency slots. The slots are
+// kept only when keepSlots says g's adjacency is the slice they were built
+// from, with as many edges, and no edge changed endpoints: every noise
+// scale of one hoisted graph topology, which is most rebinds of a sweep
+// worker that walks one distance's rates.
+func (u *UnionFind) load(g *dem.Graph, keepSlots bool) {
 	minW := math.Inf(1)
 	for i := range g.Edges {
 		if w := g.Edges[i].W; w > 0 && w < minW {
@@ -232,12 +255,12 @@ func (u *UnionFind) load(g *dem.Graph) {
 			v = int32(u.n)
 		}
 		if u.ue[i].u != g.Edges[i].U || u.ue[i].v != v {
-			sameTopo = false
+			keepSlots = false
 		}
 		u.ue[i].u = g.Edges[i].U
 		u.ue[i].v = v
 	}
-	if sameTopo {
+	if keepSlots {
 		return
 	}
 	u.slotAdj = g.Adj
@@ -256,20 +279,23 @@ func (u *UnionFind) load(g *dem.Graph) {
 // bumpEpoch starts a new decode (or rebind) generation. Edge stamps hold
 // only the low 32 bits of the epoch; on wrap they are cleared and the
 // zero value skipped, so a stamp from 2^32 generations ago can never read
-// as current.
+// as current. The clears run over each array's capacity: an entry past the
+// current graph's length keeps its stamp until a later Rebind grows into
+// it, and must not read as live then.
 func (u *UnionFind) bumpEpoch() {
 	u.epoch++
 	if uint32(u.epoch) == 0 {
-		for i := range u.ue {
-			u.ue[i].epoch = 0
-			u.ue[i].rootEpoch = 0
+		ue, un := u.ue[:cap(u.ue)], u.un[:cap(u.un)]
+		for i := range ue {
+			ue[i].epoch = 0
+			ue[i].rootEpoch = 0
 		}
-		for i := range u.un {
-			u.un[i].epoch = 0
-			u.un[i].scanEpoch = 0
-			u.un[i].appliedEpoch = 0
+		for i := range un {
+			un[i].epoch = 0
+			un[i].scanEpoch = 0
+			un[i].appliedEpoch = 0
 		}
-		clear(u.deadAt)
+		clear(u.deadAt[:cap(u.deadAt)])
 		u.epoch++
 	}
 	u.ep32 = uint32(u.epoch)
@@ -278,32 +304,14 @@ func (u *UnionFind) bumpEpoch() {
 	// before it can wrap. A single decode advances it by at most a few per
 	// round, bounded by the convergence guard — nowhere near 2^30.
 	if u.activeGen >= 1<<30 {
-		clear(u.act)
-		for i := range u.un {
-			u.un[i].forcedAt = 0
-			u.un[i].walkedAt = 0
+		clear(u.act[:cap(u.act)])
+		un := u.un[:cap(u.un)]
+		for i := range un {
+			un[i].forcedAt = 0
+			un[i].walkedAt = 0
 		}
 		u.activeGen = 0
 	}
-}
-
-// Rebind points the decoder at a new graph, reusing every per-node and
-// per-edge buffer when the shape matches (same node and edge counts — e.g.
-// the same hoisted topology at a different noise scale). The epoch-stamped
-// scratch needs no reset: stale stamps read as default state. It reports
-// whether the rebind happened; on false the decoder is unchanged and the
-// caller should build a fresh one.
-func (u *UnionFind) Rebind(g *dem.Graph) bool {
-	if g.NumNodes != u.n || len(g.Edges) != len(u.ue) {
-		return false
-	}
-	u.g = g
-	u.load(g)
-	// Invalidate the cross-decode edge-root cache: the stamps reference the
-	// previous graph's decodes, and epoch monotonicity is all that guards
-	// them.
-	u.bumpEpoch()
-	return true
 }
 
 // Name implements Decoder.

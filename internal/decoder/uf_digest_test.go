@@ -38,13 +38,15 @@ type ufDigestCell struct {
 
 // ufDigestRows recomputes the digest grid: Baseline and
 // Compact-Interleaved, d in {3,5,7,9,11}, five gate-noise scales from well
-// below to well above threshold. One UnionFind per (scheme, d) decodes every
-// scale, rebound across them, so the pin also covers state carried over a
-// Rebind.
+// below to well above threshold. One UnionFind decodes all 50 cells,
+// rebound from each to the next across scales, distances and schemes, so
+// the pin also covers state carried over a Rebind that shrinks or grows
+// the decoder.
 func ufDigestRows(t *testing.T) []ufDigestCell {
 	t.Helper()
 	rates := []float64{1e-3, 2e-3, 8e-3, 2e-2, 3e-2}
 	var out []ufDigestCell
+	uf := &UnionFind{}
 	for _, scheme := range []extract.Scheme{extract.Baseline, extract.CompactInterleaved} {
 		for _, d := range []int{3, 5, 7, 9, 11} {
 			e, err := extract.Build(extract.Config{
@@ -58,7 +60,6 @@ func ufDigestRows(t *testing.T) []ufDigestCell {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var uf *UnionFind
 			for _, p := range rates {
 				probs, err := e.NoiseProbs(hardware.Default().ScaledGatesTo(p), nil)
 				if err != nil {
@@ -72,11 +73,7 @@ func ufDigestRows(t *testing.T) []ufDigestCell {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if uf == nil {
-					uf = NewUnionFind(g)
-				} else if !uf.Rebind(g) {
-					t.Fatalf("%v d=%d p=%g: rebind refused a same-shape graph", scheme, d, p)
-				}
+				uf.Rebind(g)
 				out = append(out, ufDigestCell{
 					Scheme: scheme.String(), Distance: d, PhysRate: p, Shots: ufDigestShots,
 				})

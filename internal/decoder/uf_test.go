@@ -1,6 +1,7 @@
 package decoder
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -11,8 +12,8 @@ import (
 )
 
 // permutedGraph returns g with its edge ids permuted and every adjacency
-// list shuffled: the same node and edge counts, so Rebind accepts it, but
-// every per-edge and per-slot table differs.
+// list shuffled: the same node and edge counts, but every per-edge and
+// per-slot table differs.
 func permutedGraph(g *dem.Graph, seed uint64) *dem.Graph {
 	rng := rand.New(rand.NewPCG(seed, 3))
 	perm := rng.Perm(len(g.Edges))
@@ -70,9 +71,7 @@ func TestUnionFindRebindRebuildsTables(t *testing.T) {
 	for _, ev := range shots[:50] {
 		decodeOutcome(t, uf, ev)
 	}
-	if !uf.Rebind(g2) {
-		t.Fatal("rebind refused a same-shape graph")
-	}
+	uf.Rebind(g2)
 	fresh := NewUnionFind(g2)
 	for i, ev := range shots {
 		if got, want := decodeOutcome(t, uf, ev), decodeOutcome(t, fresh, ev); !sameOutcome(got, want) {
@@ -119,9 +118,7 @@ func TestUnionFindRebindSameTopology(t *testing.T) {
 	for _, ev := range shots[:50] {
 		decodeOutcome(t, uf, ev)
 	}
-	if !uf.Rebind(graphs[1]) {
-		t.Fatal("rebind refused a same-topology graph")
-	}
+	uf.Rebind(graphs[1])
 	fresh := NewUnionFind(graphs[1])
 	for i, ev := range shots {
 		if got, want := decodeOutcome(t, uf, ev), decodeOutcome(t, fresh, ev); !sameOutcome(got, want) {
@@ -193,16 +190,60 @@ func TestUnionFindHighDegreeNode(t *testing.T) {
 	uf := NewUnionFind(g)
 	check("fresh", uf, g)
 	g2 := permutedGraph(g, 2)
-	if !uf.Rebind(g2) {
-		t.Fatal("rebind refused a same-shape graph")
-	}
+	uf.Rebind(g2)
 	check("rebound", uf, g2)
+}
+
+// shapeWalk is the graph sequence the cross-shape rebind tests walk one
+// decoder through: Baseline, then Compact-Interleaved, each at d = 3, 11,
+// 5, 9, so that a rebind shrinks and grows every array, within its
+// capacity and past it, and switches scheme at a size change.
+type shapeLeg struct {
+	name string
+	m    *dem.Model
+	g    *dem.Graph
+}
+
+func shapeWalk(t *testing.T, phys float64) []shapeLeg {
+	t.Helper()
+	var out []shapeLeg
+	for _, scheme := range []extract.Scheme{extract.Baseline, extract.CompactInterleaved} {
+		for _, d := range []int{3, 11, 5, 9} {
+			m, g := circuitGraph(t, scheme, d, phys)
+			out = append(out, shapeLeg{fmt.Sprintf("%v d=%d", scheme, d), m, g})
+		}
+	}
+	return out
+}
+
+// TestUnionFindRebindAcrossShapes rebinds one decoder through graphs of
+// every size in turn. Each shot must decode exactly as on a decoder built
+// fresh on its graph: a table resliced without being reloaded, or a stale
+// record that reads as live after a grow, changes some outcome.
+func TestUnionFindRebindAcrossShapes(t *testing.T) {
+	uf := &UnionFind{}
+	for i, leg := range shapeWalk(t, 5e-3) {
+		uf.Rebind(leg.g)
+		fresh := NewUnionFind(leg.g)
+		for j, ev := range nonEmptyShots(leg.m, 120, uint64(i)) {
+			if got, want := decodeOutcome(t, uf, ev), decodeOutcome(t, fresh, ev); !sameOutcome(got, want) {
+				t.Fatalf("%s shot %d %v: rebound decoder %+v, fresh decoder %+v", leg.name, j, ev, got, want)
+			}
+		}
+	}
 }
 
 // TestUnionFindStampWrap decodes one shot, forces the 32-bit decode stamp
 // and the active-list generation to wrap, and decodes another: the stamps
 // the first shot left now equal the live ones of the second unless the
 // wrap cleared them, so the second shot must match a fresh decoder.
+//
+// The wrap must also clear past the current graph's length. Each round
+// decodes a shot on a large graph at epoch 3, shrinks the decoder to a
+// small graph, grows it within capacity to a middle one and wraps there,
+// then grows it back to the large graph and decodes another shot at epoch
+// 3 again: any record the wrap left past the middle graph's length reads
+// as live.
 func TestUnionFindStampWrap(t *testing.T) {
 	m, g := circuitGraph(t, extract.Baseline, 5, 8e-3)
 	first, second := nonEmptyShots(m, 100, 7), nonEmptyShots(m, 100, 8)
@@ -214,6 +255,28 @@ func TestUnionFindStampWrap(t *testing.T) {
 		uf.activeGen = 1 << 30
 		if got, want := decodeOutcome(t, uf, second[i]), decodeOutcome(t, fresh, second[i]); !sameOutcome(got, want) {
 			t.Fatalf("shot %v after %v and the wrap: %+v, fresh decoder %+v", second[i], first[i], got, want)
+		}
+	}
+
+	mBig, gBig := circuitGraph(t, extract.Baseline, 9, 8e-3)
+	_, gSmall := circuitGraph(t, extract.Baseline, 3, 8e-3)
+	bigFirst, bigSecond := nonEmptyShots(mBig, 20, 9), nonEmptyShots(mBig, 20, 10)
+	fresh = NewUnionFind(gBig)
+	for i := range bigFirst {
+		uf := NewUnionFind(gBig)
+		uf.epoch = 2
+		decodeOutcome(t, uf, bigFirst[i])
+		uf.Rebind(gSmall)
+		uf.Rebind(g)
+		uf.epoch = 1<<32 - 1
+		uf.activeGen = 1 << 30
+		decodeOutcome(t, uf, first[i]) // the wrap: this decode takes epoch 1
+		uf.Rebind(gBig)
+		if uf.ep32 != 2 {
+			t.Fatalf("rebind after the wrap took epoch %d, want 2", uf.ep32)
+		}
+		if got, want := decodeOutcome(t, uf, bigSecond[i]), decodeOutcome(t, fresh, bigSecond[i]); !sameOutcome(got, want) {
+			t.Fatalf("shot %v after %v, a wrap at d=5 and a grow to d=9: %+v, fresh decoder %+v", bigSecond[i], bigFirst[i], got, want)
 		}
 	}
 }

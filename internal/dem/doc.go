@@ -65,7 +65,9 @@
 //     builds the proposal by Reweighting the shared Structure with
 //     boosted per-op probabilities)
 //   - Model.DecodingGraph / Structure.Graph + GraphStructure.Weight: the
-//     weighted matching graph consumed by internal/decoder
+//     weighted matching graph consumed by internal/decoder;
+//     GraphStructure.WeightInto writes it into a caller-owned Graph,
+//     reusing its edge slice from cell to cell
 //
 // In the paper's pipeline this package sits between the extracted noisy
 // circuits (internal/extract) and the decoders scored by the Monte-Carlo

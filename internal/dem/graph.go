@@ -39,6 +39,9 @@ type Graph struct {
 	// only in their real endpoint's list).
 	Adj   [][]int32
 	Stats GraphStats
+	// ownAdj is the adjacency WeightInto rebuilds in place when candidate
+	// edges drop; Adj is either it or the topology's shared, read-only one.
+	ownAdj [][]int32
 }
 
 type edgeKey struct{ u, v int32 }
@@ -288,23 +291,34 @@ type edgeWeight struct {
 }
 
 // Weight materializes the weighted Graph for model m, which must carry the
-// same mechanism list the topology was derived from. Per edge class it
-// XOR-folds the class's first edge's source mechanisms into the two
-// logical classes and converts the total to a weight once; every edge then
-// copies its class's values, and edges whose total probability folds to
-// zero are dropped. Edge classes are exact only while m assigns equal
-// probabilities within each mechanism class, as every Reweight does; a
-// model edited mechanism by mechanism is weighted edge by edge instead.
-// This is the only per-noise-scale graph work left once the topology is
-// hoisted.
+// same mechanism list the topology was derived from: WeightInto on a new
+// Graph.
 func (gs *GraphStructure) Weight(m *Model) (*Graph, error) {
+	g := &Graph{}
+	if err := gs.WeightInto(m, g); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// WeightInto writes the weighted Graph for model m into g, a graph the
+// caller owns, reusing g's edge slice and the adjacency it rebuilt on an
+// earlier call; it never writes into the topology's shared adjacency. Per
+// edge class it XOR-folds the class's first edge's source mechanisms into
+// the two logical classes and converts the total to a weight once; every
+// edge then copies its class's values, and edges whose total probability
+// folds to zero are dropped. Edge classes are exact only while m assigns
+// equal probabilities within each mechanism class, as every Reweight does;
+// a model edited mechanism by mechanism is weighted edge by edge instead.
+// This is the only per-noise-scale graph work left once the topology is
+// hoisted. On error g is unchanged.
+func (gs *GraphStructure) WeightInto(m *Model, g *Graph) error {
 	if m.NumDets != gs.NumNodes || len(m.Mechs) != gs.numMechs {
-		return nil, fmt.Errorf("dem: model with %d detectors / %d mechanisms does not match graph structure (%d / %d)",
+		return fmt.Errorf("dem: model with %d detectors / %d mechanisms does not match graph structure (%d / %d)",
 			m.NumDets, len(m.Mechs), gs.NumNodes, gs.numMechs)
 	}
-	g := &Graph{NumNodes: gs.NumNodes}
-	g.Stats.DecomposedOK = gs.decomposedOK
-	g.Stats.DecomposedDirty = gs.decomposedDirty
+	g.NumNodes = gs.NumNodes
+	g.Stats = GraphStats{DecomposedOK: gs.decomposedOK, DecomposedDirty: gs.decomposedDirty}
 	edgeClass, classRep := gs.edgeClass, gs.classRep
 	if !gs.classesHold(m) {
 		edgeClass = make([]int32, len(gs.cand))
@@ -333,10 +347,10 @@ func (gs *GraphStructure) Weight(m *Model) (*Graph, error) {
 		}
 	}
 
-	// Copy the candidate template (append leaves the new backing
-	// unzeroed), fill each edge from its class and compact away the
-	// dropped ones, summing the ambiguous mass in edge order.
-	g.Edges = append([]Edge(nil), gs.cand...)
+	// Copy the candidate template, fill each edge from its class and
+	// compact away the dropped ones, summing the ambiguous mass in edge
+	// order.
+	g.Edges = append(g.Edges[:0], gs.cand...)
 	n := 0
 	for i, c := range edgeClass {
 		ew := &classes[c]
@@ -363,17 +377,27 @@ func (gs *GraphStructure) Weight(m *Model) (*Graph, error) {
 		// No candidate dropped: candidate index == edge index, so the
 		// hoisted adjacency applies verbatim. Shared read-only.
 		g.Adj = gs.adj
-	} else {
-		g.Adj = make([][]int32, g.NumNodes)
-		for ei := range g.Edges {
-			e := &g.Edges[ei]
-			g.Adj[e.U] = append(g.Adj[e.U], int32(ei))
-			if e.V != BoundaryNode {
-				g.Adj[e.V] = append(g.Adj[e.V], int32(ei))
-			}
+		return nil
+	}
+	// g's own adjacency, never the shared one: its lists are refilled in
+	// place.
+	own := g.ownAdj
+	if cap(own) < g.NumNodes {
+		own = make([][]int32, g.NumNodes)
+	}
+	own = own[:g.NumNodes]
+	for v := range own {
+		own[v] = own[v][:0]
+	}
+	for ei := range g.Edges {
+		e := &g.Edges[ei]
+		own[e.U] = append(own[e.U], int32(ei))
+		if e.V != BoundaryNode {
+			own[e.V] = append(own[e.V], int32(ei))
 		}
 	}
-	return g, nil
+	g.ownAdj, g.Adj = own, own
+	return nil
 }
 
 // classesHold reports whether m gives every mechanism its class

@@ -111,15 +111,16 @@ func BenchmarkReweight(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphWeight is the per-cell edge reweight: GraphStructure.Weight
-// of the target model.
+// BenchmarkGraphWeight is the per-cell edge reweight: GraphStructure.WeightInto
+// of the target model into one reused Graph, as the engine's prepare does.
 func BenchmarkGraphWeight(b *testing.B) {
 	for _, l := range prepLegs {
 		p := prepare(b, l)
 		b.Run(l.name, func(b *testing.B) {
+			var g Graph
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, err := p.gs.Weight(p.target); err != nil {
+				if err := p.gs.WeightInto(p.target, &g); err != nil {
 					b.Fatal(err)
 				}
 			}

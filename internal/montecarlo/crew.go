@@ -107,7 +107,8 @@ type lane struct {
 	crew  *Crew
 	wake  sync.Cond // the owner waits here for a helper's Finish
 	kind  DecoderKind
-	graph *dem.Graph
+	graph *dem.Graph // the owner's prepared graph, at generation gen
+	gen   uint64
 	pipe  bool
 
 	slots []*Slot // sampled and not yet folded, in batch order
@@ -118,7 +119,8 @@ type lane struct {
 	held int     // claimed by helpers, not yet finished
 }
 
-// openLane binds st's lane to one cell.
+// openLane binds st's lane to one cell, whose graph prepare weighed into st
+// under its current generation.
 func (st *WorkerState) openLane(kind DecoderKind, graph *dem.Graph, pipe bool) *lane {
 	if st.lane == nil {
 		st.lane = &lane{}
@@ -130,7 +132,7 @@ func (st *WorkerState) openLane(kind DecoderKind, graph *dem.Graph, pipe bool) *
 			l.wake.L = &l.crew.mu
 		}
 	}
-	l.kind, l.graph, l.pipe = kind, graph, pipe
+	l.kind, l.graph, l.gen, l.pipe = kind, graph, st.graphGen, pipe
 	return l
 }
 
@@ -261,12 +263,13 @@ func (l *lane) drain() {
 }
 
 // DecodeSlot decodes a slot claimed from a crew on st, binding st's
-// decoder and pipeline to the slot's graph (rebinding only when the graph
-// or decoder kind changed since st's last decode). It records the slot's
-// failure mask and its DedupHits and decoder Stats deltas.
+// decoder and pipeline to the slot's graph (rebinding only when the graph,
+// its generation or the decoder kind changed since st's last decode). It
+// records the slot's failure mask and its DedupHits and decoder Stats
+// deltas.
 func (st *WorkerState) DecodeSlot(s *Slot) error {
 	l := s.lane
-	dec := st.bind(l.kind, l.graph)
+	dec := st.bind(l.kind, l.graph, l.gen)
 	src, _ := dec.(decoder.StatsSource)
 	var base decoder.DecoderStats
 	if src != nil {
@@ -301,12 +304,15 @@ func (st *WorkerState) DecodeSlot(s *Slot) error {
 	return nil
 }
 
-// bind returns st's decoder bound to graph, reusing the current binding
-// when neither the graph nor the kind changed.
-func (st *WorkerState) bind(kind DecoderKind, graph *dem.Graph) decoder.BatchDecoder {
-	if st.dec == nil || st.decKind != kind || st.decGraph != graph {
+// bind returns st's decoder bound to generation gen of graph, reusing the
+// current binding when neither changed and the kind did not either. The
+// generation is part of the key because an owner reweighs every cell into
+// the same Graph: a helper keyed on the pointer alone would decode the
+// owner's next cell with the last one's capacities.
+func (st *WorkerState) bind(kind DecoderKind, graph *dem.Graph, gen uint64) decoder.BatchDecoder {
+	if st.dec == nil || st.decKind != kind || st.decGraph != graph || st.decGen != gen {
 		st.dec = st.decoderFor(kind, graph)
-		st.decKind, st.decGraph = kind, graph
+		st.decKind, st.decGraph, st.decGen = kind, graph, gen
 	}
 	return st.dec
 }

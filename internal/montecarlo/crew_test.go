@@ -1,7 +1,9 @@
 package montecarlo
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/extract"
@@ -85,5 +87,58 @@ func TestCrewHelpedRunOnIsBitIdenticalAndAllocationFree(t *testing.T) {
 	}
 	if many > one+batches/8 {
 		t.Errorf("RunOn allocates %.0f times for %d batches but %.0f for one: the batch loop allocates", many, batches, one)
+	}
+}
+
+// An owner reweighs every cell into the same Graph, so a helper bound to
+// the owner's last cell must rebind for the next one although the graph
+// pointer did not change. An owner and one helper run consecutive cells of
+// one topology at two noise scales, the helper decoding batches of each,
+// and every result must equal a fresh RunOn's.
+func TestCrewHelperRebindsAcrossReweightedCells(t *testing.T) {
+	rates := []float64{5e-3, 1.2e-2, 5e-3, 1.2e-2}
+	// On one P the owner decodes a lent batch itself before an idle helper
+	// gets to run.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	en := NewEngine()
+	crew := NewCrew()
+	var helped atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var st WorkerState
+		for s := crew.Claim(); s != nil; s = crew.Claim() {
+			err := st.DecodeSlot(s)
+			helped.Add(1) // before Finish, so the owner's RunOn returns after it
+			crew.Finish(s, err)
+		}
+	}()
+	defer func() {
+		crew.Close()
+		wg.Wait()
+	}()
+	var st WorkerState
+	st.JoinCrew(crew)
+	for i, p := range rates {
+		cfg := Config{
+			Scheme: extract.CompactInterleaved, Distance: 7, Basis: extract.BasisZ,
+			Params: hardware.Default().ScaledGatesTo(p), Trials: 64 * 24, Seed: 11,
+		}
+		want, err := en.RunOn(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := helped.Load()
+		got, err := en.RunOn(cfg, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if helped.Load() == before {
+			t.Errorf("cell %d (p=%g): the helper decoded no batch", i, p)
+		}
+		if got.Counts != want.Counts {
+			t.Errorf("cell %d (p=%g): helped RunOn counts\n %+v\nfresh RunOn\n %+v", i, p, got.Counts, want.Counts)
+		}
 	}
 }

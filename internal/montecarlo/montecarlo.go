@@ -342,8 +342,9 @@ func (cfg *Config) normalize() error {
 // aligned to the target's zero-support and always-fire classes); the graph
 // stays the target's, so corrections are minimum-weight under the true
 // noise while shots are drawn from the proposal. Plain points get a nil
-// proposal, the signal runCell switches on. st donates its noise-vector and
-// Model buffers, and the results are stored back on it.
+// proposal, the signal runCell switches on. st donates its noise-vector,
+// Model and Graph buffers, and the results are stored back on it: the graph
+// returned is st's own, reweighted in place under a new generation.
 func (en *Engine) prepare(cfg Config, st *WorkerState) (model, prop *dem.Model, graph *dem.Graph, err error) {
 	ecfg := cfg.extractConfig()
 	entry, err := en.structure(ecfg)
@@ -383,34 +384,51 @@ func (en *Engine) prepare(cfg Config, st *WorkerState) (model, prop *dem.Model, 
 		prop = st.wmodel
 		alignProposal(model, prop)
 	}
-	if graph, err = model.DecodingGraph(); err != nil {
+	gs, err := model.GraphStructure()
+	if err != nil {
 		return nil, nil, nil, err
 	}
-	return model, prop, graph, nil
+	// A new generation before the graph is rewritten in place: decoders
+	// bound to the previous weighting must rebind (see bind).
+	st.graphGen++
+	if err := gs.WeightInto(model, &st.graph); err != nil {
+		return nil, nil, nil, err
+	}
+	return model, prop, &st.graph, nil
 }
 
 // WorkerState is reusable per-worker scratch for point execution: the
-// noise-vector buffer, the batch decode buffers, and rebindable
-// sampler/decoder state. A sweep scheduler threads one WorkerState through
-// the consecutive cells a pool worker executes, so cells sharing a
-// structure reuse the sampler tables and union-find arrays instead of
-// reallocating them per noise scale. Joined to a Crew (JoinCrew), it also
-// carries the slots its cells lend to idle pool workers, and as a helper
-// it decodes other cells' slots (DecodeSlot). The zero value is ready to
-// use; a WorkerState must not be shared between concurrent calls.
+// noise-vector, model and decoding-graph buffers, the batch decode buffers,
+// and rebindable sampler/decoder state. A sweep scheduler threads one
+// WorkerState through the consecutive cells a pool worker executes, so on
+// a structure-cache hit a cell reweights into the worker's model and graph
+// and rebinds its sampler tables and decoder arrays, whatever the cell's
+// distance, instead of reallocating them: once the worker has run its
+// largest cell, that path allocates almost nothing. Joined to a Crew
+// (JoinCrew), it also carries the slots its cells lend to idle pool
+// workers, and as a helper it decodes other cells' slots (DecodeSlot). The
+// zero value is ready to use; a WorkerState must not be shared between
+// concurrent calls.
 type WorkerState struct {
 	noise []float64
 	model *dem.Model
-	batch decoder.Batch
-	out   [dem.BatchShots]bool
-	bs    *dem.BatchSampler
-	uf    *decoder.UnionFind
-	bl    *decoder.Blossom
-	pipe  *decoder.Pipeline
-	// The current decode binding (see bind): the decoder over decGraph.
+	// graph is the decoding graph prepare weighs each cell into, and
+	// graphGen counts those weighings, so that a decoder bound to an
+	// earlier one rebinds although the pointer is the same.
+	graph    dem.Graph
+	graphGen uint64
+	batch    decoder.Batch
+	out      [dem.BatchShots]bool
+	bs       *dem.BatchSampler
+	uf       decoder.UnionFind
+	bl       decoder.Blossom
+	pipe     *decoder.Pipeline
+	// The current decode binding (see bind): the decoder over generation
+	// decGen of decGraph.
 	dec      decoder.BatchDecoder
 	decKind  DecoderKind
 	decGraph *dem.Graph
+	decGen   uint64
 	// The owner side of a cell's batches, and the crew it lends them to.
 	lane *lane
 	crew *Crew
@@ -446,20 +464,15 @@ func (st *WorkerState) samplerFor(model, prop *dem.Model) (*dem.BatchSampler, *d
 	return &st.wsamp.BatchSampler, st.wsamp, nil
 }
 
-// decoderFor returns the shot decoder for one cell, reusing the worker's
-// union-find or blossom state when the graph shape allows (the same hoisted
-// topology at a different noise scale rebinds in place).
+// decoderFor returns the worker's union-find or blossom decoder rebound to
+// graph, reusing its arrays whatever the graph's shape.
 func (st *WorkerState) decoderFor(kind DecoderKind, graph *dem.Graph) decoder.BatchDecoder {
 	if kind == Blossom {
-		if st.bl == nil || !st.bl.Rebind(graph) {
-			st.bl = decoder.NewBlossom(graph)
-		}
-		return st.bl
+		st.bl.Rebind(graph)
+		return &st.bl
 	}
-	if st.uf == nil || !st.uf.Rebind(graph) {
-		st.uf = decoder.NewUnionFind(graph)
-	}
-	return st.uf
+	st.uf.Rebind(graph)
+	return &st.uf
 }
 
 // pipeline returns the worker's dedup pipeline over inner, creating it on
