@@ -207,8 +207,7 @@ func (u *UnionFind) Rebind(g *dem.Graph) bool {
 	// The slot table depends on the adjacency alone, which for a graph
 	// from dem.GraphStructure is a function of the node count and the
 	// edges' endpoints in order (see load).
-	keepSlots := len(g.Adj) > 0 && len(u.slotAdj) == len(g.Adj) && &u.slotAdj[0] == &g.Adj[0] &&
-		len(g.Edges) == len(u.ue)
+	keepSlots := len(g.Adj) > 0 && len(u.slotAdj) == len(g.Adj) && &u.slotAdj[0] == &g.Adj[0]
 	n := g.NumNodes
 	u.g, u.n = g, n
 	u.ue = grown(u.ue, len(g.Edges))
@@ -231,7 +230,7 @@ func (u *UnionFind) Rebind(g *dem.Graph) bool {
 // load rebuilds every table the decoder hoists from g: the integer
 // capacities, the flat endpoints and the adjacency slots. The slots are
 // kept only when keepSlots says g's adjacency is the slice they were built
-// from, with as many edges, and no edge changed endpoints: every noise
+// from and no edge changed endpoints: every noise
 // scale of one hoisted graph topology, which is most rebinds of a sweep
 // worker that walks one distance's rates.
 func (u *UnionFind) load(g *dem.Graph, keepSlots bool) {

@@ -39,9 +39,6 @@ type Graph struct {
 	// only in their real endpoint's list).
 	Adj   [][]int32
 	Stats GraphStats
-	// ownAdj is the adjacency WeightInto rebuilds in place when candidate
-	// edges drop; Adj is either it or the topology's shared, read-only one.
-	ownAdj [][]int32
 }
 
 type edgeKey struct{ u, v int32 }
@@ -302,9 +299,9 @@ func (gs *GraphStructure) Weight(m *Model) (*Graph, error) {
 }
 
 // WeightInto writes the weighted Graph for model m into g, a graph the
-// caller owns, reusing g's edge slice and the adjacency it rebuilt on an
-// earlier call; it never writes into the topology's shared adjacency. Per
-// edge class it XOR-folds the class's first edge's source mechanisms into
+// caller owns, reusing g's edge slice; it never writes into the
+// topology's shared adjacency, and a weighing that drops edges builds g a
+// fresh one. Per edge class it XOR-folds the class's first edge's source mechanisms into
 // the two logical classes and converts the total to a weight once; every
 // edge then copies its class's values, and edges whose total probability
 // folds to zero are dropped. Edge classes are exact only while m assigns
@@ -377,26 +374,16 @@ func (gs *GraphStructure) WeightInto(m *Model, g *Graph) error {
 		// No candidate dropped: candidate index == edge index, so the
 		// hoisted adjacency applies verbatim. Shared read-only.
 		g.Adj = gs.adj
-		return nil
-	}
-	// g's own adjacency, never the shared one: its lists are refilled in
-	// place.
-	own := g.ownAdj
-	if cap(own) < g.NumNodes {
-		own = make([][]int32, g.NumNodes)
-	}
-	own = own[:g.NumNodes]
-	for v := range own {
-		own[v] = own[v][:0]
-	}
-	for ei := range g.Edges {
-		e := &g.Edges[ei]
-		own[e.U] = append(own[e.U], int32(ei))
-		if e.V != BoundaryNode {
-			own[e.V] = append(own[e.V], int32(ei))
+	} else {
+		g.Adj = make([][]int32, g.NumNodes)
+		for ei := range g.Edges {
+			e := &g.Edges[ei]
+			g.Adj[e.U] = append(g.Adj[e.U], int32(ei))
+			if e.V != BoundaryNode {
+				g.Adj[e.V] = append(g.Adj[e.V], int32(ei))
+			}
 		}
 	}
-	g.ownAdj, g.Adj = own, own
 	return nil
 }
 
