@@ -22,8 +22,11 @@
 //     primal-dual alternating-tree matcher (with blossom formation and
 //     shattering) matches each component on the pairs' savings, and the
 //     matcher's LP duals certify the radii or escalate them — so every
-//     shot ends in a strictly-minimum-weight correction, at less than
-//     union-find cost on warm engines (BENCH_decoder.json).
+//     shot ends in a strictly-minimum-weight correction. Its cost per
+//     shot is close to union-find's at p=1e-3 (within about 25% either
+//     way at d=5..11) but 2.5-21x union-find's at d=11 for p >= 0.005,
+//     where components grow large and its dense per-component matcher
+//     dominates (ROADMAP item 14).
 //
 // Exact is the test oracle, not a Kind: exact minimum-weight perfect
 // matching over the detection events (Dijkstra pairwise distances +

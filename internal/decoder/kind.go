@@ -9,8 +9,8 @@ import "fmt"
 //   - KindUF: weighted-growth union-find — near-linear per shot, slightly
 //     sub-optimal corrections. The conservative workhorse.
 //   - KindBlossom: sparse-blossom exact matching — strictly minimum-weight
-//     corrections at union-find-like cost (faster on warm engines at
-//     d >= 7). The production matcher.
+//     corrections, close to union-find's cost at p=1e-3 but several times
+//     slower near threshold at large d (2.5-21x at d=11, p >= 0.005).
 type Kind string
 
 // The selectable decoder kinds.

@@ -32,9 +32,14 @@ type UnionFind struct {
 	epoch uint64
 	ep32  uint32 // uint32(epoch); node and edge stamps compare against this
 	// All per-node state the growth loops touch lives in one flat record
-	// array (see ufNode); only the per-root slice lists stay separate.
-	un        []ufNode
-	edgeList  [][]int32 // per-root candidate growth edges
+	// array (see ufNode); only the per-root candidate lists stay separate.
+	un []ufNode
+	// Per-root candidate growth edges: lists[r] is root r's list, a block
+	// of pool. pool is a per-decode arena: Decode empties it, and every
+	// list is carved from its tail (see ufList), so its capacity is the
+	// largest single decode's need.
+	pool      []int32
+	lists     []ufList
 	activeGen uint32
 	bfsOrder  []int32
 	bfsEdge   []int32 // edge used to reach node in the forest
@@ -64,9 +69,9 @@ type UnionFind struct {
 	//
 	// seg[r] is a view of the candidate list the scan compacted in place, so
 	// a scan writes each kept id once. Later appends to a root's list land
-	// past the view, and a list that union hands to a dead root is not
-	// written again this decode, so the view holds until r rescans.
-	seg      [][]int32
+	// past the view or in a fresh block, and the pool never reuses a block
+	// within a decode, so the view holds until r rescans.
+	seg      []ufSpan
 	cumDelta int64 // summed minDelta growth this decode
 	// slot[ei] is edge ei's position in its endpoints' adjacency lists,
 	// capped at satWide: saturation sets that bit of each endpoint's
@@ -91,6 +96,20 @@ type UnionFind struct {
 	deadAt []uint32
 
 	stats DecoderStats
+}
+
+// ufSpan is the run pool[off:off+n] of candidate edge ids.
+type ufSpan struct{ off, n int32 }
+
+// ufList is one root's candidate list: the span it holds, in a block of
+// room entries, so a union appends to it in place until the block is full.
+// A full list moves to a block twice its new length at the pool's tail
+// (or grows in place if it already ends there), so a decode's appends cost
+// amortized O(1) per id and the pool stays within a small multiple of the
+// ids the decode seeded.
+type ufList struct {
+	ufSpan
+	room int32
 }
 
 // ufSlot is an edge's adjacency slot at each endpoint (see UnionFind.slot).
@@ -197,7 +216,7 @@ func NewUnionFind(g *dem.Graph) *UnionFind {
 
 // Rebind points the decoder at g, whatever its shape. Every per-node and
 // per-edge array is resliced within its capacity and grows only past it,
-// keeping the per-root candidate lists, so a worker that alternates
+// keeping the candidate-list pool, so a worker that alternates
 // distances reallocates nothing once it has seen the largest graph. The
 // epoch-stamped scratch needs no reset: the epoch bump makes every stamp
 // stale, and the wrap clear in bumpEpoch covers each array's capacity.
@@ -215,7 +234,7 @@ func (u *UnionFind) Rebind(g *dem.Graph) bool {
 	u.un = grown(u.un, n+1)
 	u.act = grown(u.act, n+1)
 	u.deadAt = grown(u.deadAt, n+1)
-	u.edgeList = grown(u.edgeList, n+1)
+	u.lists = grown(u.lists, n+1)
 	u.seg = grown(u.seg, n+1)
 	u.bfsEdge = grown(u.bfsEdge, n+1)
 	u.bfsPar = grown(u.bfsPar, n+1)
@@ -384,13 +403,44 @@ func (u *UnionFind) dead(v int32) bool {
 // is ever seeded (a node is seeded before it first merges), so its list —
 // stale from an earlier decode until now — is replaced, not extended.
 func (u *UnionFind) seedAdjacency(v int32) {
-	list := u.edgeList[v][:0]
-	for _, ei := range u.g.Adj[v] {
+	adj := u.g.Adj[v]
+	off := u.block(int32(len(adj)))
+	copy(u.pool[off:], adj)
+	for _, ei := range adj {
 		u.ensureEdge(ei)
-		list = append(list, ei)
 	}
-	u.edgeList[v] = list
+	u.lists[v] = ufList{ufSpan{off, int32(len(adj))}, int32(len(adj))}
 	u.un[v].seeded = true
+}
+
+// block carves an n-entry block off the pool's tail and returns its
+// offset. The pool grows only past its capacity, so once a decoder has
+// decoded its largest shot, blocks cost no allocation.
+func (u *UnionFind) block(n int32) int32 {
+	off := len(u.pool)
+	u.pool = slices.Grow(u.pool, int(n))[:off+int(n)]
+	return int32(off)
+}
+
+// ids returns the edge ids of span s.
+func (u *UnionFind) ids(s ufSpan) []int32 { return u.pool[s.off : s.off+s.n] }
+
+// appendList appends span s's ids to list l, moving l to a larger block
+// first if its own is full.
+func (u *UnionFind) appendList(l *ufList, s ufSpan) {
+	if need := l.n + s.n; need > l.room {
+		room := 2 * need
+		if end := l.off + l.room; end == int32(len(u.pool)) {
+			u.block(room - l.room) // l ends at the tail: extend it in place
+		} else {
+			off := u.block(room)
+			copy(u.pool[off:], u.ids(l.ufSpan))
+			l.off = off
+		}
+		l.room = room
+	}
+	copy(u.pool[l.off+l.n:], u.ids(s))
+	l.n += s.n
 }
 
 // Decode implements Decoder. The events are a set: they are processed in
@@ -414,7 +464,8 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 	u.events = events
 	u.satBound = u.satBound[:0]
 	u.ensureNode(int32(n))
-	u.edgeList[n] = u.edgeList[n][:0] // the boundary is never seeded but can root a union
+	u.pool = u.pool[:0]
+	u.lists[n] = ufList{} // the boundary is never seeded but can root a union
 	// Round one's active list is every event, each its own cluster; later
 	// rounds' lists are built incrementally by endRound.
 	u.cumDelta = 0
@@ -474,20 +525,22 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 			// force-walked, resetting the deficit that round.)
 			if nd.appliedEpoch == u.ep32 {
 				if pend := u.cumDelta - nd.appliedCum; pend > 0 {
-					for _, ei := range u.seg[r] {
+					for _, ei := range u.ids(u.seg[r]) {
 						if e := &u.ue[ei]; e.grown != e.cap {
 							e.grown += pend
 						}
 					}
 				}
 			}
-			scans += int64(len(u.edgeList[r]))
-			kept := u.edgeList[r][:0]
+			l := &u.lists[r]
+			list := u.ids(l.ufSpan)
+			scans += int64(len(list))
+			kept := list[:0]
 			// Track the ends=1 and ends=2 minima separately so the ceiling
 			// division happens once per scan, not once per edge.
 			var min1, min2 int64 = math.MaxInt64, math.MaxInt64
 			var arg2 int32 = -1
-			for _, ei := range u.edgeList[r] {
+			for _, ei := range list {
 				e := &u.ue[ei]
 				c := e.cap
 				if e.grown == c {
@@ -526,8 +579,8 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 					min1 = remain
 				}
 			}
-			u.edgeList[r] = kept
-			u.seg[r] = kept
+			l.n = int32(len(kept))
+			u.seg[r] = l.ufSpan
 			if mu := u.settleScan(nd, min1, min2, arg2); mu < minDelta {
 				minDelta = mu
 			}
@@ -561,7 +614,9 @@ func (u *UnionFind) Decode(events []int) (bool, error) {
 			if merged {
 				self = u.find(r)
 			}
-			for _, ei := range u.seg[r] {
+			// A union below may move the pool; the range keeps reading
+			// the segment's ids from the old array, where they still are.
+			for _, ei := range u.ids(u.seg[r]) {
 				e := &u.ue[ei]
 				if e.grown == e.cap {
 					continue // saturated
@@ -668,10 +723,12 @@ func (u *UnionFind) settleScan(nd *ufNode, min1, min2 int64, arg2 int32) int64 {
 // status comes from act, liveness from deadAt, and find, union and peel
 // reach a node only after resetting it.
 func (u *UnionFind) firstScan(d int32) {
-	list := u.edgeList[d][:0]
+	adj := u.g.Adj[d]
+	off := u.block(int32(len(adj)))
+	list := u.pool[off : off : int(off)+len(adj)]
 	var min1, min2 int64 = math.MaxInt64, math.MaxInt64
 	var arg2 int32 = -1
-	for _, ei := range u.g.Adj[d] {
+	for _, ei := range adj {
 		e := &u.ue[ei]
 		e.epoch, e.grown = u.ep32, 0
 		e.ra, e.rb, e.rootEpoch = e.u, e.v, u.ep32
@@ -691,8 +748,8 @@ func (u *UnionFind) firstScan(d int32) {
 			min1 = e.cap
 		}
 	}
-	u.edgeList[d] = list
-	u.seg[d] = list
+	u.lists[d] = ufList{ufSpan{off, int32(len(list))}, int32(len(adj))}
+	u.seg[d] = u.lists[d].ufSpan
 	nd := &u.un[d]
 	nd.seeded = true
 	u.settleScan(nd, min1, min2, arg2)
@@ -751,13 +808,13 @@ func (u *UnionFind) union(a, b int32) {
 	A.boundary = A.boundary || B.boundary
 	// The merged cluster's membership and candidates changed.
 	A.scanEpoch = 0
-	if len(u.edgeList[rb]) > len(u.edgeList[ra]) {
-		u.edgeList[ra], u.edgeList[rb] = u.edgeList[rb], u.edgeList[ra]
+	la, lb := &u.lists[ra], &u.lists[rb]
+	if lb.n > la.n {
+		*la, *lb = *lb, *la
 	}
-	u.edgeList[ra] = append(u.edgeList[ra], u.edgeList[rb]...)
-	// Keep rb's capacity for later decodes; rb is no longer a root, so its
-	// list is dead until its next epoch reset.
-	u.edgeList[rb] = u.edgeList[rb][:0]
+	u.appendList(la, lb.ufSpan)
+	// rb is no longer a root, so its list is dead until it is next seeded.
+	lb.n = 0
 	u.touched = append(u.touched, ra)
 }
 
@@ -779,7 +836,7 @@ func (u *UnionFind) markSat(ei int32) {
 // root and stale already. Edges never scanned this decode back no cached
 // minimum.
 func (u *UnionFind) invalidate(r int32) {
-	for _, ei := range u.edgeList[r] {
+	for _, ei := range u.ids(u.lists[r].ufSpan) {
 		if e := &u.ue[ei]; e.rootEpoch == u.ep32 {
 			u.un[e.ra].scanEpoch = 0
 			u.un[e.rb].scanEpoch = 0

@@ -2,7 +2,6 @@ package decoder
 
 import (
 	"math/rand/v2"
-	"runtime"
 	"testing"
 
 	"repro/internal/dem"
@@ -37,21 +36,12 @@ func BenchmarkUnionFindDecode(b *testing.B) {
 			m, g := circuitGraph(b, leg.scheme, leg.d, leg.p)
 			shots := nonEmptyShots(m, 256, uint64(leg.d))
 			uf := NewUnionFind(g)
-			// Warm the reusable buffers until a whole pass over the shots
-			// allocates nothing. Per-root edge lists trade backing arrays
-			// at unions, so a single pass leaves some still growing.
-			var ms runtime.MemStats
-			for pass, last := 0, uint64(0); pass < 100; pass++ {
-				for _, ev := range shots {
-					if _, err := uf.Decode(ev); err != nil {
-						b.Fatal(err)
-					}
+			// One pass over the shots grows every reusable buffer, the
+			// candidate-list pool included, to the largest shot's need.
+			for _, ev := range shots {
+				if _, err := uf.Decode(ev); err != nil {
+					b.Fatal(err)
 				}
-				runtime.ReadMemStats(&ms)
-				if ms.Mallocs == last {
-					break
-				}
-				last = ms.Mallocs
 			}
 			before := uf.DecoderStats()
 			b.ReportAllocs()

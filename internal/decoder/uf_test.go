@@ -280,3 +280,37 @@ func TestUnionFindStampWrap(t *testing.T) {
 		}
 	}
 }
+
+// TestUnionFindListMemoryBounded decodes the dense Fig. 11 tail leg's shot
+// set (Compact-Interleaved d=11, p=2e-2) 40 times on one decoder. The
+// candidate lists' storage must stay within a small multiple of the
+// graph's edge count and stop growing once the shots have been seen: it
+// is sized by the largest single decode, not by the largest cluster each
+// node ever rooted, which kept per-node buffers growing with every pass.
+func TestUnionFindListMemoryBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("40 dense d=11 passes")
+	}
+	m, g := circuitGraph(t, extract.CompactInterleaved, 11, 2e-2)
+	shots := nonEmptyShots(m, 256, 11)
+	uf := NewUnionFind(g)
+	var at10 int
+	for pass := 1; pass <= 40; pass++ {
+		for _, ev := range shots {
+			if _, err := uf.Decode(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if pass == 10 {
+			at10 = cap(uf.pool)
+		}
+	}
+	at40, edges := cap(uf.pool), len(g.Edges)
+	t.Logf("%d edges: list capacity %d ids after 10 passes, %d after 40", edges, at10, at40)
+	if at40 > 32*edges {
+		t.Errorf("list capacity %d ids after 40 passes, want at most 32x the %d edges", at40, edges)
+	}
+	if at40 > at10 {
+		t.Errorf("list capacity grew from %d ids after 10 passes to %d after 40", at10, at40)
+	}
+}

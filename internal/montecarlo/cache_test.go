@@ -133,7 +133,7 @@ func TestRunOnWorkerStateReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := en.RunOn(cfg, nil)
+		want, err := en.RunOn(cfg, &WorkerState{})
 		if err != nil {
 			t.Fatal(err)
 		}

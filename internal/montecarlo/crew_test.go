@@ -124,7 +124,7 @@ func TestCrewHelperRebindsAcrossReweightedCells(t *testing.T) {
 			Scheme: extract.CompactInterleaved, Distance: 7, Basis: extract.BasisZ,
 			Params: hardware.Default().ScaledGatesTo(p), Trials: 64 * 24, Seed: 11,
 		}
-		want, err := en.RunOn(cfg, nil)
+		want, err := en.RunOn(cfg, &WorkerState{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,6 +62,10 @@
 //     serving front end and the public facade all run cells through it.
 //     Engine.RunOnBudget is the same under a caller-held ShardBudget whose
 //     Abort stops the point at its next batch (the scheduler's cancel)
+//   - Engine.AcquireState / ReleaseState: the engine's free list of idle
+//     warm WorkerStates, which every scheduler pool worker and every
+//     RunOn without a state of its own borrow, so cells start on the
+//     buffers earlier cells grew, whichever job ran them
 //   - NewCrew / WorkerState.JoinCrew / Crew.Claim / WorkerState.DecodeSlot
 //     / Crew.Finish: the rendezvous through which idle pool workers decode
 //     running cells' batches
@@ -78,8 +82,8 @@
 //     configurations of the Fig. 11 and Fig. 12 grids, which
 //     internal/sched's job builders and sweeps run
 //   - Engine.CacheStats: structure-cache counters (builds, hits,
-//     evictions, entries) — the observability hook behind the serving
-//     front end's /v1/stats
+//     evictions, entries) and the worker states created — the
+//     observability hook behind the serving front end's /v1/stats
 //   - RunReference: the retained pre-batching scalar engine, the
 //     benchmark baseline and statistical cross-check
 //   - EstimateThreshold: interpolates the Fig. 11 crossing point

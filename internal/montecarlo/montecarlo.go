@@ -200,6 +200,12 @@ type Engine struct {
 	builds    atomic.Int64
 	hits      atomic.Int64
 	evictions atomic.Int64
+
+	// idle is the free list of warm worker states (AcquireState); made
+	// counts the states ever created.
+	stateMu sync.Mutex
+	idle    []*WorkerState // guarded by stateMu
+	made    atomic.Int64
 }
 
 type cacheEntry struct {
@@ -257,6 +263,10 @@ type CacheStats struct {
 	Evictions int64 `json:"evictions"`
 	// Entries is the current cache population (<= the configured cap).
 	Entries int `json:"entries"`
+	// WorkerStates counts the worker states the engine has created
+	// (AcquireState): at most the most pool workers ever running on it at
+	// once, however many sweeps they served.
+	WorkerStates int64 `json:"worker_states"`
 }
 
 // CacheStats returns a consistent snapshot of the cache counters. The
@@ -268,11 +278,40 @@ func (en *Engine) CacheStats() CacheStats {
 	entries := len(en.cache)
 	en.mu.Unlock()
 	return CacheStats{
-		Builds:    en.builds.Load(),
-		Hits:      en.hits.Load(),
-		Evictions: en.evictions.Load(),
-		Entries:   entries,
+		Builds:       en.builds.Load(),
+		Hits:         en.hits.Load(),
+		Evictions:    en.evictions.Load(),
+		Entries:      entries,
+		WorkerStates: en.made.Load(),
 	}
+}
+
+// AcquireState returns an idle WorkerState from the engine's free list,
+// the one most recently released, or a new one if none is idle. Every
+// scheduler pool worker on the engine, and every one-shot RunOn, runs on
+// one, so a cell finds the buffers, sampler tables and decoders that
+// earlier cells grew, whichever sweep they belonged to. The list never
+// holds more states than were ever acquired at once. Hand the state back
+// with ReleaseState.
+func (en *Engine) AcquireState() *WorkerState {
+	en.stateMu.Lock()
+	defer en.stateMu.Unlock()
+	if n := len(en.idle); n > 0 {
+		st := en.idle[n-1]
+		en.idle = en.idle[:n-1]
+		return st
+	}
+	en.made.Add(1)
+	return &WorkerState{}
+}
+
+// ReleaseState returns st, which the caller no longer uses, to the free
+// list, out of any crew it joined.
+func (en *Engine) ReleaseState(st *WorkerState) {
+	st.JoinCrew(nil)
+	en.stateMu.Lock()
+	en.idle = append(en.idle, st)
+	en.stateMu.Unlock()
 }
 
 // structure returns the cached (or freshly built) structural halves for
@@ -400,9 +439,10 @@ func (en *Engine) prepare(cfg Config, st *WorkerState) (model, prop *dem.Model, 
 // WorkerState is reusable per-worker scratch for point execution: the
 // noise-vector, model and decoding-graph buffers, the batch decode buffers,
 // and rebindable sampler/decoder state. A sweep scheduler threads one
-// WorkerState through the consecutive cells a pool worker executes, so on
-// a structure-cache hit a cell reweights into the worker's model and graph
-// and rebinds its sampler tables and decoder arrays, whatever the cell's
+// WorkerState, borrowed from the engine (AcquireState), through the
+// consecutive cells a pool worker executes, so on a structure-cache hit a
+// cell reweights into the worker's model and graph and rebinds its
+// sampler tables and decoder arrays, whatever the cell's
 // distance, instead of reallocating them: once the worker has run its
 // largest cell, that path allocates almost nothing. Joined to a Crew
 // (JoinCrew), it also carries the slots its cells lend to idle pool
@@ -604,7 +644,7 @@ func (c *Counts) fold(s *Slot, weighted bool, cfg Config, budget *ShardBudget) {
 // has joined a Crew, idle members may decode some of its batches. The
 // result depends on cfg alone: never on GOMAXPROCS, on the pool width the
 // caller schedules cells under, or on who helped. st may be nil for
-// one-shot use.
+// one-shot use: the point then runs on an idle state of the engine's.
 func (en *Engine) RunOn(cfg Config, st *WorkerState) (Result, error) {
 	return en.RunOnBudget(cfg, nil, st)
 }

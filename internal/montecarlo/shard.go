@@ -138,8 +138,9 @@ type ShardResult struct {
 // which runs the one shard of an unsharded plan. The shard samples stream
 // `shard` of cfg.Seed, takes plan.ShardTrials(shard) shots, and coordinates
 // TargetFailures early stopping and cancellation through budget, which must
-// be shared by all shards of the plan. st and budget may be nil for
-// one-shot use.
+// be shared by all shards of the plan. budget may be nil for one-shot
+// use, and so may st: the shard then runs on a warm state of the engine's
+// (AcquireState).
 //
 // Determinism contract: with no early-stop target and no abort, a shard's
 // ShardResult depends only on (cfg, plan, shard) — never on which worker
@@ -150,7 +151,8 @@ type ShardResult struct {
 // deterministic in the shard results it is given.
 func (en *Engine) RunShardOn(cfg Config, plan ShardPlan, shard int, budget *ShardBudget, st *WorkerState) (ShardResult, error) {
 	if st == nil {
-		st = &WorkerState{}
+		st = en.AcquireState()
+		defer en.ReleaseState(st)
 	}
 	if budget == nil {
 		budget = &ShardBudget{}

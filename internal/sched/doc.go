@@ -16,11 +16,14 @@
 // helper claimed, and checks early stop at fold time. Decoding is a pure
 // function of a batch, so a cell's result is RunOn's for its Config —
 // never dependent on the pool width, on which worker decoded which batch,
-// or on which cells finished first. Workers thread one
-// montecarlo.WorkerState through their consecutive cells, reusing sampler
-// tables, union-find arrays, and batch buffers across the noise scales of
-// a row; the engine's bounded structure cache does the same for the
-// expensive structural halves.
+// or on which cells finished first. Each pool worker takes a
+// montecarlo.WorkerState from the engine (Engine.AcquireState) when it
+// starts and hands it back when it leaves, threading it through its
+// consecutive cells meanwhile. The states outlive the run, so sampler
+// tables, decoder arrays and batch buffers carry over from cell to cell
+// and from one Run to the next on the same engine: a serving process's
+// short per-request runs start warm. The engine's bounded structure cache
+// does the same for the expensive structural halves.
 //
 // Splitting a cell into separately seeded shards is not a local concern:
 // helping already spreads one big cell's decode over the pool without

@@ -88,7 +88,7 @@ func TestHelpingIsBitIdentical(t *testing.T) {
 			want := make([]montecarlo.Result, len(tc.jobs))
 			for i, j := range tc.jobs {
 				var err error
-				if want[i], err = en.RunOn(j.Cfg, nil); err != nil {
+				if want[i], err = en.RunOn(j.Cfg, &montecarlo.WorkerState{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -126,7 +126,7 @@ func TestHelpingSkipsLightBatches(t *testing.T) {
 		t.Errorf("%d light batches were lent to a helper", n)
 	}
 	for i, j := range jobs {
-		want, err := en.RunOn(j.Cfg, nil)
+		want, err := en.RunOn(j.Cfg, &montecarlo.WorkerState{})
 		if err != nil {
 			t.Fatal(err)
 		}

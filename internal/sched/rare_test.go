@@ -30,7 +30,7 @@ func TestRareSweepDeterministicAcrossWidths(t *testing.T) {
 	want := make([]montecarlo.Result, len(jobs))
 	for i, j := range jobs {
 		var err error
-		if want[i], err = en.RunOn(j.Cfg, nil); err != nil {
+		if want[i], err = en.RunOn(j.Cfg, &montecarlo.WorkerState{}); err != nil {
 			t.Fatal(err)
 		}
 		if w := want[i].Weighted; w.Shots != j.Cfg.Trials || w.SumW <= 0 {

@@ -133,7 +133,9 @@ func (s *Scheduler) run(ctx context.Context, jobs []Job, results []CellResult, e
 	}
 
 	// Workers that find the queue drained help the cells still running by
-	// decoding their sampled batches, until the last cell finishes.
+	// decoding their sampled batches, until the last cell finishes. Each
+	// worker runs on a warm state of the engine's for as long as it is in
+	// the pool, and hands it back before the run returns.
 	crew := montecarlo.NewCrew()
 	var next atomic.Int64
 	var left atomic.Int64
@@ -144,12 +146,13 @@ func (s *Scheduler) run(ctx context.Context, jobs []Job, results []CellResult, e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var st montecarlo.WorkerState
+			st := s.en.AcquireState()
+			defer s.en.ReleaseState(st)
 			st.JoinCrew(crew)
 			for k := int(next.Add(1)) - 1; k < len(order); k = int(next.Add(1)) - 1 {
 				i := order[k]
 				r := CellResult{Index: i, Job: jobs[i]}
-				ok := s.runCell(ctx, &r, &budgets[i], &st)
+				ok := s.runCell(ctx, &r, &budgets[i], st)
 				results[i] = r
 				if ok && emit != nil {
 					emitMu.Lock()
@@ -160,7 +163,7 @@ func (s *Scheduler) run(ctx context.Context, jobs []Job, results []CellResult, e
 					crew.Close()
 				}
 			}
-			s.help(crew, &st)
+			s.help(crew, st)
 		}()
 	}
 	wg.Wait()

@@ -38,7 +38,7 @@ func TestSchedulerDeterministicAcrossPoolWidths(t *testing.T) {
 	want := make([]montecarlo.Result, len(jobs))
 	for i, j := range jobs {
 		var err error
-		if want[i], err = en.RunOn(j.Cfg, nil); err != nil {
+		if want[i], err = en.RunOn(j.Cfg, &montecarlo.WorkerState{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +65,7 @@ func TestSchedulerCellMatchesDirectRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range results {
-		want, err := en.RunOn(jobs[i].Cfg, nil)
+		want, err := en.RunOn(jobs[i].Cfg, &montecarlo.WorkerState{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestThresholdSweepMatchesSequential(t *testing.T) {
 	i := 0
 	for _, d := range ds {
 		for _, p := range ps {
-			want, err := en.RunOn(montecarlo.ThresholdCellConfig(extract.Baseline, d, p, hardware.Default(), trials, 5, montecarlo.UF, montecarlo.SweepOptions{}), nil)
+			want, err := en.RunOn(montecarlo.ThresholdCellConfig(extract.Baseline, d, p, hardware.Default(), trials, 5, montecarlo.UF, montecarlo.SweepOptions{}), &montecarlo.WorkerState{})
 			if err != nil {
 				t.Fatal(err)
 			}

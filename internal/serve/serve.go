@@ -86,7 +86,9 @@ type Config struct {
 	Ledger Ledger
 	// MaxConcurrentJobs bounds sweeps running at once (default 2). Each
 	// job gets its own scheduler pool, so this times DefaultPoolWidth is
-	// the worst-case decode parallelism.
+	// the worst-case decode parallelism. The pools borrow their workers'
+	// states from the engine, which keeps as many warm states as were
+	// ever in use at once.
 	MaxConcurrentJobs int
 	// QueueDepth bounds jobs waiting for a run slot; once
 	// running+queued reaches MaxConcurrentJobs+QueueDepth, POST

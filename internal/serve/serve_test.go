@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -752,5 +753,39 @@ func TestDecodePipelineCounters(t *testing.T) {
 	if st.Decode.Shots != int64(shots) || st.Decode.Skipped != int64(skipped) || st.Decode.DedupHits != int64(dedup) {
 		t.Errorf("/v1/stats decode %+v, want %d/%d/%d shots/skipped/dedup",
 			st.Decode, shots, skipped, dedup)
+	}
+}
+
+// Each job's scheduler pool takes its workers' states from the engine and
+// hands them back when the job ends, so sequential fresh requests run on
+// the states the first one created: 20 of them at pool width 2 create at
+// most 2, as both /v1/stats and /metrics report.
+func TestSequentialRequestsReuseWarmStates(t *testing.T) {
+	const width = 2
+	_, ts := newTestServer(t, Config{DefaultPoolWidth: width})
+	for seed := 1; seed <= 20; seed++ {
+		body := fmt.Sprintf(`{"scheme":"baseline","distances":[3,5],"rates":[0.004],"trials":200,"seed":%d}`, seed)
+		cells, status := readStream(t, postSweep(t, ts, "/v1/sweeps", body))
+		if status.State != StateDone {
+			t.Fatalf("seed %d: state %q (error %q)", seed, status.State, status.Error)
+		}
+		for _, rec := range cells {
+			if rec.Source != "" {
+				t.Fatalf("seed %d: cell %d from %q, want a fresh engine run", seed, rec.Index, rec.Source)
+			}
+		}
+	}
+	made := getStats(t, ts).Engine.WorkerStates
+	if made < 1 || made > width {
+		t.Errorf("20 sequential requests at pool width %d created %d worker states", width, made)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	if want := fmt.Sprintf("vlq_engine_worker_states_total %d\n", made); !strings.Contains(string(b), want) {
+		t.Errorf("/metrics lacks %q", strings.TrimSpace(want))
 	}
 }

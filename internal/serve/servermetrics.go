@@ -89,6 +89,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.NewGaugeFunc("vlq_engine_cache_entries",
 		"Current engine cache population.",
 		func() float64 { return float64(s.en.CacheStats().Entries) })
+	reg.NewCounterFunc("vlq_engine_worker_states_total",
+		"Worker states the engine has created; pool workers reuse idle ones across jobs.",
+		func() float64 { return float64(s.en.CacheStats().WorkerStates) })
 
 	// Decode pipeline (engine-run cells only; ledger and coalesced cells
 	// did no decode work).

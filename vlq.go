@@ -273,7 +273,8 @@ type (
 	// SensitivitySweepCell tags a Fig. 12 panel cell on a SweepJob.
 	SensitivitySweepCell = sched.SensitivityCell
 	// MonteCarloWorkerState is the reusable per-worker scratch threaded
-	// through consecutive cells by the scheduler.
+	// through consecutive cells by the scheduler, which borrows it from
+	// the engine's free list of idle states.
 	MonteCarloWorkerState = montecarlo.WorkerState
 )
 
@@ -379,8 +380,8 @@ func RunMonteCarloReference(cfg MonteCarloConfig) (MonteCarloResult, error) {
 	return montecarlo.RunReference(cfg)
 }
 
-// Decoder kinds for Monte-Carlo trials: union-find and sparse-blossom
-// exact matching (the production matcher).
+// Decoder kinds for Monte-Carlo trials: union-find (the default) and
+// sparse-blossom exact matching.
 const (
 	DecodeUnionFind = montecarlo.UF
 	DecodeBlossom   = montecarlo.Blossom
@@ -393,8 +394,8 @@ var DecoderKinds = decoder.Kinds
 var SensitivityPanels = montecarlo.Panels
 
 // RunMonteCarlo measures one logical error rate on the calling goroutine,
-// through the engine the sweeps below share, so the result depends on cfg
-// alone, not on GOMAXPROCS.
+// through the engine the sweeps below share, on one of its idle warm
+// worker states. The result depends on cfg alone, not on GOMAXPROCS.
 func RunMonteCarlo(cfg MonteCarloConfig) (MonteCarloResult, error) {
 	return sweeps.Engine().RunOn(cfg, nil)
 }
