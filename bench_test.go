@@ -765,21 +765,27 @@ func BenchmarkSweepRowDecoders(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepRowSkewed measures the makespan win of the cost-aware
-// scheduler on the workload that motivated it: a skewed grid where one
-// d=13 cell with a deep shot budget dominates a row of smaller cells (d in
-// {3..11}), on an 8-worker pool. Three legs run the identical grid:
+// BenchmarkSweepRowSkewed measures the pool on the workload that shows
+// whether helping covers the tail: a skewed grid where one d=13 cell with
+// a deep shot budget dominates a row of smaller cells (d in {3..11}), on
+// an 8-worker pool. The pool drains cheapest first, so the d=13 cell
+// starts last and finishes only as fast as idle workers help decode its
+// batches. Two legs run the identical grid:
 //
-//	sequential  width-1 pool (no intra-sweep parallelism)
-//	fifo        8 workers, submission-order queue — the pre-cost-model
-//	            scheduler, the baseline the >= 1.3x target is against
-//	ordered     8 workers, longest-cell-first; workers idle at the tail
-//	            help decode the huge cell's batches
+//	sequential  width-1 pool; its cell times sum to the grid's serial cost
+//	pool        8 workers, cheapest cell first, idle workers helping
 //
-// All three legs must agree bit for bit, and the ordered leg must
-// reproduce itself bit for bit at width 2 (the determinism half of the
-// acceptance bar; the montecarlo golden tests pin the counts themselves).
-// Measurements are written to BENCH_sched.json as the regression baseline.
+// Two numbers come out. The pool's makespan is set against the ideal
+// sum(sequential cell time) / width, the width capped at GOMAXPROCS (the
+// cores the pool can use): a ratio near 1 means the tail cell did not
+// finish alone. The median completion time, from the run's start to the
+// middle cell's result, is what a streaming consumer waits for half the
+// grid.
+//
+// Both legs must agree bit for bit, and the pool must reproduce itself bit
+// for bit at width 2 (the determinism half of the acceptance bar; the
+// montecarlo golden tests pin the counts themselves). Measurements are
+// written to BENCH_sched.json as the regression baseline.
 //
 //	VLQ_SKEW_TRIALS  trials per small cell (default 400; the huge cell runs 16x)
 func BenchmarkSweepRowSkewed(b *testing.B) {
@@ -813,52 +819,52 @@ func BenchmarkSweepRowSkewed(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	runLeg := func(opts sched.Options) ([]sched.CellResult, time.Duration) {
+	// runLeg returns the results, the makespan and the median time from
+	// the start to a cell's result.
+	runLeg := func(width int) ([]sched.CellResult, time.Duration, time.Duration) {
+		var done []time.Duration
 		start := time.Now()
-		results, err := sched.New(en, opts).Run(buildJobs())
+		results, err := sched.New(en, sched.Options{Jobs: width, OnResult: func(sched.CellResult) {
+			done = append(done, time.Since(start))
+		}}).Run(buildJobs())
 		if err != nil {
 			b.Fatal(err)
 		}
-		return results, time.Since(start)
+		return results, time.Since(start), done[len(done)/2]
 	}
 	b.ResetTimer()
 
-	// The b.N loop feeds only the benchmark's ns/op; the reported ratios
+	// The b.N loop feeds only the benchmark's ns/op; the reported numbers
 	// come from the equal-sample comparison below.
-	ordOpts := sched.Options{Jobs: workers}
 	for i := 0; i < b.N; i++ {
-		runLeg(ordOpts)
+		runLeg(workers)
 	}
 	b.StopTimer()
 
 	printTableOnce(b, func() {
-		var seqPts, fifoPts, ordPts []sched.CellResult
-		// The recorded ratios compare equal sample counts: every leg's
-		// duration is the min of the 3 interleaved runs below, independent
-		// of how many extra ordered runs the b.N loop above performed.
+		var seqPts, poolPts []sched.CellResult
+		// Every reported duration is the min of the 3 interleaved runs
+		// below, independent of how many pool runs the b.N loop performed.
 		seqDur := time.Duration(math.MaxInt64)
-		fifoDur := time.Duration(math.MaxInt64)
-		ordDur := time.Duration(math.MaxInt64)
+		poolDur := time.Duration(math.MaxInt64)
+		medianDone := time.Duration(math.MaxInt64)
 		for i := 0; i < 3; i++ {
-			var d time.Duration
-			if seqPts, d = runLeg(sched.Options{Jobs: 1}); d < seqDur {
+			var d, med time.Duration
+			if seqPts, d, _ = runLeg(1); d < seqDur {
 				seqDur = d
 			}
-			if fifoPts, d = runLeg(sched.Options{Jobs: workers, Queue: sched.OrderFIFO}); d < fifoDur {
-				fifoDur = d
+			if poolPts, d, med = runLeg(workers); d < poolDur {
+				poolDur = d
 			}
-			if ordPts, d = runLeg(ordOpts); d < ordDur {
-				ordDur = d
-			}
+			medianDone = min(medianDone, med)
 		}
 
-		// Identity checks: every leg agrees bit for bit, and the ordered leg
-		// reproduces itself at a different pool width.
+		// Identity checks: both legs agree bit for bit, and the pool
+		// reproduces itself at a different width.
 		for i := range seqPts {
-			s, f, o := seqPts[i].Result, fifoPts[i].Result, ordPts[i].Result
-			if s.Trials != f.Trials || s.Failures != f.Failures || s.Trials != o.Trials || s.Failures != o.Failures {
-				b.Errorf("cell %d: sequential %d/%d, fifo %d/%d, ordered %d/%d failures/trials diverge",
-					i, s.Failures, s.Trials, f.Failures, f.Trials, o.Failures, o.Trials)
+			if s, p := seqPts[i].Result, poolPts[i].Result; s.Counts != p.Counts {
+				b.Errorf("cell %d: sequential %d/%d, pool %d/%d failures/trials diverge",
+					i, s.Failures, s.Trials, p.Failures, p.Trials)
 			}
 		}
 		narrow, err := sched.New(en, sched.Options{Jobs: 2}).Run(buildJobs())
@@ -866,30 +872,26 @@ func BenchmarkSweepRowSkewed(b *testing.B) {
 			b.Fatal(err)
 		}
 		identical := true
-		for i := range ordPts {
-			a, c := ordPts[i].Result, narrow[i].Result
+		for i := range poolPts {
+			a, c := poolPts[i].Result, narrow[i].Result
 			if a.Counts != c.Counts {
 				identical = false
-				b.Errorf("cell %d: ordered at width %d gave %d/%d failures/trials, width 2 gave %d/%d",
+				b.Errorf("cell %d: pool at width %d gave %d/%d failures/trials, width 2 gave %d/%d",
 					i, workers, a.Failures, a.Trials, c.Failures, c.Trials)
 			}
 		}
 
-		vsFifo := float64(fifoDur) / float64(ordDur)
 		procs := runtime.GOMAXPROCS(0)
+		ideal := seqDur / time.Duration(min(workers, procs))
+		vsIdeal := float64(poolDur) / float64(ideal)
 		fmt.Printf("\nSkewed sweep row — %s, d in %v x %d rates at %d trials + one d=%d cell at %d trials, %d workers (GOMAXPROCS=%d):\n",
 			scheme, smallDs, len(rates), smallTrials, hugeDist, hugeTrials, workers, procs)
-		fmt.Printf("  sequential:  %v\n", seqDur)
-		fmt.Printf("  fifo pool:   %v\n", fifoDur)
-		fmt.Printf("  ordered:     %v  (vs fifo %.2fx; target >= 1.3x)\n", ordDur, vsFifo)
+		fmt.Printf("  sequential:       %v\n", seqDur)
+		fmt.Printf("  pool makespan:    %v  (%.2fx the ideal %v = sequential / %d)\n", poolDur, vsIdeal, ideal, min(workers, procs))
+		fmt.Printf("  median cell done: %v  (%.2f of the makespan)\n", medianDone, float64(medianDone)/float64(poolDur))
 		fmt.Printf("  results bit-identical across widths: %v\n", identical)
-		switch {
-		case procs == 1:
-			fmt.Printf("  NOTE: 1 CPU available — the %d-worker pool is fully serialized, so makespan\n", workers)
-			fmt.Println("  ratios here measure overhead, not the ordering win; run on a multicore host for the target.")
-		case procs < workers:
-			fmt.Printf("  NOTE: %d CPUs < %d workers — the ordering win is real but bounded by the core\n", procs, workers)
-			fmt.Printf("  count; run on >= %d cores for the full ratio.\n", workers)
+		if procs < workers {
+			fmt.Printf("  NOTE: %d CPUs < %d workers — the ideal divides by the %d cores the pool can use.\n", procs, workers, procs)
 		}
 
 		baseline := struct {
@@ -903,16 +905,18 @@ func BenchmarkSweepRowSkewed(b *testing.B) {
 			Workers         int     `json:"workers"`
 			GoMaxProcs      int     `json:"gomaxprocs"`
 			SequentialNS    int64   `json:"sequential_ns"`
-			FifoNS          int64   `json:"fifo_ns"`
-			OrderedNS       int64   `json:"ordered_ns"`
-			OrderedVsFifo   float64 `json:"ordered_vs_fifo"`
+			PoolNS          int64   `json:"pool_ns"`
+			IdealNS         int64   `json:"ideal_ns"`
+			PoolVsIdeal     float64 `json:"pool_vs_ideal"`
+			MedianDoneNS    int64   `json:"median_done_ns"`
 			IdenticalAcross bool    `json:"bit_identical_across_widths"`
 		}{
 			Scheme: scheme.String(), SmallDistances: smallDs, Rates: len(rates),
 			SmallTrials: smallTrials, HugeDistance: hugeDist, HugePhysRate: hugePhys, HugeTrials: hugeTrials,
 			Workers: workers, GoMaxProcs: procs,
-			SequentialNS: seqDur.Nanoseconds(), FifoNS: fifoDur.Nanoseconds(), OrderedNS: ordDur.Nanoseconds(),
-			OrderedVsFifo: vsFifo, IdenticalAcross: identical,
+			SequentialNS: seqDur.Nanoseconds(), PoolNS: poolDur.Nanoseconds(),
+			IdealNS: ideal.Nanoseconds(), PoolVsIdeal: vsIdeal, MedianDoneNS: medianDone.Nanoseconds(),
+			IdenticalAcross: identical,
 		}
 		if buf, err := json.MarshalIndent(baseline, "", "  "); err == nil {
 			if werr := os.WriteFile("BENCH_sched.json", append(buf, '\n'), 0o644); werr != nil {

@@ -34,13 +34,11 @@ type RunOptions struct {
 	// ShardShots splits cells into leaseable shard units of ~this many
 	// trials (montecarlo.PlanShards: 0 keeps every cell whole, positive
 	// values below montecarlo.MinShardShots are raised to that floor); the
-	// unit queue is BuildUnitQueue(jobs, ShardShots, Queue). A cell of n
+	// unit queue is BuildUnitQueue(jobs, ShardShots). A cell of n
 	// shards equals montecarlo.MergeShards of the plan's RunShardOn
 	// shards, shard i on stream i, so an unsharded run reproduces the
 	// local scheduler's bytes.
 	ShardShots int
-	// Queue orders the lease queue (default cost-descending).
-	Queue sched.QueueOrder
 	// OnResult, when set, is called once per cell as its last shard
 	// merges, in completion order; calls are serialized per run. Error
 	// cells are delivered too; cells of a cancelled run are never
@@ -113,7 +111,7 @@ type Run struct {
 // under any fault schedule. One Hub serves many runs over its lifetime
 // (the serving front end submits each fabric-mode sweep to the process's
 // hub); leases are drawn from runs in submission order, units within a
-// run in cost order.
+// run longest first (BuildUnitQueue).
 type Hub struct {
 	opts Options
 	ttl  time.Duration
@@ -210,13 +208,13 @@ func (h *Hub) Stats() Stats {
 }
 
 // Submit plans the jobs into a unit queue and opens the run for leasing.
-// The plan is a pure function of (jobs, ShardShots, Queue), which is the
+// The plan is a pure function of (jobs, ShardShots), which is the
 // root of the fabric's determinism contract.
 func (h *Hub) Submit(jobs []sched.Job, opts RunOptions) (*Run, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("fabric: empty job list")
 	}
-	q := BuildUnitQueue(jobs, opts.ShardShots, opts.Queue)
+	q := BuildUnitQueue(jobs, opts.ShardShots)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {

@@ -7,13 +7,15 @@
 //
 // Planning — BuildUnitQueue over the job specs — is a pure function:
 // montecarlo.PlanShards fixes each cell's shard plan from its trials and
-// the run's ShardShots, and the cells are queued in sched.DrainOrder, the
-// local pool's cost order. This package is the only place shard plans
-// exist; the local scheduler runs every cell as one unit and relies on
-// idle workers helping instead. Execution is leased: workers pull units,
-// run them through montecarlo.Engine.RunShardOn (shard index = ChaCha8
-// stream index, so the bytes never depend on which worker runs the
-// shard), and submit ShardResults. Merging is exactly-once: each unit's
+// the run's ShardShots, and the cells are queued longest first by
+// sched.CellCost (the local pool drains cheapest first because its idle
+// workers help the costly cells at the tail; remote workers cannot). This
+// package is the only place shard plans exist; the local scheduler runs
+// every cell as one unit and relies on idle workers helping instead.
+// Execution is leased: workers pull units, run them through
+// montecarlo.Engine.RunShardOn (shard index = ChaCha8 stream index, so the
+// bytes never depend on which worker runs the shard), and submit
+// ShardResults. Merging is exactly-once: each unit's
 // slot in its cell accumulator is written at most once, keyed by unit
 // identity rather than delivery, so retries, expired-lease races, and
 // resurrected workers cannot double-merge. montecarlo.MergeShards is

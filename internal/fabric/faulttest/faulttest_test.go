@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -118,9 +119,7 @@ func TestFaultSchedulesBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault schedule matrix")
 	}
-	const trials = 2*montecarlo.MinShardShots + 137
-	jobs := sched.ThresholdJobs(extract.Baseline, []int{3, 5}, montecarlo.DefaultPhysRates(6)[2:5],
-		hardware.Default(), trials, 41, montecarlo.UF, montecarlo.SweepOptions{})
+	jobs := faultGrid()
 	want := runReference(t, jobs, montecarlo.MinShardShots)
 
 	for _, sch := range schedules() {
@@ -140,8 +139,34 @@ func TestFaultSchedulesBitIdentical(t *testing.T) {
 	}
 }
 
+// faultGrid is the threshold grid the fault matrix runs: Baseline d=3 and
+// d=5 at three rates, each cell two shards of MinShardShots.
+func faultGrid() []sched.Job {
+	const trials = 2*montecarlo.MinShardShots + 137
+	return sched.ThresholdJobs(extract.Baseline, []int{3, 5}, montecarlo.DefaultPhysRates(6)[2:5],
+		hardware.Default(), trials, 41, montecarlo.UF, montecarlo.SweepOptions{})
+}
+
 func collectUnits(jobs []sched.Job) []fabric.Unit {
-	return fabric.BuildUnitQueue(jobs, montecarlo.MinShardShots, sched.OrderCost).Units
+	return fabric.BuildUnitQueue(jobs, montecarlo.MinShardShots).Units
+}
+
+// The fabric leases cells longest first, ties in submission order, with a
+// cell's shards adjacent: on the fault grid the d=5 cells go out before
+// the d=3 ones. Remote workers cannot help an unsharded cell, so the
+// fabric keeps this order while the local pool drains cheapest first.
+func TestUnitQueueLeasesLongestFirst(t *testing.T) {
+	want := []fabric.Unit{
+		{Cell: 3, Shard: 0}, {Cell: 3, Shard: 1},
+		{Cell: 4, Shard: 0}, {Cell: 4, Shard: 1},
+		{Cell: 5, Shard: 0}, {Cell: 5, Shard: 1},
+		{Cell: 0, Shard: 0}, {Cell: 0, Shard: 1},
+		{Cell: 1, Shard: 0}, {Cell: 1, Shard: 1},
+		{Cell: 2, Shard: 0}, {Cell: 2, Shard: 1},
+	}
+	if got := collectUnits(faultGrid()); !slices.Equal(got, want) {
+		t.Errorf("lease order %v, want %v", got, want)
+	}
 }
 
 // TestFaultScheduleSensitivityGrid runs one representative fault schedule

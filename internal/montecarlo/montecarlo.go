@@ -24,8 +24,9 @@ import (
 type DecoderKind = decoder.Kind
 
 // Available decoders. UF is the conservative workhorse; Blossom is the
-// sparse-blossom exact matcher (minimum-weight corrections at
-// union-find-like cost).
+// sparse-blossom exact matcher: minimum-weight corrections, within about
+// 26% of union-find's per-shot cost either way at p=1e-3 but 2.5-21x
+// union-find's at d=11 for p >= 0.005.
 const (
 	UF      = decoder.KindUF
 	Blossom = decoder.KindBlossom

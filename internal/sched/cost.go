@@ -1,33 +1,27 @@
 package sched
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/montecarlo"
 )
 
 // DrainOrder returns the job indices in the order a pool drains them:
-// longest cell first by CellCost under OrderCost (ties in submission
-// order), submission order under OrderFIFO. It is a pure function of the
-// job specs, so the queue is identical at every pool width; the fabric
-// coordinator leases its shard units in this same cell order.
-func DrainOrder(jobs []Job, order QueueOrder) []int {
+// cheapest cell first by CellCost, ties in submission order. It is a pure
+// function of the job specs, so the queue is identical at every pool
+// width. Consumers stream cells as they finish, and cheapest-first hands
+// them most of a grid early; the costliest cells run last, helped by every
+// idle worker (see the package doc, and fabric.BuildUnitQueue for why the
+// fabric leases longest first).
+func DrainOrder(jobs []Job) []int {
 	idx := make([]int, len(jobs))
 	for i := range idx {
 		idx[i] = i
 	}
-	if order == OrderCost {
-		slices.SortStableFunc(idx, func(a, b int) int {
-			ca, cb := CellCost(jobs[a].Cfg), CellCost(jobs[b].Cfg)
-			switch {
-			case ca > cb:
-				return -1
-			case ca < cb:
-				return 1
-			}
-			return a - b
-		})
-	}
+	slices.SortStableFunc(idx, func(a, b int) int {
+		return cmp.Compare(CellCost(jobs[a].Cfg), CellCost(jobs[b].Cfg))
+	})
 	return idx
 }
 
@@ -42,11 +36,9 @@ func DrainOrder(jobs []Job, order QueueOrder) []int {
 // bigger clusters. Measured on a Compact-Interleaved d=11 cell with 1000
 // union-find trials, the cell takes 76 ms at p=0.002 and 1.50 s at
 // p=0.02, a 20x spread the estimate does not see (49 ms and 1.05 s, 21x,
-// on a 2-vCPU Xeon VM). Reordering by measured cost would win nothing,
-// though: list-scheduling the measured Fig. 11 cell times (d=5..11, 1000
-// trials) in this order at width 2 gives a 3129 ms makespan against a
-// 3122 ms ideal (1973 ms against 1963 ms on that VM), and idle workers
-// help decode the last running cells anyway. So the ordering stays.
+// on a 2-vCPU Xeon VM). Within one distance the order therefore falls
+// back on submission order, and Fig. 11 grids submit their rates in
+// ascending order, which is already cheapest first.
 //
 // The estimate deliberately never touches the engine: cells are ordered
 // before any structure is built, so the cost model must be derivable from

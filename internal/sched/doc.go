@@ -1,6 +1,6 @@
 // Package sched is the serving-oriented sweep scheduler: a queue of
-// Monte-Carlo sweep cells drained by one shared worker pool, cost-ordered,
-// with idle workers helping the cells still running.
+// Monte-Carlo sweep cells drained by one shared worker pool, cheapest cell
+// first, with idle workers helping the cells still running.
 //
 // # Execution model
 //
@@ -28,20 +28,24 @@
 // Splitting a cell into separately seeded shards is not a local concern:
 // helping already spreads one big cell's decode over the pool without
 // changing its bytes. Shard plans live only in internal/fabric, which
-// leases shard units to remote workers and reuses this package's
-// DrainOrder for its lease queue.
+// leases shard units to remote workers, longest cell first by this
+// package's CellCost.
 //
 // # Cost model
 //
-// The queue is ordered longest-cell-first by default (Options.Queue ==
-// OrderCost). CellCost estimates a cell's decode cost from the
+// The queue is ordered cheapest cell first (DrainOrder), ties in
+// submission order. CellCost estimates a cell's decode cost from the
 // dem.Structure dimensions its Config implies — detectors per round
 // (d^2-1), rounds, trials — without touching the engine, so ordering is a
-// pure function of the job list (DrainOrder). Longest-first matters on
-// skewed grids: submission order parks the dominant cell behind the small
-// ones and the pool idles while it finishes alone at the tail. OrderFIFO
-// retains the old behavior as the benchmark baseline. Ordering affects
-// wall clock only, never results.
+// pure function of the job list. Every consumer of a pool streams cells
+// as they finish (serve's NDJSON sweeps, sweepcli's -jobs rows), and
+// cheapest-first delivers most of a grid while its costliest cells still
+// run. The makespan holds: the costliest cells run last, and every
+// worker that finds the queue drained helps decode their batches. The
+// fabric orders its lease queue the other way, longest cell first,
+// because its remote workers cannot help an unsharded cell: a big cell
+// leased last would finish alone. Ordering affects wall clock only, never
+// results.
 //
 // # Cancellation
 //
@@ -59,7 +63,7 @@
 //
 //   - Job / CellResult: one schedulable cell and its outcome
 //   - New(engine, Options) -> Scheduler; Options.Jobs sets the pool
-//     width, Options.Queue the order
+//     width
 //   - Scheduler.Run / RunContext: drain jobs, results in submission order
 //   - Scheduler.Stream / StreamContext: drain jobs, results on a channel
 //     in completion order

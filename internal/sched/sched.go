@@ -31,21 +31,8 @@ type CellResult struct {
 	Err    error
 }
 
-// QueueOrder selects how the pool's job queue is ordered.
-type QueueOrder int
-
-const (
-	// OrderCost drains cells longest-first by CellCost, so the cell that
-	// dominates the sweep's tail starts immediately instead of landing on
-	// an otherwise-idle pool at the end. The order affects wall clock only,
-	// never results. This is the default.
-	OrderCost QueueOrder = iota
-	// OrderFIFO preserves submission order — the pre-cost-model behavior,
-	// kept as the makespan benchmark baseline (BenchmarkSweepRowSkewed).
-	OrderFIFO
-)
-
-// Options tunes a Scheduler.
+// Options tunes a Scheduler. The queue order is not an option: every pool
+// drains its cells cheapest first (DrainOrder).
 type Options struct {
 	// Jobs is the shared pool width — how many workers drain the queue of
 	// cells concurrently. 0 means GOMAXPROCS. The width affects wall clock
@@ -56,17 +43,14 @@ type Options struct {
 	// shared state (e.g. stdout) without locking.
 	//
 	// Ordering guarantee: completion order is NOT deterministic — it
-	// depends on the pool width and on how long each cell takes. What is
-	// deterministic is result identity: the CellResult delivered for a
-	// given Index carries exactly the Result Engine.RunOn gives that
-	// cell's Config, at any pool width. Consumers that need a stable order
+	// depends on the pool width and on how long each cell takes (at width
+	// 1 it is DrainOrder). What is deterministic is result identity: the
+	// CellResult delivered for a given Index carries exactly the Result
+	// Engine.RunOn gives that cell's Config, at any pool width. Consumers that need a stable order
 	// must sort by Index (or use Run, which already returns submission
 	// order); consumers that only key rows by the cell's Tag or Index may
 	// stream directly.
 	OnResult func(CellResult)
-	// Queue selects the job-queue order (default OrderCost: longest cell
-	// first).
-	Queue QueueOrder
 }
 
 // Scheduler drains sweep cells through a shared worker pool over one
@@ -113,7 +97,7 @@ func (s *Scheduler) width(n int) int {
 // cells carry ctx's error and are never emitted: consumers see no partial
 // cells.
 func (s *Scheduler) run(ctx context.Context, jobs []Job, results []CellResult, emit func(CellResult)) {
-	order := DrainOrder(jobs, s.opts.Queue)
+	order := DrainOrder(jobs)
 	if len(order) == 0 {
 		return
 	}

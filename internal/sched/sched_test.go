@@ -243,8 +243,8 @@ func TestStreamResultIdentityDeterministicAtAnyWidth(t *testing.T) {
 // Cancelling mid-sweep stops the pool at the next cell boundary: cells
 // that never started carry the context error and are not emitted, while
 // every emitted cell genuinely ran. Width 1 makes the split deterministic:
-// cancel during the first cell's emission (the most expensive cell under
-// the default cost order) and every other cell must be skipped.
+// cancel during the first cell's emission (the cheapest cell, which the
+// pool drains first) and every other cell must be skipped.
 func TestRunContextCancelSkipsRemainingCells(t *testing.T) {
 	jobs := thresholdGrid(150)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -292,29 +292,62 @@ func TestStreamContextCancelClosesChannel(t *testing.T) {
 	}
 }
 
-// The queue order is a wall-clock knob only: OrderFIFO and the default
-// OrderCost produce bit-identical per-cell results.
-func TestQueueOrderDoesNotChangeResults(t *testing.T) {
-	en := montecarlo.NewEngine()
-	cost, err := New(en, Options{Jobs: 4}).Run(thresholdGrid(300))
-	if err != nil {
-		t.Fatal(err)
+// At width 1 the pool delivers cells in its drain order: ascending
+// CellCost, ties in submission order. On the Fig. 11 row that is the grid
+// itself, distance by distance, rates in submission order; the mixed grid
+// varies distance, rounds and trials, and holds one tie. The queue order
+// never changes a cell's bytes: TestSchedulerDeterministicAcrossPoolWidths,
+// TestStreamResultIdentityDeterministicAtAnyWidth and
+// TestRareSweepDeterministicAcrossWidths check every cell against RunOn at
+// widths whose completion orders differ.
+func TestPoolDrainsCheapestFirst(t *testing.T) {
+	cell := func(d, rounds, trials int) Job {
+		cfg := montecarlo.ThresholdCellConfig(extract.Baseline, d, 4e-3, hardware.Default(), trials, 5, montecarlo.UF, montecarlo.SweepOptions{})
+		cfg.Rounds = rounds
+		return Job{Cfg: cfg}
 	}
-	fifo, err := New(en, Options{Jobs: 4, Queue: OrderFIFO}).Run(thresholdGrid(300))
-	if err != nil {
-		t.Fatal(err)
+	row := ThresholdJobs(extract.CompactInterleaved, []int{5, 7, 9, 11}, montecarlo.DefaultPhysRates(6),
+		hardware.Default(), 64, 11, montecarlo.UF, montecarlo.SweepOptions{})
+	rowOrder := make([]int, len(row))
+	for i := range rowOrder {
+		rowOrder[i] = i
 	}
-	for i := range cost {
-		a, b := cost[i].Result, fifo[i].Result
-		if a.Failures != b.Failures || a.Trials != b.Trials {
-			t.Errorf("cell %d: cost-ordered %d/%d vs FIFO %d/%d failures/trials",
-				i, a.Failures, a.Trials, b.Failures, b.Trials)
-		}
+	cases := []struct {
+		name string
+		jobs []Job
+		want []int
+	}{
+		{"fig11-row", row, rowOrder},
+		{"mixed", []Job{
+			cell(5, 0, 200), // 24 detectors x 5 rounds x 200 trials = 24000
+			cell(3, 0, 400), // 8 x 3 x 400 = 9600
+			cell(3, 6, 200), // 8 x 6 x 200 = 9600, tied with the cell before
+			cell(5, 2, 100), // 24 x 2 x 100 = 4800
+			cell(3, 0, 100), // 8 x 3 x 100 = 2400
+			cell(7, 0, 50),  // 48 x 7 x 50 = 16800
+		}, []int{4, 3, 1, 2, 5, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []int
+			_, err := New(nil, Options{Jobs: 1, OnResult: func(r CellResult) {
+				got = append(got, r.Index)
+			}}).Run(tc.jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("width-1 completion order %v, want %v", got, tc.want)
+			}
+			if drain := DrainOrder(tc.jobs); !slices.Equal(drain, tc.want) {
+				t.Errorf("DrainOrder %v, want %v", drain, tc.want)
+			}
+		})
 	}
 }
 
-// CellCost must order a mixed grid longest-first: higher distance, more
-// rounds, or more trials all rank ahead; the estimate is pure and cheap.
+// CellCost must rank a cell costlier when it has a higher distance, more
+// rounds, or more trials; the estimate is pure and cheap.
 func TestCellCostOrdering(t *testing.T) {
 	base := montecarlo.Config{Distance: 5, Trials: 1000}
 	bigger := []montecarlo.Config{

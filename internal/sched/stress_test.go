@@ -13,8 +13,9 @@ import (
 )
 
 // skewedJobs builds the stress grid: many tiny cells plus one huge cell
-// whose trial budget dwarfs them, the shape where cost ordering and idle
-// workers helping the last running cell matter.
+// whose trial budget dwarfs them, the shape where idle workers helping
+// the last running cell matter: the pool drains cheapest first, so the
+// huge cell starts last.
 func skewedJobs(tiny, hugeTrials int, opts montecarlo.SweepOptions) []Job {
 	jobs := ThresholdJobs(extract.Baseline, []int{3}, montecarlo.DefaultPhysRates(8),
 		hardware.Default(), tiny, 31, montecarlo.UF, opts)

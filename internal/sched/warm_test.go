@@ -29,7 +29,9 @@ func TestConcurrentJobsShareWarmStates(t *testing.T) {
 	}
 	en := montecarlo.NewEngine()
 	jobs := [2][]Job{mix(3), mix(4)}
-	// The second job drains in the other order, so the states cross kinds.
+	// The second job submits its cells in the other order; both drain
+	// cheapest first, so each worker's state crosses kinds from cell to
+	// cell in either job.
 	jobs[1][0], jobs[1][2] = jobs[1][2], jobs[1][0]
 	var want [2][]montecarlo.Result
 	for k := range jobs {
@@ -49,7 +51,7 @@ func TestConcurrentJobsShareWarmStates(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[k], errs[k] = New(en, Options{Jobs: width, Queue: OrderFIFO}).Run(jobs[k])
+				got[k], errs[k] = New(en, Options{Jobs: width}).Run(jobs[k])
 			}()
 		}
 		wg.Wait()

@@ -196,7 +196,8 @@ func NewUnionFindDecoder(g *DecodingGraph) Decoder { return decoder.NewUnionFind
 
 // NewBlossomDecoder returns the sparse-blossom exact minimum-weight
 // matching decoder (also a BatchDecoder): strictly minimum-weight
-// corrections at union-find-like per-shot cost.
+// corrections, within about 26% of union-find's per-shot cost either way
+// at p=1e-3 but 2.5-21x union-find's at d=11 for p >= 0.005.
 func NewBlossomDecoder(g *DecodingGraph) Decoder { return decoder.NewBlossom(g) }
 
 // Monte-Carlo engine (Fig. 11 / Fig. 12).
@@ -257,12 +258,9 @@ type (
 	// a MonteCarloEngine, streaming per-cell results as they finish while
 	// keeping results deterministic regardless of pool width.
 	SweepScheduler = sched.Scheduler
-	// SweepSchedulerOptions tunes the pool width, queue order, and result
-	// streaming.
+	// SweepSchedulerOptions tunes the pool width and result streaming; the
+	// pool always drains cells cheapest first.
 	SweepSchedulerOptions = sched.Options
-	// SweepQueueOrder selects the job-queue order (cost-descending by
-	// default, FIFO as the benchmark baseline).
-	SweepQueueOrder = sched.QueueOrder
 	// SweepJob is one schedulable sweep cell (a Monte-Carlo config plus an
 	// opaque tag).
 	SweepJob = sched.Job
@@ -278,12 +276,6 @@ type (
 	MonteCarloWorkerState = montecarlo.WorkerState
 )
 
-// Queue orders for SweepSchedulerOptions.Queue.
-const (
-	SweepOrderCost = sched.OrderCost
-	SweepOrderFIFO = sched.OrderFIFO
-)
-
 // NewSweepScheduler returns a scheduler over the engine (a fresh engine if
 // nil).
 func NewSweepScheduler(en *MonteCarloEngine, opts SweepSchedulerOptions) *SweepScheduler {
@@ -291,7 +283,7 @@ func NewSweepScheduler(en *MonteCarloEngine, opts SweepSchedulerOptions) *SweepS
 }
 
 // SweepCellCost estimates a cell's relative decode cost (detectors x
-// rounds x trials) — the scheduler's longest-first ordering key.
+// rounds x trials) — the scheduler's cheapest-first ordering key.
 func SweepCellCost(cfg MonteCarloConfig) float64 { return sched.CellCost(cfg) }
 
 // ThresholdSweepJobs builds a Fig. 11 grid as scheduler jobs.
