@@ -30,11 +30,15 @@
 // latency histograms, ledger/coalescing/engine counters) in Prometheus
 // text format.
 //
-// With -fabric-listen the process additionally runs a fabric coordinator
-// on that address: vlqworker processes connect to it, and sweeps submitted
-// with "mode":"fabric" are leased to them instead of the local pool —
-// merging to bit-identical results. -fabric-ttl tunes the lease
-// time-to-live (how quickly a lost worker's units are reassigned).
+// With -fabric-listen the process additionally runs the fabric coordinator
+// on that address (the wire protocol and GET /fabric/v1/stats): vlqworker
+// processes connect to it, and sweeps submitted with "mode":"fabric" are
+// leased to them instead of the local pool — merging to bit-identical
+// results, under the same ledger, coalescing and admission limits as local
+// sweeps. -fabric-ttl tunes the lease time-to-live (how quickly a lost
+// worker's units are reassigned). Both addresses are bound before anything
+// is served, so ":0" ports work (stderr prints the resolved addresses) and
+// a failed bind exits non-zero at startup.
 package main
 
 import (
@@ -42,6 +46,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -85,22 +90,32 @@ func main() {
 		}()
 	}
 
+	// Both listeners bind before anything serves, so a taken port is a
+	// startup failure rather than a server running with a dead fabric, and
+	// ":0" addresses resolve before they are announced.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
 	var hub *fabric.Hub
 	var fabricServer *http.Server
 	if *fabricAddr != "" {
+		fln, err := net.Listen("tcp", *fabricAddr)
+		if err != nil {
+			fatal(fmt.Errorf("fabric: %w", err))
+		}
 		hub = fabric.NewHub(fabric.Options{LeaseTTL: *fabricTTL})
-		fabricServer = &http.Server{Addr: *fabricAddr, Handler: hub.Handler()}
+		fabricServer = &http.Server{Handler: hub.Handler()}
 		go func() {
-			fmt.Fprintf(os.Stderr, "vlqserve: fabric coordinator on %s (lease ttl %s)\n", *fabricAddr, *fabricTTL)
-			if err := fabricServer.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			if err := fabricServer.Serve(fln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "vlqserve: fabric:", err)
 			}
 		}()
+		fmt.Fprintf(os.Stderr, "vlqserve: fabric coordinator on %s (lease ttl %s)\n", fln.Addr(), *fabricTTL)
 	}
 
 	var ledger serve.Ledger
 	if *ledgerPath != "" {
-		var err error
 		if ledger, err = serve.OpenFileLedger(*ledgerPath); err != nil {
 			fatal(err)
 		}
@@ -117,14 +132,14 @@ func main() {
 		RetainJobs:        *retain,
 		Fabric:            hub,
 	})
-	httpServer := &http.Server{Addr: *addr, Handler: server}
+	httpServer := &http.Server{Handler: server}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
-	go func() { errc <- httpServer.ListenAndServe() }()
+	go func() { errc <- httpServer.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "vlqserve: listening on %s (max-jobs=%d queue=%d cache=%d)\n",
-		*addr, *maxJobs, *queue, *cache)
+		ln.Addr(), *maxJobs, *queue, *cache)
 
 	select {
 	case err := <-errc:
@@ -140,9 +155,7 @@ func main() {
 	server.Close() // cancels outstanding jobs; streams end at the next cell boundary
 	if hub != nil {
 		hub.Close() // tells polling workers to shut down, cancels fabric runs
-		if fabricServer != nil {
-			_ = fabricServer.Shutdown(shutdownCtx)
-		}
+		_ = fabricServer.Shutdown(shutdownCtx)
 	}
 	if err := httpServer.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fatal(err)

@@ -1,5 +1,5 @@
 // Command vlqworker is a fabric worker: it registers with a coordinator
-// (vlqfabric, or vlqserve -fabric-listen), pulls sweep shard leases, runs
+// (vlqserve -fabric-listen), pulls sweep shard leases, runs
 // them on a process-wide Monte-Carlo engine — one long-lived worker state,
 // so consecutive leases of the same experiment skip structure and
 // decoding-graph builds — and streams shard tallies back. Which worker

@@ -187,9 +187,6 @@ func NewBuilder(n int, locs []Loc) *Builder {
 // for perfectly-prepared initial states).
 func (b *Builder) SetOccupied(q int) { b.occupied[q] = true }
 
-// Occupied reports whether slot q currently holds a qubit.
-func (b *Builder) Occupied(q int) bool { return b.occupied[q] }
-
 func (b *Builder) setErr(format string, args ...any) {
 	if b.err == nil {
 		b.err = fmt.Errorf("circuit: "+format, args...)

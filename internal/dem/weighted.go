@@ -31,8 +31,7 @@ import (
 // Not safe for concurrent use; create one per goroutine.
 type WeightedBatchSampler struct {
 	BatchSampler
-	target *Model
-	lam    []float64 // backing for BatchSampler.wlam, reused across Resets
+	lam []float64 // backing for BatchSampler.wlam, reused across Resets
 }
 
 // NewWeightedBatchSampler returns a sampler drawing from proposal and
@@ -59,7 +58,6 @@ func (ws *WeightedBatchSampler) Reset(target, proposal *Model) error {
 		return err
 	}
 	ws.BatchSampler.Reset(proposal)
-	ws.target = target
 	ws.lam = ws.lam[:0]
 	base := 0.0
 	// d and lam belong to the (lastP, lastQ) pair, reused while consecutive
@@ -83,9 +81,6 @@ func (ws *WeightedBatchSampler) Reset(target, proposal *Model) error {
 	ws.wbase = base
 	return nil
 }
-
-// Target returns the model the weights are computed against.
-func (ws *WeightedBatchSampler) Target() *Model { return ws.target }
 
 // BaseLogWeight returns the no-fire log weight every shot starts from.
 func (ws *WeightedBatchSampler) BaseLogWeight() float64 { return ws.wbase }

@@ -50,12 +50,6 @@ func (s Scheme) Embedding() layout.EmbeddingKind {
 	}
 }
 
-// Interleaved reports whether the scheme stores the patch back after every
-// extraction round (vs once per d-round super-cycle).
-func (s Scheme) Interleaved() bool {
-	return s == NaturalInterleaved || s == CompactInterleaved
-}
-
 // Basis chooses which memory experiment to run.
 type Basis uint8
 

@@ -195,9 +195,6 @@ func (h *Hub) Close() {
 	}
 }
 
-// LeaseTTL returns the hub's lease time-to-live.
-func (h *Hub) LeaseTTL() time.Duration { return h.ttl }
-
 // Stats returns a snapshot of the coordinator's counters.
 func (h *Hub) Stats() Stats {
 	h.mu.Lock()
@@ -653,15 +650,4 @@ func (r *Run) Wait(ctx context.Context) ([]sched.CellResult, error) {
 		}
 	}
 	return results, nil
-}
-
-// Done returns a channel closed when the run is cancelled, or when it
-// finishes and its last cell has been delivered to OnResult.
-func (r *Run) Done() <-chan struct{} { return r.done }
-
-// Completed reports how many cells have merged so far.
-func (r *Run) Completed() int {
-	r.hub.mu.Lock()
-	defer r.hub.mu.Unlock()
-	return r.completed
 }

@@ -36,7 +36,7 @@
 // corrupt a merge.
 //
 // Transports: Local for in-process workers (fabric-mode serving, tests),
-// HTTPTransport + Hub.Handler for real clusters (cmd/vlqfabric,
+// HTTPTransport + Hub.Handler for real clusters (vlqserve -fabric-listen,
 // cmd/vlqworker). The faulttest subpackage wraps any Transport to inject
 // worker kills, dropped responses, stalled heartbeats, and duplicate
 // deliveries on deterministic schedules.

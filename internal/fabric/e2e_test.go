@@ -2,8 +2,11 @@ package fabric_test
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"os/exec"
 	"path/filepath"
@@ -18,27 +21,22 @@ import (
 	"repro/internal/serve"
 )
 
-// TestE2EClusterOverTCP is the real-process smoke test: build vlqfabric
-// and vlqworker, boot a coordinator plus two worker processes over TCP
-// loopback, run a pinned-seed sweep through the cluster, require the
-// streamed cells bit-identical to an in-process reference run, and shut
+// TestE2EClusterOverTCP is the real-process smoke test: build vlqserve
+// and vlqworker, boot vlqserve with its fabric coordinator plus two worker
+// processes over TCP loopback, run a pinned-seed "mode":"fabric" sweep
+// through POST /v1/sweeps, require the streamed cells bit-identical to an
+// in-process reference run and the trailing job status "done", and shut
 // everything down with SIGTERM expecting clean zero exits.
 func TestE2EClusterOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and boots real processes")
 	}
-	dir := t.TempDir()
-	coordBin := filepath.Join(dir, "vlqfabric")
-	workerBin := filepath.Join(dir, "vlqworker")
-	for bin, pkg := range map[string]string{coordBin: "repro/cmd/vlqfabric", workerBin: "repro/cmd/vlqworker"} {
-		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
-		if err != nil {
-			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
-		}
-	}
+	bins := buildCommands(t, "vlqserve", "vlqworker")
 
-	// Coordinator on an ephemeral port; its stderr announces the address.
-	coord := exec.Command(coordBin, "-addr", "127.0.0.1:0", "-ttl", "2s")
+	// Both listeners on ephemeral ports; stderr announces the resolved
+	// addresses, the fabric one first.
+	coord := exec.Command(bins["vlqserve"], "-addr", "127.0.0.1:0",
+		"-fabric-listen", "127.0.0.1:0", "-fabric-ttl", "2s")
 	coordErr, err := coord.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -47,13 +45,15 @@ func TestE2EClusterOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Process.Kill()
-	base := "http://" + awaitAddr(t, coordErr, regexp.MustCompile(`coordinating on (\S+)`))
+	addrs := awaitAddrs(t, coordErr,
+		regexp.MustCompile(`fabric coordinator on (\S+)`), regexp.MustCompile(`listening on (\S+)`))
+	fabricBase, base := "http://"+addrs[0], "http://"+addrs[1]
 
 	awaitHealthy(t, base+"/healthz")
 
 	var workers []*exec.Cmd
 	for i := 0; i < 2; i++ {
-		w := exec.Command(workerBin, "-coordinator", base, "-poll", "5ms", "-name", "smoke")
+		w := exec.Command(bins["vlqworker"], "-coordinator", fabricBase, "-poll", "5ms", "-name", "smoke")
 		w.Stderr = nil
 		if err := w.Start(); err != nil {
 			t.Fatal(err)
@@ -68,9 +68,10 @@ func TestE2EClusterOverTCP(t *testing.T) {
 		Scheme: "baseline", Distances: []int{3, 5},
 		Rates:  []float64{0.004, 0.008, 0.016},
 		Trials: 2 * montecarlo.MinShardShots, Seed: 11, ShardShots: 1,
+		Mode: "fabric",
 	}
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(base+"/v1/fabric/sweeps", "application/json", strings.NewReader(string(body)))
+	resp, err := http.Post(base+"/v1/sweeps", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,21 +80,34 @@ func TestE2EClusterOverTCP(t *testing.T) {
 		msg, _ := io.ReadAll(resp.Body)
 		t.Fatalf("sweep: HTTP %d: %s", resp.StatusCode, msg)
 	}
-	var got []serve.CellRecord
+	// Cell lines, then the job's status as the last line.
+	var lines []string
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+		if line := strings.TrimSpace(sc.Text()); line != "" {
+			lines = append(lines, line)
 		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) == 0 {
+		t.Fatal("empty stream")
+	}
+	var status serve.JobStatus
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &status); err != nil {
+		t.Fatalf("trailing status line %q: %v", lines[len(lines)-1], err)
+	}
+	if status.State != serve.StateDone {
+		t.Errorf("fabric job ended %q (%s), want %q", status.State, status.Error, serve.StateDone)
+	}
+	var got []serve.CellRecord
+	for _, line := range lines[:len(lines)-1] {
 		var rec serve.CellRecord
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("cell line %q: %v", line, err)
 		}
 		got = append(got, rec)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 
 	// The reference: each cell of the identical request through its shard
@@ -115,8 +129,8 @@ func TestE2EClusterOverTCP(t *testing.T) {
 		}
 	}
 
-	// Clean shutdown: SIGTERM each worker, then the coordinator; all must
-	// exit zero.
+	// Clean shutdown: SIGTERM each worker, then vlqserve; all must exit
+	// zero.
 	for i, w := range workers {
 		if err := w.Process.Signal(syscall.SIGTERM); err != nil {
 			t.Fatalf("worker %d signal: %v", i, err)
@@ -131,32 +145,81 @@ func TestE2EClusterOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := awaitExit(coord); err != nil {
-		t.Errorf("coordinator did not exit cleanly on SIGTERM: %v", err)
+		t.Errorf("vlqserve did not exit cleanly on SIGTERM: %v", err)
 	}
 }
 
-// awaitAddr scans a process's stderr for the pattern's first capture.
-func awaitAddr(t *testing.T, r io.Reader, re *regexp.Regexp) string {
+// A -fabric-listen address that cannot be bound must stop vlqserve at
+// startup with a non-zero exit, not leave it serving with a fabric no
+// worker can reach.
+func TestServeExitsWhenFabricBindFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and boots a real process")
+	}
+	bins := buildCommands(t, "vlqserve")
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+
+	srv := exec.Command(bins["vlqserve"], "-addr", "127.0.0.1:0", "-fabric-listen", taken.Addr().String())
+	var stderr bytes.Buffer
+	srv.Stderr = &stderr
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Process.Kill()
+	err = awaitExit(srv)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() <= 0 {
+		t.Fatalf("vlqserve with a taken -fabric-listen port: %v, want a non-zero exit within 10s\n%s", err, stderr.Bytes())
+	}
+}
+
+// buildCommands builds the named cmd/ binaries into a temporary directory
+// and returns their paths by name.
+func buildCommands(t *testing.T, names ...string) map[string]string {
 	t.Helper()
-	ch := make(chan string, 1)
+	dir := t.TempDir()
+	bins := make(map[string]string, len(names))
+	for _, name := range names {
+		bins[name] = filepath.Join(dir, name)
+		out, err := exec.Command("go", "build", "-o", bins[name], "repro/cmd/"+name).CombinedOutput()
+		if err != nil {
+			t.Fatalf("go build %s: %v\n%s", name, err, out)
+		}
+	}
+	return bins
+}
+
+// awaitAddrs scans a process's stderr, in order, for each pattern's first
+// capture.
+func awaitAddrs(t *testing.T, r io.Reader, res ...*regexp.Regexp) []string {
+	t.Helper()
+	ch := make(chan []string, 1)
 	go func() {
+		var addrs []string
 		sc := bufio.NewScanner(r)
-		for sc.Scan() {
-			if m := re.FindStringSubmatch(sc.Text()); m != nil {
-				ch <- m[1]
-				break
+		for len(addrs) < len(res) && sc.Scan() {
+			if m := res[len(addrs)].FindStringSubmatch(sc.Text()); m != nil {
+				addrs = append(addrs, m[1])
 			}
 		}
+		ch <- addrs
 		// Keep draining so the child never blocks on a full pipe.
 		for sc.Scan() {
 		}
 	}()
 	select {
-	case addr := <-ch:
-		return addr
+	case addrs := <-ch:
+		if len(addrs) < len(res) {
+			t.Fatalf("process announced %d of %d addresses before closing stderr", len(addrs), len(res))
+		}
+		return addrs
 	case <-time.After(10 * time.Second):
-		t.Fatal("coordinator never announced its address")
-		return ""
+		t.Fatal("process never announced its addresses")
+		return nil
 	}
 }
 

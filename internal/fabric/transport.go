@@ -112,8 +112,8 @@ func (t *HTTPTransport) Submit(ctx context.Context, req ResultRequest) (ResultRe
 }
 
 // Handler returns the coordinator's HTTP surface: the four protocol POSTs
-// plus GET /fabric/v1/stats. Mount it on any mux (vlqserve mounts it on
-// the -fabric-listen address; vlqfabric serves it alone).
+// plus GET /fabric/v1/stats. Mount it on any mux (vlqserve serves it on
+// the -fabric-listen address).
 func (h *Hub) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /fabric/v1/register", func(w http.ResponseWriter, r *http.Request) {

@@ -27,15 +27,16 @@ func TestCacheLRUEviction(t *testing.T) {
 		if _, err := en.RunOn(pointCfg(d, int64(i)), nil); err != nil {
 			t.Fatal(err)
 		}
-		if got := en.CachedStructures(); got != 1 {
+		if got := en.CacheStats().Entries; got != 1 {
 			t.Fatalf("after run %d: %d cached structures, cap 1", i, got)
 		}
 	}
-	if got := en.StructureBuilds(); got != 3 {
-		t.Errorf("3-2-3 distance sequence under cap 1 built %d structures, want 3 (d=3 evicted and rebuilt)", got)
+	st := en.CacheStats()
+	if st.Builds != 3 {
+		t.Errorf("3-2-3 distance sequence under cap 1 built %d structures, want 3 (d=3 evicted and rebuilt)", st.Builds)
 	}
-	if got := en.Evictions(); got != 2 {
-		t.Errorf("recorded %d evictions, want 2", got)
+	if st.Evictions != 2 {
+		t.Errorf("recorded %d evictions, want 2", st.Evictions)
 	}
 }
 
@@ -49,11 +50,12 @@ func TestCacheLRUTouchRefreshesRecency(t *testing.T) {
 		}
 	}
 	// Builds: d3, d5, (d3 hit), d7 evicting d5, (d3 hit) => 3.
-	if got := en.StructureBuilds(); got != 3 {
-		t.Errorf("built %d structures, want 3 (d=3 must survive as recently used)", got)
+	st := en.CacheStats()
+	if st.Builds != 3 {
+		t.Errorf("built %d structures, want 3 (d=3 must survive as recently used)", st.Builds)
 	}
-	if got := en.Evictions(); got != 1 {
-		t.Errorf("recorded %d evictions, want 1", got)
+	if st.Evictions != 1 {
+		t.Errorf("recorded %d evictions, want 1", st.Evictions)
 	}
 }
 
@@ -65,11 +67,12 @@ func TestCacheUnbounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := en.Evictions(); got != 0 {
-		t.Errorf("unbounded cache evicted %d entries", got)
+	st := en.CacheStats()
+	if st.Evictions != 0 {
+		t.Errorf("unbounded cache evicted %d entries", st.Evictions)
 	}
-	if got := en.CachedStructures(); got != 3 {
-		t.Errorf("%d cached structures, want 3", got)
+	if st.Entries != 3 {
+		t.Errorf("%d cached structures, want 3", st.Entries)
 	}
 }
 

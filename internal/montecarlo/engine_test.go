@@ -118,7 +118,7 @@ func TestZeroClassRunsDoNotPoisonCache(t *testing.T) {
 	if _, err := en.RunOn(cfg, nil); err != nil {
 		t.Fatalf("default run after zero-PGate2 run on the same engine: %v", err)
 	}
-	if got := en.StructureBuilds(); got != 2 {
+	if got := en.CacheStats().Builds; got != 2 {
 		t.Errorf("distinct zero patterns should build distinct structures, built %d", got)
 	}
 }
@@ -177,7 +177,7 @@ func TestEngineMixedConfigs(t *testing.T) {
 			}
 		}
 	}
-	if got := en.StructureBuilds(); got != 2 {
+	if got := en.CacheStats().Builds; got != 2 {
 		t.Errorf("two bases should need two structures, built %d", got)
 	}
 }
@@ -214,7 +214,7 @@ func TestPrepareMatchesFreshBuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if builds, want := en.StructureBuilds(), map[bool]int64{false: 1, true: 2}[fallback]; builds != want {
+			if builds, want := en.CacheStats().Builds, map[bool]int64{false: 1, true: 2}[fallback]; builds != want {
 				t.Errorf("%v fallback=%v: %d structure builds, want %d", cfg.Scheme, fallback, builds, want)
 			}
 

@@ -232,21 +232,6 @@ func NewEngineWithCache(maxEntries int) *Engine {
 	}
 }
 
-// StructureBuilds reports how many experiment+Structure builds the engine
-// has performed — the hook that lets tests verify one build serves a whole
-// sweep row.
-func (en *Engine) StructureBuilds() int64 { return en.builds.Load() }
-
-// Evictions reports how many cache entries LRU eviction has dropped.
-func (en *Engine) Evictions() int64 { return en.evictions.Load() }
-
-// CachedStructures reports the current cache population (<= the cap).
-func (en *Engine) CachedStructures() int {
-	en.mu.Lock()
-	defer en.mu.Unlock()
-	return len(en.cache)
-}
-
 // CacheStats is a point-in-time snapshot of the engine's structure cache,
 // the observable contract of the structure/noise split: a sweep (or a
 // serving front end fielding repeated sweeps) should see Builds grow only

@@ -21,13 +21,13 @@ func TestSweepReusesStructures(t *testing.T) {
 	if _, err := s.ThresholdSweep(extract.Baseline, []int{3}, rates, hardware.Default(), 200, 1, montecarlo.UF, montecarlo.SweepOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := en.StructureBuilds(); got != 1 {
+	if got := en.CacheStats().Builds; got != 1 {
 		t.Errorf("one distance x %d rates built %d structures, want 1", len(rates), got)
 	}
 	if _, err := s.ThresholdSweep(extract.Baseline, []int{3, 5}, rates, hardware.Default(), 200, 1, montecarlo.UF, montecarlo.SweepOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := en.StructureBuilds(); got != 2 {
+	if got := en.CacheStats().Builds; got != 2 {
 		t.Errorf("adding distance 5 should add exactly one build, have %d total", got)
 	}
 }
@@ -39,14 +39,14 @@ func TestSensitivityStructureReuse(t *testing.T) {
 	if _, err := sched.New(en, sched.Options{Jobs: 1}).SensitivitySweep(montecarlo.PanelCavityT1, []float64{1e-4, 1e-3, 1e-2}, []int{3}, 100, 1, montecarlo.UF, montecarlo.SweepOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := en.StructureBuilds(); got != 1 {
+	if got := en.CacheStats().Builds; got != 1 {
 		t.Errorf("cavity-T1 panel built %d structures, want 1", got)
 	}
 	en2 := montecarlo.NewEngine()
 	if _, err := sched.New(en2, sched.Options{Jobs: 1}).SensitivitySweep(montecarlo.PanelLoadStoreDuration, []float64{1e-7, 1e-6}, []int{3}, 100, 1, montecarlo.UF, montecarlo.SweepOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := en2.StructureBuilds(); got != 2 {
+	if got := en2.CacheStats().Builds; got != 2 {
 		t.Errorf("load-store-duration panel built %d structures, want 2 (one per value)", got)
 	}
 }

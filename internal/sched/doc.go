@@ -49,10 +49,10 @@
 //
 // # Cancellation
 //
-// One rule covers every cell. Once the RunContext/StreamContext context
-// is done, workers stop picking up cells, and the scheduler aborts the
-// budget of every cell (montecarlo.ShardBudget), which the running ones
-// observe at their next 64-shot batch boundary. Cells that never started
+// One rule covers every cell. Once the RunContext context is done,
+// workers stop picking up cells, and the scheduler aborts the budget of
+// every cell (montecarlo.ShardBudget), which the running ones observe at
+// their next 64-shot batch boundary. Cells that never started
 // and cells aborted mid-run carry the context error and are dropped,
 // never emitted: consumers see no partial cells, and even a
 // multi-million-trial cell stops within a batch. This is the hook the
@@ -64,9 +64,9 @@
 //   - Job / CellResult: one schedulable cell and its outcome
 //   - New(engine, Options) -> Scheduler; Options.Jobs sets the pool
 //     width
-//   - Scheduler.Run / RunContext: drain jobs, results in submission order
-//   - Scheduler.Stream / StreamContext: drain jobs, results on a channel
-//     in completion order
+//   - Scheduler.Run / RunContext: drain jobs, results in submission order;
+//     Options.OnResult streams each cell as it finishes, in completion
+//     order
 //   - Scheduler.ThresholdSweep / SensitivitySweep: run a whole Fig. 11
 //     grid or Fig. 12 panel, points in grid order; ThresholdPoints turns
 //     the results of any Fig. 11 jobs into the same points

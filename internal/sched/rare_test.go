@@ -15,8 +15,8 @@ func rareOpts(boost, targetRelErr float64) montecarlo.SweepOptions {
 }
 
 // Weighted sweeps must carry the full determinism contract: every weighted
-// tally equals Engine.RunOn's bit for bit across pool widths {1,2,4,8} ×
-// Run/Stream.
+// tally equals Engine.RunOn's bit for bit across pool widths {1,2,4,8},
+// both in Run's results and as streamed through OnResult.
 func TestRareSweepDeterministicAcrossWidths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("width matrix; run by the dedicated race-scheduler CI job")
@@ -38,22 +38,22 @@ func TestRareSweepDeterministicAcrossWidths(t *testing.T) {
 		}
 	}
 	for _, width := range []int{1, 2, 4, 8} {
-		s := New(montecarlo.NewEngine(), Options{Jobs: width})
-		results, err := s.Run(mk())
+		pool := montecarlo.NewEngine()
+		results, err := New(pool, Options{Jobs: width}).Run(mk())
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
 		var streamed []CellResult
-		for r := range s.Stream(mk()) {
-			if r.Err != nil {
-				t.Fatalf("width %d: stream cell %d: %v", width, r.Index, r.Err)
-			}
+		streaming := New(pool, Options{Jobs: width, OnResult: func(r CellResult) {
 			streamed = append(streamed, r)
+		}})
+		if _, err := streaming.Run(mk()); err != nil {
+			t.Fatalf("width %d: streamed run: %v", width, err)
 		}
 		slices.SortFunc(streamed, func(a, b CellResult) int { return a.Index - b.Index })
 		for i := range results {
 			if results[i].Result != want[i] || streamed[i].Result != want[i] {
-				t.Errorf("width %d cell %d: weighted tally diverged from RunOn:\n Run    %+v\n Stream %+v\n RunOn  %+v",
+				t.Errorf("width %d cell %d: weighted tally diverged from RunOn:\n Run      %+v\n OnResult %+v\n RunOn    %+v",
 					width, i, results[i].Result.Weighted, streamed[i].Result.Weighted, want[i].Weighted)
 			}
 		}

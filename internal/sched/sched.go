@@ -23,7 +23,7 @@ type Job struct {
 }
 
 // CellResult is one finished cell. Index is the job's position in the
-// slice submitted to Run or Stream.
+// slice submitted to Run or RunContext.
 type CellResult struct {
 	Index  int
 	Job    Job
@@ -55,8 +55,7 @@ type Options struct {
 
 // Scheduler drains sweep cells through a shared worker pool over one
 // montecarlo.Engine. A Scheduler is safe for concurrent use; concurrent
-// Run/Stream calls share the engine's structure cache but use separate
-// pools.
+// Run calls share the engine's structure cache but use separate pools.
 type Scheduler struct {
 	en   *montecarlo.Engine
 	opts Options
@@ -213,38 +212,6 @@ func (s *Scheduler) RunContext(ctx context.Context, jobs []Job) ([]CellResult, e
 		}
 	}
 	return results, nil
-}
-
-// Stream executes all jobs and delivers results on the returned channel in
-// completion order, closing it when the sweep is done. The channel is
-// buffered to len(jobs), so the sweep never blocks on a slow consumer.
-// Options.OnResult, if set, also fires per cell.
-//
-// Completion order is nondeterministic (it depends on pool width and cell
-// durations), but result identity is not: for a given seed, the CellResult
-// carrying Index i is identical at every pool width. Consumers needing a
-// stable order should collect and sort by Index.
-func (s *Scheduler) Stream(jobs []Job) <-chan CellResult {
-	return s.StreamContext(context.Background(), jobs)
-}
-
-// StreamContext is Stream with cancellation semantics matching
-// RunContext: after ctx is done, the channel closes once the in-flight
-// cells have aborted; skipped and aborted cells are silently dropped from
-// the stream.
-func (s *Scheduler) StreamContext(ctx context.Context, jobs []Job) <-chan CellResult {
-	ch := make(chan CellResult, len(jobs))
-	results := make([]CellResult, len(jobs))
-	go func() {
-		defer close(ch)
-		s.run(ctx, jobs, results, func(r CellResult) {
-			if s.opts.OnResult != nil {
-				s.opts.OnResult(r)
-			}
-			ch <- r
-		})
-	}()
-	return ch
 }
 
 // ThresholdCell tags one Fig. 11 grid cell.

@@ -76,53 +76,42 @@ func TestSchedulerCellMatchesDirectRun(t *testing.T) {
 }
 
 // Run returns results in submission order with the jobs' tags intact, and
-// OnResult fires exactly once per cell. The non-atomic counter inside the
-// callback doubles as a serialization check under -race.
+// OnResult fires exactly once per cell, with no error, at every pool width.
+// The non-atomic counter inside the callback doubles as a serialization
+// check under -race.
 func TestSchedulerStreamsEveryCellOnce(t *testing.T) {
 	jobs := thresholdGrid(150)
-	seen := make([]int, len(jobs))
-	calls := 0
-	s := New(nil, Options{Jobs: 4, OnResult: func(r CellResult) {
-		seen[r.Index]++
-		calls++
-	}})
-	results, err := s.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != len(jobs) {
-		t.Errorf("OnResult fired %d times for %d jobs", calls, len(jobs))
-	}
-	for i, n := range seen {
-		if n != 1 {
-			t.Errorf("cell %d streamed %d times", i, n)
+	for _, width := range []int{2, 4} {
+		seen := make([]int, len(jobs))
+		calls := 0
+		s := New(nil, Options{Jobs: width, OnResult: func(r CellResult) {
+			if r.Err != nil {
+				t.Errorf("width %d: cell %d streamed with error %v", width, r.Index, r.Err)
+			}
+			seen[r.Index]++
+			calls++
+		}})
+		results, err := s.Run(jobs)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i, r := range results {
-		if r.Index != i {
-			t.Errorf("result %d has index %d", i, r.Index)
+		if calls != len(jobs) {
+			t.Errorf("width %d: OnResult fired %d times for %d jobs", width, calls, len(jobs))
 		}
-		cell := r.Job.Tag.(ThresholdCell)
-		want := jobs[i].Tag.(ThresholdCell)
-		if cell != want {
-			t.Errorf("result %d tag %+v, want %+v", i, cell, want)
+		for i, n := range seen {
+			if n != 1 {
+				t.Errorf("width %d: cell %d streamed %d times", width, i, n)
+			}
 		}
-	}
-}
-
-// The channel API must deliver every cell exactly once and close.
-func TestSchedulerStreamChannel(t *testing.T) {
-	jobs := thresholdGrid(150)
-	seen := make([]int, len(jobs))
-	for r := range New(nil, Options{Jobs: 2}).Stream(jobs) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		seen[r.Index]++
-	}
-	for i, n := range seen {
-		if n != 1 {
-			t.Errorf("cell %d delivered %d times", i, n)
+		for i, r := range results {
+			if r.Index != i {
+				t.Errorf("width %d: result %d has index %d", width, i, r.Index)
+			}
+			cell := r.Job.Tag.(ThresholdCell)
+			want := jobs[i].Tag.(ThresholdCell)
+			if cell != want {
+				t.Errorf("width %d: result %d tag %+v, want %+v", width, i, cell, want)
+			}
 		}
 	}
 }
@@ -206,19 +195,19 @@ func TestSensitivitySweepGrid(t *testing.T) {
 	}
 }
 
-// The documented ordering guarantee on OnResult/Stream, pinned: arrival
-// order may vary with the pool width, but result identity may not. Collect
-// the stream at several widths, sort by Index, and require bit-identical
+// The documented ordering guarantee on OnResult, pinned: arrival order may
+// vary with the pool width, but result identity may not. Collect the
+// stream at several widths, sort by Index, and require bit-identical
 // per-cell statistics.
 func TestStreamResultIdentityDeterministicAtAnyWidth(t *testing.T) {
 	var ref []CellResult
 	for _, width := range []int{1, 3, 8} {
 		var got []CellResult
-		for r := range New(montecarlo.NewEngine(), Options{Jobs: width}).Stream(thresholdGrid(300)) {
-			if r.Err != nil {
-				t.Fatalf("width %d: cell %d: %v", width, r.Index, r.Err)
-			}
+		s := New(montecarlo.NewEngine(), Options{Jobs: width, OnResult: func(r CellResult) {
 			got = append(got, r)
+		}})
+		if _, err := s.Run(thresholdGrid(300)); err != nil {
+			t.Fatalf("width %d: %v", width, err)
 		}
 		slices.SortFunc(got, func(a, b CellResult) int { return a.Index - b.Index })
 		for i, r := range got {
@@ -277,18 +266,19 @@ func TestRunContextCancelSkipsRemainingCells(t *testing.T) {
 	}
 }
 
-// StreamContext closes its channel after cancellation without delivering
-// the skipped cells.
-func TestStreamContextCancelClosesChannel(t *testing.T) {
+// A context cancelled before any cell starts makes RunContext return
+// without delivering a single cell to OnResult.
+func TestRunContextPreCancelledEmitsNothing(t *testing.T) {
 	jobs := thresholdGrid(150)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before any cell starts
 	n := 0
-	for range New(nil, Options{Jobs: 2}).StreamContext(ctx, jobs) {
-		n++
+	s := New(nil, Options{Jobs: 2, OnResult: func(CellResult) { n++ }})
+	if _, err := s.RunContext(ctx, jobs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext error = %v, want context.Canceled", err)
 	}
 	if n != 0 {
-		t.Errorf("pre-cancelled stream delivered %d cells, want 0", n)
+		t.Errorf("pre-cancelled run delivered %d cells, want 0", n)
 	}
 }
 
@@ -386,7 +376,7 @@ func TestSchedulersShareEngineConcurrently(t *testing.T) {
 			t.Errorf("sweep %d: %v", i, err)
 		}
 	}
-	if en.StructureBuilds() != 2 {
-		t.Errorf("concurrent sweeps built %d structures, want 2 (one per distance)", en.StructureBuilds())
+	if builds := en.CacheStats().Builds; builds != 2 {
+		t.Errorf("concurrent sweeps built %d structures, want 2 (one per distance)", builds)
 	}
 }

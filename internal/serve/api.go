@@ -73,8 +73,9 @@ type SweepRequest struct {
 	// bit-identical cells.
 	Seed int64 `json:"seed,omitempty"`
 	// Decoder selects the per-shot decoder for either sweep type: "uf"
-	// (default) or "blossom" (exact minimum-weight matching at union-find-
-	// like cost).
+	// (default) or "blossom" (exact minimum-weight matching: within about
+	// 25% of union-find's per-shot cost at p=1e-3, 2.5-21x union-find's at
+	// d=11 for p >= 0.005).
 	Decoder string `json:"decoder,omitempty"`
 	// Jobs is this sweep's scheduler pool width (0 = the server default).
 	Jobs int `json:"jobs,omitempty"`
@@ -345,8 +346,8 @@ func buildCells(req SweepRequest) (typ string, cells []sched.Job, err error) {
 // BuildCells validates a SweepRequest and expands it into scheduler jobs —
 // the same check and expansion POST /v1/sweeps performs, exported for
 // binaries that reuse the request schema without the full server: the
-// fabric coordinator (cmd/vlqfabric) and the sweep CLIs vlqthreshold and
-// vlqsense (cmd/internal/sweepcli), whose flags are SweepRequest fields.
+// sweep CLIs vlqthreshold and vlqsense (cmd/internal/sweepcli), whose
+// flags are SweepRequest fields.
 func BuildCells(req SweepRequest) ([]sched.Job, error) {
 	_, cells, err := buildCells(req)
 	return cells, err

@@ -328,7 +328,8 @@ type (
 	// FabricHub is the coordinator: it leases sweep shard units to
 	// registered workers and merges their results exactly once per unit,
 	// bit-identically to a local run — at any worker count, under any
-	// fault schedule. See cmd/vlqfabric and vlqserve -fabric-listen.
+	// fault schedule. vlqserve -fabric-listen runs one for cmd/vlqworker
+	// processes.
 	FabricHub = fabric.Hub
 	// FabricHubOptions tunes the coordinator (lease TTL, clock, janitor).
 	FabricHubOptions = fabric.Options
